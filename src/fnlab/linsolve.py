@@ -5,6 +5,14 @@ unknowns and right-hand entries live in any vector space over the rationals
 (rational tuples, polynomial maps, ...).  Values only need +, -, rational
 scaling via v.scale(c) or c*v, and truth-testing for zero.  Row operations
 use rational pivots, so everything stays exact.
+
+The matrices are constant pullback matrices while the right-hand sides vary,
+so the elimination is split in two: ReducedMatrix row-reduces A once and
+records the row operations, and ReducedMatrix.solve replays them on each
+right-hand side.  solve_exact reduces afresh unless it is handed a reduction
+made under the column order it is asked for: a reduction fixes its pivots,
+and an explicit column order asks for a different elimination, which is how
+callers check that the solution does not depend on the order.
 """
 
 from .errors import InternalError, PreconditionError
@@ -18,53 +26,96 @@ def _scale(v, c):
     return scale(c) if scale is not None else c * v
 
 
-def solve_exact(matrix, rhs, column_order=None, unknown_labels=None, row_labels=None):
+class ReducedMatrix:
+    """A rational matrix of full column rank with its recorded row reduction.
+
+    Reduces in column_order (default: left to right).  Each step records the
+    pivot row, the inverse of the pivot entry and the (row, factor)
+    eliminations it made.  Rank deficiency raises InternalError here, because
+    every system solved here is a pullback inverse that the mathematics
+    guarantees solvable uniquely.  Iterating yields the rows of the original
+    matrix.
+    """
+
+    __slots__ = ("rows", "column_order", "steps", "free_rows", "pivot_row_of_col")
+
+    def __init__(self, matrix, column_order=None):
+        self.rows = [list(r) for r in matrix]
+        rows = len(self.rows)
+        cols = len(self.rows[0]) if rows else 0
+        order = tuple(range(cols)) if column_order is None else tuple(column_order)
+        a = [list(r) for r in self.rows]
+        steps = []
+        pivot_row_of_col = {}
+        used_rows = set()
+        for col in order:
+            pivot = None
+            for r in range(rows):
+                if r not in used_rows and a[r][col]:
+                    pivot = r
+                    break
+            if pivot is None:
+                raise InternalError(f"rank-deficient system at column {col}")
+            used_rows.add(pivot)
+            pivot_row_of_col[col] = pivot
+            inv = 1 / a[pivot][col]
+            if inv != 1:
+                a[pivot] = [v * inv for v in a[pivot]]
+            eliminations = []
+            for r in range(rows):
+                if r == pivot:
+                    continue
+                f = a[r][col]
+                if f:
+                    a[r] = [v - f * w for v, w in zip(a[r], a[pivot])]
+                    eliminations.append((r, Q(f)))
+            steps.append((pivot, Q(inv), tuple(eliminations)))
+        free_rows = tuple(r for r in range(rows) if r not in used_rows)
+        for r in free_rows:
+            if any(a[r]):
+                raise InternalError("unreduced row after elimination")
+        self.column_order = order
+        self.steps = tuple(steps)
+        self.free_rows = free_rows
+        self.pivot_row_of_col = tuple(pivot_row_of_col[col] for col in range(cols))
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def solve(self, rhs, row_labels=None):
+        """Solve A x = rhs by replaying the recorded row operations.
+
+        An inconsistent rhs raises PreconditionError naming the first unused
+        row left with a residue (row_labels[r], or "row r").
+        """
+        if len(rhs) != len(self.rows):
+            raise InternalError("rhs length mismatch")
+        y = list(rhs)
+        for pivot, inv, eliminations in self.steps:
+            yp = _scale(y[pivot], inv)
+            y[pivot] = yp
+            for r, f in eliminations:
+                y[r] = y[r] - _scale(yp, f)
+        for r in self.free_rows:
+            if y[r]:
+                label = row_labels[r] if row_labels else f"row {r}"
+                raise PreconditionError(f"inconsistent system: residue at {label}")
+        return [y[r] for r in self.pivot_row_of_col]
+
+
+def solve_exact(matrix, rhs, column_order=None, row_labels=None):
     """Solve A x = y for x; A rational with full column rank, y vector-valued.
 
-    column_order permutes the elimination (the solution must not depend on
-    it).  Inconsistent rows raise PreconditionError naming the offending row;
-    rank deficiency raises InternalError because every system solved here is
-    a pullback inverse that the mathematics guarantees solvable uniquely.
+    matrix is a list of rows or a ReducedMatrix; a reduction is replayed as
+    is when it was made under column_order (None meaning left to right), and
+    otherwise its rows are reduced afresh.  column_order permutes the
+    elimination (the solution must not depend on it).  Inconsistent rows
+    raise PreconditionError naming the offending row; rank deficiency raises
+    InternalError.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if len(rhs) != rows:
-        raise InternalError("rhs length mismatch")
-    order = list(range(cols)) if column_order is None else list(column_order)
-    a = [list(r) for r in matrix]
-    y = list(rhs)
-    pivot_row_of_col = {}
-    used_rows = set()
-    for col in order:
-        pivot = None
-        for r in range(rows):
-            if r not in used_rows and a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise InternalError(f"rank-deficient system at column {col}")
-        used_rows.add(pivot)
-        pivot_row_of_col[col] = pivot
-        inv = 1 / a[pivot][col]
-        if inv != 1:
-            a[pivot] = [v * inv for v in a[pivot]]
-            y[pivot] = _scale(y[pivot], Q(inv))
-        for r in range(rows):
-            if r == pivot:
-                continue
-            f = a[r][col]
-            if f:
-                a[r] = [v - f * w for v, w in zip(a[r], a[pivot])]
-                y[r] = y[r] - _scale(y[pivot], Q(f))
-    for r in range(rows):
-        if r in used_rows:
-            continue
-        if any(a[r]):
-            raise InternalError("unreduced row after elimination")
-        if y[r]:
-            label = row_labels[r] if row_labels else f"row {r}"
-            raise PreconditionError(f"inconsistent system: residue at {label}")
-    x = [None] * cols
-    for col in range(cols):
-        x[col] = y[pivot_row_of_col[col]]
-    return x
+    if isinstance(matrix, ReducedMatrix):
+        cols = len(matrix.pivot_row_of_col)
+        wanted = tuple(range(cols)) if column_order is None else tuple(column_order)
+        if matrix.column_order == wanted:
+            return matrix.solve(rhs, row_labels)
+    return ReducedMatrix(matrix, column_order).solve(rhs, row_labels)

@@ -11,13 +11,14 @@ carries the apex object, the two leg substitutions (one twisted by a product
 term, one zero-padded), the shared restriction and the extraction map.  One
 solver serves them all, and it works unchanged for any coefficient space over
 the rationals, which is how the bracket machinery on kernel-valued forms
-reuses it.
+reuses it.  A case's gluing system is a constant matrix, so each case reduces
+it once when it is created and every gluing replays the row operations.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PreconditionError, ValidationError
-from .linsolve import solve_exact
+from .linsolve import ReducedMatrix, solve_exact
 from .morphisms import InfMorphism, axis_map, inclusion
 from .poly import Poly, PolyMap
 from .rationals import Q
@@ -110,6 +111,14 @@ def restrict(p: MicroPoint, f: InfMorphism) -> MicroPoint:
 
 @dataclass(frozen=True)
 class AmalgamationCase:
+    """One gluing configuration and its reduced gluing system.
+
+    system stacks the twisted rows over the flat rows, so the apex point
+    restricting to (first leg, second leg) solves system x = (c1, c2).  The
+    matrix never changes, so it is reduced here, once; row_labels name its
+    rows for error messages.
+    """
+
     name: str
     leg: SimplicialObject
     apex: SimplicialObject
@@ -119,6 +128,16 @@ class AmalgamationCase:
     shared_incl: InfMorphism  # shared -> leg
     extract: InfMorphism      # result object -> apex
     result: SimplicialObject
+    system: ReducedMatrix = field(init=False, repr=False, compare=False)
+    row_labels: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        leg_alg = make_algebra(self.leg)
+        system = ReducedMatrix(self.twisted.matrix() + self.flat.matrix())
+        labels = tuple(f"{leg_alg.monomial_str(i)} ({which} leg)"
+                       for which in ("first", "second") for i in range(leg_alg.dim))
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "row_labels", labels)
 
 
 def _square_case() -> AmalgamationCase:
@@ -205,15 +224,14 @@ def case_compat_errors(case: AmalgamationCase, c1, c2) -> list:
 
 
 def case_solve(case: AmalgamationCase, c1, c2, column_order=None):
-    """Unique apex coefficients restricting to c1 (twisted leg) and c2 (flat leg)."""
-    leg_alg = make_algebra(case.leg)
-    mt = case.twisted.matrix()
-    mf = case.flat.matrix()
-    stacked = [mt[i] for i in range(leg_alg.dim)] + [mf[i] for i in range(leg_alg.dim)]
-    rhs = list(c1) + list(c2)
-    labels = ([f"{leg_alg.monomial_str(i)} (first leg)" for i in range(leg_alg.dim)]
-              + [f"{leg_alg.monomial_str(i)} (second leg)" for i in range(leg_alg.dim)])
-    return solve_exact(stacked, rhs, column_order=column_order, row_labels=labels)
+    """Unique apex coefficients restricting to c1 (twisted leg) and c2 (flat leg).
+
+    Replays the case's stored reduction.  An explicit column_order that
+    differs from the stored one reduces the system afresh in that order, so
+    that callers checking order independence run a real second elimination.
+    """
+    return solve_exact(case.system, list(c1) + list(c2),
+                       column_order=column_order, row_labels=case.row_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +401,15 @@ class TriangleConfig:
         self.m = ms.pop()
         self.cubes = dict(cubes)
 
-    def violations(self) -> list:
-        """All broken membership conditions, as human-readable strings."""
+    def _check(self):
+        """Broken membership conditions, and the inner strong differences.
+
+        Returns (violations, inner) where inner maps each axis whose two
+        pairs glue to its two inner strong differences.  With no violations
+        every axis is present.
+        """
         out = []
+        inner = {}
         dparen = d_paren(2)
         sq_incl = inclusion(dparen, d_cube(2))
         for axis, others, pairs in _TRIANGLE_GROUPS:
@@ -398,15 +422,20 @@ class TriangleConfig:
                     out.append(
                         f"cubes {a} and {b} disagree after killing d{others[0]}*d{others[1]}")
             try:
-                inner = [strong_diff_i(self.cubes[a], self.cubes[b], axis)
+                diffs = [strong_diff_i(self.cubes[a], self.cubes[b], axis)
                          for a, b in pairs]
             except PreconditionError:
                 continue
-            r0 = restrict(inner[0], sq_incl)
-            r1 = restrict(inner[1], sq_incl)
+            inner[axis] = diffs
+            r0 = restrict(diffs[0], sq_incl)
+            r1 = restrict(diffs[1], sq_incl)
             if r0 != r1:
                 out.append(f"axis-{axis} differences disagree off the corner")
-        return out
+        return out, inner
+
+    def violations(self) -> list:
+        """All broken membership conditions, as human-readable strings."""
+        return self._check()[0]
 
     def verify(self):
         bad = self.violations()
@@ -415,14 +444,17 @@ class TriangleConfig:
 
 
 def jacobi3_defect(t: TriangleConfig) -> MicroPoint:
-    """Sum of the three iterated strong differences; zero principal part expected."""
-    t.verify()
+    """Sum of the three iterated strong differences; zero principal part expected.
+
+    The membership check already glues the six inner strong differences, so
+    they are taken from it rather than glued again.
+    """
+    bad, inner = t._check()
+    if bad:
+        raise PreconditionError("; ".join(bad))
     total = None
-    for axis, _others, pairs in _TRIANGLE_GROUPS:
-        (a1, b1), (a2, b2) = pairs
-        inner1 = strong_diff_i(t.cubes[a1], t.cubes[b1], axis)
-        inner2 = strong_diff_i(t.cubes[a2], t.cubes[b2], axis)
-        tangent = strong_diff(inner1, inner2)
+    for axis, _others, _pairs in _TRIANGLE_GROUPS:
+        tangent = strong_diff(*inner[axis])
         total = tangent if total is None else add_tangents(total, tangent)
     return total
 

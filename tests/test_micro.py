@@ -211,9 +211,11 @@ def test_triangle_violation_detection():
     bad[(1,)] = [9]
     cubes["123"] = cube(1, bad)
     t = TriangleConfig(cubes)
-    assert t.violations()
-    with pytest.raises(PreconditionError):
+    assert t.violations() == ["cubes 123 and 132 disagree after killing d2*d3",
+                              "cubes 123 and 213 disagree after killing d1*d2"]
+    with pytest.raises(PreconditionError) as err:
         jacobi3_defect(t)
+    assert str(err.value) == "; ".join(t.violations())
 
 
 def test_translation_equivariance():
