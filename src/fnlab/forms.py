@@ -12,14 +12,23 @@ scalars; their expanded products agree below the corner, and the corner gap,
 extracted by the same amalgamation solver that powers strong differences of
 points, is the bracket.  Antisymmetrizing with 1/(p! q!) yields the graded
 bracket on alternating forms.
+
+The cube combinatorics are worked out once and cached, which is safe because
+cube layouts never change: one layout per arity p (the basis-order subsets
+of {1..p} and their positions, 2^p entries, kept for the life of the process
+like the cube algebra it is read from) and one variable map per permutation
+(an LRU cache of at most 1024 maps of m * 2^p indices each).  The
+antisymmetrizer adds every signed, scaled permutation of the kernel into one
+term dict per component and builds a single kernel.
 """
 
+from functools import lru_cache
 from itertools import permutations as iter_permutations
 
 from .errors import InternalError, PreconditionError, ValidationError
 from .micro import case_compat_errors, case_solve, get_case, restrict_coeffs
 from .poly import Poly, PolyMap
-from .rationals import Q, factorial
+from .rationals import ONE, Q, factorial
 from .simplicial import d_cube
 from .weil import WeilElement, make_algebra
 
@@ -32,30 +41,48 @@ def cube_dim(p: int, m: int) -> int:
     return m * (1 << p)
 
 
+class _CubeLayout:
+    """Basis order of the p-cube algebra, read as subsets of {1..p}."""
+
+    __slots__ = ("subsets", "index")
+
+    def __init__(self, p: int):
+        alg = make_algebra(d_cube(p))
+        self.subsets = tuple(
+            (pos, frozenset(i + 1 for i, e in enumerate(exps) if e))
+            for pos, exps in enumerate(alg.basis))
+        self.index = {subset: pos for pos, subset in self.subsets}
+
+
+@lru_cache(maxsize=None)
+def _cube_layout(p: int) -> _CubeLayout:
+    """The layout of arity p, built once; make_algebra already keeps D^p."""
+    return _CubeLayout(p)
+
+
 def cube_positions(p: int):
     """Subsets of {1..p} in basis order, as (position, frozenset) pairs."""
-    alg = make_algebra(d_cube(p))
-    out = []
-    for pos, exps in enumerate(alg.basis):
-        out.append((pos, frozenset(i + 1 for i, e in enumerate(exps) if e)))
-    return out
+    return _cube_layout(p).subsets
 
 
 def subset_position(p: int, subset) -> int:
-    alg = make_algebra(d_cube(p))
-    exps = tuple(1 if i + 1 in subset else 0 for i in range(p))
-    return alg.index[exps]
+    pos = _cube_layout(p).index.get(frozenset(subset))
+    if pos is None:
+        raise ValidationError(f"subset {set(subset)} is not a subset of 1..{p}")
+    return pos
 
 
 def cube_var(p: int, m: int, subset, j: int) -> int:
     """Variable index of coordinate j of the gamma_subset slot."""
+    if not 0 <= j < m:
+        raise ValidationError(f"coordinate {j} out of range for dimension {m}")
     return subset_position(p, subset) * m + j
 
 
 class Kernel:
     """Polynomial map from the p-cube coefficient space to R^m."""
 
-    __slots__ = ("p", "m", "body", "degree_bound")
+    __slots__ = ("p", "m", "body")
 
     def __init__(self, p: int, m: int, body: PolyMap):
         if body.in_dim != cube_dim(p, m) or body.out_dim != m:
@@ -64,7 +91,6 @@ class Kernel:
         self.p = p
         self.m = m
         self.body = body
-        self.degree_bound = body.degree()
 
     def _check(self, other):
         if self.p != other.p or self.m != other.m:
@@ -184,18 +210,25 @@ def shuffle_sigma(p: int, q: int) -> Permutation:
     return Permutation([q + i for i in range(1, p + 1)] + list(range(1, q + 1)))
 
 
+@lru_cache(maxsize=1024)
+def _perm_map(p: int, m: int, images: tuple) -> tuple:
+    """Variable map of the axis permutation with these images on arity p, R^m."""
+    layout = _cube_layout(p)
+    mapping = [0] * cube_dim(p, m)
+    for pos, subset in layout.subsets:
+        tgt = layout.index[frozenset(images[i - 1] for i in subset)]
+        for j in range(m):
+            mapping[pos * m + j] = tgt * m + j
+    return tuple(mapping)
+
+
 def perm_kernel(k: Kernel, sigma: Permutation) -> Kernel:
     """Precompose with the axis permutation: result(gamma) = k(gamma^sigma)."""
     if sigma.p != k.p:
         raise ValidationError("permutation degree != kernel arity")
-    n = cube_dim(k.p, k.m)
-    mapping = [0] * n
-    for pos, subset in cube_positions(k.p):
-        tgt = subset_position(k.p, sigma.apply_subset(subset))
-        for j in range(k.m):
-            mapping[pos * k.m + j] = tgt * k.m + j
+    mapping = _perm_map(k.p, k.m, sigma.images)
     comps = [c.remap_variables(mapping) for c in k.body.comps]
-    return Kernel(k.p, k.m, PolyMap(n, comps))
+    return Kernel(k.p, k.m, PolyMap(k.body.in_dim, comps))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +392,9 @@ def is_omega13(x: FormElem) -> bool:
     else:
         sigmas = [Permutation([*range(1, i), i + 1, i, *range(i + 2, x.p + 1)])
                   for i in range(1, x.p)]
+    negated = -ker
     for sigma in sigmas:
-        if perm_kernel(ker, sigma) != ker.scale(Q(sigma.sign)):
+        if perm_kernel(ker, sigma) != (ker if sigma.sign == 1 else negated):
             return False
     return True
 
@@ -403,23 +437,20 @@ def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
     big_one = WeilElement(big_alg, {0: Poly.one(n_gamma)})
     ext_one = WeilElement(ext_alg, {0: Poly.one(n_gamma)})
 
-    outer_subsets = cube_positions(po)
+    big = _cube_layout(ext_n + po)
+    ext = _cube_layout(ext_n)
+    outer = _cube_layout(po)
 
     def big_position(ext_subset, outer_pos_subset):
-        exps = [0] * (ext_n + po)
-        for i in ext_subset:
-            exps[i - 1] = 1
-        for t in outer_pos_subset:
-            exps[ext_n + t - 1] = 1
-        return big_alg.index[tuple(exps)]
+        return big.index[frozenset(ext_subset).union(ext_n + t for t in outer_pos_subset)]
 
     # arguments for the inner kernels: gamma viewed with outer-directions scalars
     args = []
-    for _pos, s_own in cube_positions(qi):
+    for _pos, s_own in _cube_layout(qi).subsets:
         s_global = {inner_axes[s - 1] for s in s_own}
         for j in range(m):
             coeffs = {}
-            for _tpos, t_own in outer_subsets:
+            for _tpos, t_own in outer.subsets:
                 t_global = {outer_axes[t - 1] for t in t_own}
                 var = cube_var(total, m, s_global | t_global, j)
                 coeffs[big_position((), t_own)] = Poly.var(n_gamma, var)
@@ -434,12 +465,10 @@ def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
 
     # split the scalars: polynomial h-cube entries over the expansion algebra
     split = {}
-    for pos, exps in enumerate(big_alg.basis):
-        ext_subset = frozenset(i + 1 for i in range(ext_n) if exps[i])
-        t_own = frozenset(t + 1 for t in range(po) if exps[ext_n + t])
-        ext_pos = ext_alg.index[tuple(1 if i + 1 in ext_subset else 0
-                                      for i in range(ext_n))]
-        split[pos] = (subset_position(po, t_own), ext_pos)
+    for pos, subset in big.subsets:
+        t_own = frozenset(i - ext_n for i in subset if i > ext_n)
+        ext_subset = frozenset(i for i in subset if i <= ext_n)
+        split[pos] = (outer.index[t_own], ext.index[ext_subset])
 
     h_args = []
     for tpos in range(1 << po):
@@ -453,16 +482,13 @@ def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
 
     out_vals = [WeilElement(ext_alg, {}) for _ in range(m)]
     for u_subset, ker in outer_bar.items():
-        emb = WeilElement(ext_alg, {
-            ext_alg.index[tuple(1 if i + 1 in u_subset else 0
-                                for i in range(ext_n))]: Poly.one(n_gamma)})
+        emb = WeilElement(ext_alg, {ext.index[u_subset]: Poly.one(n_gamma)})
         vals = ker.body.eval(h_args, ext_one)
         for j in range(m):
             out_vals[j] = out_vals[j] + emb * vals[j]
 
     result = {}
-    for pos, exps in enumerate(ext_alg.basis):
-        subset = frozenset(i + 1 for i, e in enumerate(exps) if e)
+    for pos, subset in ext.subsets:
         comps = [out_vals[j].coeffs.get(pos, Poly.zero(n_gamma)) for j in range(m)]
         if any(comps):
             result[subset] = Kernel(total, m, PolyMap(n_gamma, comps))
@@ -522,17 +548,28 @@ def prod_over(x: FormElem, y: FormElem) -> FormElem:
 # antisymmetrizers
 
 
-def antisymmetrize(x: FormElem) -> FormElem:
+def antisymmetrize(x: FormElem, factor=ONE) -> FormElem:
     """Signed sum over all axis permutations of the principal kernel.
 
-    The base projection is symmetric, so it is carried unchanged rather than
-    picking up a factor p!.
+    Every signed term is multiplied by factor as it is added, so scaling
+    costs no second kernel.  The base projection is symmetric, so it is
+    carried unchanged rather than picking up a factor p!.
     """
     ker = x.principal()
-    total = None
+    sums = [{} for _ in range(x.m)]
     for sigma in Permutation.all(x.p):
-        term = perm_kernel(ker, sigma).scale(Q(sigma.sign))
-        total = term if total is None else total + term
+        c = factor if sigma.sign == 1 else -factor
+        for acc, comp in zip(sums, perm_kernel(ker, sigma).body.comps):
+            for e, v in comp.terms.items():
+                t = c * v
+                s = acc.get(e)
+                s = t if s is None else s + t
+                if s:
+                    acc[e] = s
+                elif e in acc:
+                    del acc[e]
+    n = ker.body.in_dim
+    total = Kernel(x.p, x.m, PolyMap(n, [Poly(n, acc) for acc in sums]))
     return FormElem(x.p, 1, x.m,
                     {frozenset(): x.coeff(()), frozenset({1}): total},
                     x.class_tag, x.view)
@@ -543,11 +580,7 @@ def antisymmetrize_scaled(x: FormElem, parts) -> FormElem:
     denom = 1
     for part in parts:
         denom *= factorial(part)
-    out = antisymmetrize(x)
-    return FormElem(out.p, 1, out.m,
-                    {frozenset(): out.coeff(()),
-                     frozenset({1}): out.principal().scale(Q(1, denom))},
-                    x.class_tag, x.view)
+    return antisymmetrize(x, Q(1, denom))
 
 
 # ---------------------------------------------------------------------------

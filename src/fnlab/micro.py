@@ -91,17 +91,16 @@ def restrict(p: MicroPoint, f: InfMorphism) -> MicroPoint:
         raise ValidationError(
             f"point lives on {p.algebra.source!r}, morphism targets {f.target!r}")
     src = make_algebra(f.source)
-    matrix = f.matrix()
+    columns = f.columns()
     out = []
     for c in p.coords:
-        dense = [Q(0)] * src.dim
+        acc = {}
         for j, v in c.coeffs.items():
-            col = matrix
-            for i in range(src.dim):
-                mv = col[i][j]
-                if mv:
-                    dense[i] += mv * v
-        out.append(from_dense(src, dense))
+            for i, mv in columns[j]:
+                t = mv * v
+                s = acc.get(i)
+                acc[i] = t if s is None else s + t
+        out.append(WeilElement(src, {i: acc[i] for i in sorted(acc) if acc[i]}))
     return MicroPoint(src, p.m, out)
 
 
@@ -194,21 +193,14 @@ def get_case(case) -> AmalgamationCase:
 
 def restrict_coeffs(coeffs, mor: InfMorphism):
     """Apply a restriction matrix to a dense list of vector-space values."""
-    matrix = mor.matrix()
-    src_dim = len(matrix)
+    columns = mor.columns()
     zero = coeffs[0] - coeffs[0]
-    out = []
-    for i in range(src_dim):
-        acc = None
-        row = matrix[i]
-        for j, v in enumerate(coeffs):
-            c = row[j]
-            if not c:
-                continue
+    acc = [None] * len(mor.matrix())
+    for j, v in enumerate(coeffs):
+        for i, c in columns[j]:
             t = v.scale(c) if hasattr(v, "scale") else c * v
-            acc = t if acc is None else acc + t
-        out.append(zero if acc is None else acc)
-    return out
+            acc[i] = t if acc[i] is None else acc[i] + t
+    return [zero if a is None else a for a in acc]
 
 
 def case_compat_errors(case: AmalgamationCase, c1, c2) -> list:

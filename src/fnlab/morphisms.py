@@ -15,7 +15,7 @@ from .weil import WeilElement, make_algebra
 
 
 class InfMorphism:
-    __slots__ = ("source", "target", "subst", "_matrix")
+    __slots__ = ("source", "target", "subst", "_matrix", "_columns")
 
     def __init__(self, source: SimplicialObject, target: SimplicialObject, subst):
         """subst: one Poly in source.n variables per target generator."""
@@ -32,6 +32,7 @@ class InfMorphism:
         self.target = target
         self.subst = subst
         self._matrix = None
+        self._columns = None
         self._validate()
 
     def _images(self):
@@ -83,6 +84,19 @@ class InfMorphism:
         matrix = [[cols[j].get(i, Q(0)) for j in range(tgt.dim)] for i in range(src.dim)]
         self._matrix = matrix
         return matrix
+
+    def columns(self):
+        """Nonzero (row, value) entries of each matrix column, in row order.
+
+        The matrix is constant and mostly zero, so restrictions walk these
+        entries instead of whole dense columns.
+        """
+        if self._columns is None:
+            matrix = self.matrix()
+            self._columns = tuple(
+                tuple((i, row[j]) for i, row in enumerate(matrix) if row[j])
+                for j in range(len(matrix[0])))
+        return self._columns
 
     def pullback_element(self, w: WeilElement) -> WeilElement:
         """Apply the dual algebra map to an element of the target algebra."""

@@ -11,10 +11,12 @@ from fnlab.forms import (FormElem, Kernel, OMEGA1, OMEGA12, OMEGA123,
                          form_from_kernel, identity_one_form, is_omega1,
                          is_omega12, is_omega13, is_omega123, perm_act,
                          perm_kernel, pi_kernel, prod_over, prod_under,
-                         shuffle_sigma, transpose_views, vector_field_form,
-                         verify_class)
+                         shuffle_sigma, subset_position, transpose_views,
+                         vector_field_form, verify_class)
 from fnlab.poly import Poly, PolyMap
-from fnlab.rationals import Q
+from fnlab.rationals import Q, factorial
+from fnlab.simplicial import d_cube
+from fnlab.weil import make_algebra
 
 RNG = random.Random(41)
 
@@ -128,6 +130,117 @@ def test_permutation_sign_and_inverse():
     assert Permutation((2, 1, 3)).sign == -1
     with pytest.raises(ValidationError):
         Permutation((1, 1, 2))
+
+
+def test_cube_slots_reject_out_of_range_subsets_and_coordinates():
+    assert subset_position(2, {1, 2}) == 3
+    assert cube_var(2, 2, {2}, 1) == 5
+    with pytest.raises(ValidationError):
+        cube_var(2, 1, {2, 5}, 0)
+    with pytest.raises(ValidationError):
+        subset_position(2, {3})
+    with pytest.raises(ValidationError):
+        subset_position(0, {1})
+    with pytest.raises(ValidationError):
+        cube_var(2, 1, {1}, 1)
+    with pytest.raises(ValidationError):
+        cube_var(2, 2, (), -1)
+
+
+# --- naive references: one scaled kernel per permutation ---------------------
+
+
+def naive_perm_kernel(k, sigma):
+    """Substitute gamma_S -> gamma_sigma(S) by evaluating each component."""
+    alg = make_algebra(d_cube(k.p))
+    slot = {frozenset(i + 1 for i, e in enumerate(exps) if e): pos
+            for pos, exps in enumerate(alg.basis)}
+    n = cube_dim(k.p, k.m)
+    args = [None] * n
+    for subset, pos in slot.items():
+        tgt = slot[frozenset(sigma(i) for i in subset)]
+        for j in range(k.m):
+            args[pos * k.m + j] = Poly.var(n, tgt * k.m + j)
+    return Kernel(k.p, k.m, PolyMap(n, [c.eval(args, Poly.one(n)) for c in k.body.comps]))
+
+
+def naive_antisymmetrize(x, denom=1):
+    ker = x.principal()
+    total = None
+    for sigma in Permutation.all(x.p):
+        term = naive_perm_kernel(ker, sigma).scale(Q(sigma.sign))
+        total = term if total is None else total + term
+    return FormElem(x.p, 1, x.m, {frozenset(): x.coeff(()),
+                                  frozenset({1}): total.scale(Q(1, denom))},
+                    x.class_tag, x.view)
+
+
+def naive_is_omega13(x):
+    if not is_omega1(x):
+        return False
+    ker = x.principal()
+    if x.p <= 3:
+        sigmas = Permutation.all(x.p)
+    else:
+        sigmas = [Permutation([*range(1, i), i + 1, i, *range(i + 2, x.p + 1)])
+                  for i in range(1, x.p)]
+    return all(naive_perm_kernel(ker, s) == ker.scale(Q(s.sign)) for s in sigmas)
+
+
+def assert_same_form(a, b):
+    assert a == b
+    assert (a.class_tag, a.view) == (b.class_tag, b.view)
+    assert {s: k.body for s, k in a.coeffs.items()} == \
+        {s: k.body for s, k in b.coeffs.items()}
+
+
+def test_permutation_machinery_matches_naive_reference():
+    rng = random.Random(2024)
+    for p in range(5):
+        for m in (1, 2):
+            n = cube_dim(p, m)
+            sigmas = Permutation.all(p)
+            for _ in range(2):
+                ker = Kernel(p, m, PolyMap(n, [
+                    Poly.from_terms(n, [
+                        (Q(rng.randint(-5, 5), rng.randint(1, 3)),
+                         [int(rng.random() < 0.3) for _ in range(n)]) for _ in range(3)])
+                    for _ in range(m)]))
+                for sigma in rng.sample(sigmas, min(len(sigmas), 6)):
+                    assert perm_kernel(ker, sigma) == naive_perm_kernel(ker, sigma)
+                x = form_from_kernel(ker)
+                assert_same_form(antisymmetrize(x), naive_antisymmetrize(x))
+                for parts in ((p, 0), (1, p - 1) if p else (0, 0)):
+                    denom = factorial(parts[0]) * factorial(parts[1])
+                    assert_same_form(antisymmetrize_scaled(x, parts),
+                                     naive_antisymmetrize(x, denom))
+                alt = antisymmetrize(x)
+                for y in (x, alt, transpose_views(alt), alt.with_tag(OMEGA12)):
+                    assert is_omega13(y) == naive_is_omega13(y)
+                assert is_omega13(alt)
+
+
+def test_alternation_kept_under_exactly_one_transposition():
+    """Kernels alternating under one transposition of three axes only.
+
+    Alternation under both (1 2) and (2 3) forces it under (1 3) =
+    (1 2)(2 3)(1 2), so no kernel breaks it under the non-adjacent
+    transposition alone; the nearest case keeps it under (1 3) alone, or
+    under (1 2) alone while breaking it under (1 3).
+    """
+    n = cube_dim(3, 1)
+    for i, j in ((1, 2), (2, 3), (1, 3)):
+        k = 6 - i - j
+        body = (axis_var(3, 1, {i}) - axis_var(3, 1, {j})) * axis_var(3, 1, {k})
+        x = form_from_kernel(Kernel(3, 1, PolyMap(n, [body])))
+        tau = Permutation([j if a == i else i if a == j else a for a in (1, 2, 3)])
+        assert perm_kernel(x.principal(), tau) == -x.principal()
+        assert not is_omega13(x) and not naive_is_omega13(x)
+        assert is_omega13(antisymmetrize(x))
+    symmetric = form_from_kernel(Kernel(3, 1, PolyMap(n, [
+        axis_var(3, 1, {1}) + axis_var(3, 1, {2}) + axis_var(3, 1, {3})])))
+    assert not is_omega13(symmetric) and not naive_is_omega13(symmetric)
+    assert not antisymmetrize(symmetric).principal()
 
 
 # --- convolution ------------------------------------------------------------

@@ -4,15 +4,15 @@ import pytest
 
 from fnlab.errors import PreconditionError, ValidationError
 from fnlab.micro import (MicroPoint, TRIANGLE_LABELS, TriangleConfig,
-                         amalgamate, flow_field, get_case, jacobi3_defect,
-                         restrict, strong_diff, strong_diff_i,
-                         tangent_principal, triangle_from_slots,
+                         amalgamate, amalgamation_cases, flow_field, get_case,
+                         jacobi3_defect, restrict, restrict_coeffs, strong_diff,
+                         strong_diff_i, tangent_principal, triangle_from_slots,
                          triangle_from_vector_fields)
 from fnlab.morphisms import InfMorphism, axis_map, inclusion
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 from fnlab.simplicial import d_cube, d_paren
-from fnlab.weil import make_algebra
+from fnlab.weil import from_dense, make_algebra
 
 
 def square(m, base, e1, e2, corner):
@@ -43,6 +43,43 @@ def test_restrict_diagonal():
 def test_restrict_object_mismatch():
     with pytest.raises(ValidationError):
         restrict(GAMMA, axis_map(d_cube(1), d_cube(3), (1,)))
+
+
+def dense_restrict_coeffs(coeffs, mor):
+    """Row-by-row product with the whole dense matrix."""
+    zero = coeffs[0] - coeffs[0]
+    out = []
+    for row in mor.matrix():
+        acc = zero
+        for c, v in zip(row, coeffs):
+            acc = acc + (v.scale(c) if hasattr(v, "scale") else c * v)
+        out.append(acc)
+    return out
+
+
+def test_sparse_restriction_matches_dense_reference():
+    rng = random.Random(5)
+    rv = lambda: Q(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+    for case in amalgamation_cases().values():
+        for mor in (case.twisted, case.flat, case.shared_incl, case.extract):
+            tgt, src = make_algebra(mor.target), make_algebra(mor.source)
+            assert mor.columns() == tuple(
+                tuple((i, row[j]) for i, row in enumerate(mor.matrix()) if row[j])
+                for j in range(tgt.dim))
+            for _ in range(5):
+                m = rng.randint(1, 2)
+                rows = [[rv() if rng.random() < 0.6 else Q(0) for _ in range(tgt.dim)]
+                        for _ in range(m)]
+                point = MicroPoint(tgt, m, [from_dense(tgt, r) for r in rows])
+                expected = [from_dense(src, dense_restrict_coeffs(r, mor)) for r in rows]
+                got = restrict(point, mor)
+                assert got == MicroPoint(src, m, expected)
+                assert [sorted(c.coeffs) for c in got.coords] == \
+                    [list(c.coeffs) for c in got.coords]
+                assert restrict_coeffs(rows[0], mor) == dense_restrict_coeffs(rows[0], mor)
+                polys = [Poly.from_terms(2, [(rv(), (rng.randint(0, 2), rng.randint(0, 2)))])
+                         for _ in range(tgt.dim)]
+                assert restrict_coeffs(polys, mor) == dense_restrict_coeffs(polys, mor)
 
 
 def test_square_amalgamation_example():
