@@ -163,9 +163,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def apply_subset(self, subset) -> frozenset:
-        return frozenset(self.images[i - 1] for i in subset)
-
     def after(self, other: "Permutation") -> "Permutation":
         """self composed after other: i -> self(other(i))."""
         if self.p != other.p:

@@ -7,12 +7,11 @@ scaling via v.scale(c) or c*v, and truth-testing for zero.  Row operations
 use rational pivots, so everything stays exact.
 
 The matrices are constant pullback matrices while the right-hand sides vary,
-so the elimination is split in two: ReducedMatrix row-reduces A once and
-records the row operations, and ReducedMatrix.solve replays them on each
-right-hand side.  solve_exact reduces afresh unless it is handed a reduction
-made under the column order it is asked for: a reduction fixes its pivots,
-and an explicit column order asks for a different elimination, which is how
-callers check that the solution does not depend on the order.
+so the elimination is split in two: ReducedMatrix row-reduces A once, in a
+given column order, and records the row operations; solve_exact replays them
+on each right-hand side.  Reducing the same matrix in another column order
+gives a second, independent elimination, which is how callers check that the
+solution does not depend on the order.
 """
 
 from .errors import InternalError, PreconditionError
@@ -37,13 +36,13 @@ class ReducedMatrix:
     matrix.
     """
 
-    __slots__ = ("rows", "column_order", "steps", "free_rows", "pivot_row_of_col")
+    __slots__ = ("rows", "steps", "free_rows", "pivot_row_of_col")
 
     def __init__(self, matrix, column_order=None):
         self.rows = [list(r) for r in matrix]
         rows = len(self.rows)
         cols = len(self.rows[0]) if rows else 0
-        order = tuple(range(cols)) if column_order is None else tuple(column_order)
+        order = range(cols) if column_order is None else column_order
         a = [list(r) for r in self.rows]
         steps = []
         pivot_row_of_col = {}
@@ -74,7 +73,6 @@ class ReducedMatrix:
         for r in free_rows:
             if any(a[r]):
                 raise InternalError("unreduced row after elimination")
-        self.column_order = order
         self.steps = tuple(steps)
         self.free_rows = free_rows
         self.pivot_row_of_col = tuple(pivot_row_of_col[col] for col in range(cols))
@@ -82,40 +80,23 @@ class ReducedMatrix:
     def __iter__(self):
         return iter(self.rows)
 
-    def solve(self, rhs, row_labels=None):
-        """Solve A x = rhs by replaying the recorded row operations.
 
-        An inconsistent rhs raises PreconditionError naming the first unused
-        row left with a residue (row_labels[r], or "row r").
-        """
-        if len(rhs) != len(self.rows):
-            raise InternalError("rhs length mismatch")
-        y = list(rhs)
-        for pivot, inv, eliminations in self.steps:
-            yp = _scale(y[pivot], inv)
-            y[pivot] = yp
-            for r, f in eliminations:
-                y[r] = y[r] - _scale(yp, f)
-        for r in self.free_rows:
-            if y[r]:
-                label = row_labels[r] if row_labels else f"row {r}"
-                raise PreconditionError(f"inconsistent system: residue at {label}")
-        return [y[r] for r in self.pivot_row_of_col]
+def solve_exact(system: ReducedMatrix, rhs, row_labels=None):
+    """Solve A x = rhs by replaying the row operations recorded in system.
 
-
-def solve_exact(matrix, rhs, column_order=None, row_labels=None):
-    """Solve A x = y for x; A rational with full column rank, y vector-valued.
-
-    matrix is a list of rows or a ReducedMatrix; a reduction is replayed as
-    is when it was made under column_order (None meaning left to right), and
-    otherwise its rows are reduced afresh.  column_order permutes the
-    elimination (the solution must not depend on it).  Inconsistent rows
-    raise PreconditionError naming the offending row; rank deficiency raises
-    InternalError.
+    An inconsistent rhs raises PreconditionError naming the first unused row
+    left with a residue (row_labels[r], or "row r").
     """
-    if isinstance(matrix, ReducedMatrix):
-        cols = len(matrix.pivot_row_of_col)
-        wanted = tuple(range(cols)) if column_order is None else tuple(column_order)
-        if matrix.column_order == wanted:
-            return matrix.solve(rhs, row_labels)
-    return ReducedMatrix(matrix, column_order).solve(rhs, row_labels)
+    if len(rhs) != len(system.rows):
+        raise InternalError("rhs length mismatch")
+    y = list(rhs)
+    for pivot, inv, eliminations in system.steps:
+        yp = _scale(y[pivot], inv)
+        y[pivot] = yp
+        for r, f in eliminations:
+            y[r] = y[r] - _scale(yp, f)
+    for r in system.free_rows:
+        if y[r]:
+            label = row_labels[r] if row_labels else f"row {r}"
+            raise PreconditionError(f"inconsistent system: residue at {label}")
+    return [y[r] for r in system.pivot_row_of_col]

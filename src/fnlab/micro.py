@@ -13,9 +13,15 @@ solver serves them all, and it works unchanged for any coefficient space over
 the rationals, which is how the bracket machinery on kernel-valued forms
 reuses it.  A case's gluing system is a constant matrix, so each case reduces
 it once when it is created and every gluing replays the row operations.
+
+Restricting a point maps each coordinate through the morphism's dual algebra
+map, InfMorphism.pullback_element.  A six-cube configuration checks its
+membership conditions once, when it is made, and keeps the inner strong
+differences that check glues for the threefold difference.
 """
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import PreconditionError, ValidationError
 from .linsolve import ReducedMatrix, solve_exact
@@ -90,18 +96,8 @@ def restrict(p: MicroPoint, f: InfMorphism) -> MicroPoint:
     if f.target != p.algebra.source:
         raise ValidationError(
             f"point lives on {p.algebra.source!r}, morphism targets {f.target!r}")
-    src = make_algebra(f.source)
-    columns = f.columns()
-    out = []
-    for c in p.coords:
-        acc = {}
-        for j, v in c.coeffs.items():
-            for i, mv in columns[j]:
-                t = mv * v
-                s = acc.get(i)
-                acc[i] = t if s is None else s + t
-        out.append(WeilElement(src, {i: acc[i] for i in sorted(acc) if acc[i]}))
-    return MicroPoint(src, p.m, out)
+    return MicroPoint(make_algebra(f.source), p.m,
+                      [f.pullback_element(c) for c in p.coords])
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +211,19 @@ def case_compat_errors(case: AmalgamationCase, c1, c2) -> list:
     return bad
 
 
-def case_solve(case: AmalgamationCase, c1, c2, column_order=None):
+def case_solve(case: AmalgamationCase, c1, c2):
     """Unique apex coefficients restricting to c1 (twisted leg) and c2 (flat leg).
 
-    Replays the case's stored reduction.  An explicit column_order that
-    differs from the stored one reduces the system afresh in that order, so
-    that callers checking order independence run a real second elimination.
+    Replays the case's stored reduction.
     """
-    return solve_exact(case.system, list(c1) + list(c2),
-                       column_order=column_order, row_labels=case.row_labels)
+    return solve_exact(case.system, list(c1) + list(c2), row_labels=case.row_labels)
 
 
 # ---------------------------------------------------------------------------
 # point-level operations
 
 
-def _point_dense(p: MicroPoint, j: int):
-    return p.coords[j].dense()
-
-
-def amalgamate(g1: MicroPoint, g2: MicroPoint, case, column_order=None) -> MicroPoint:
+def amalgamate(g1: MicroPoint, g2: MicroPoint, case) -> MicroPoint:
     """Glue two leg points into the unique apex point over their shared restriction."""
     case = get_case(case)
     leg_alg = make_algebra(case.leg)
@@ -243,18 +232,14 @@ def amalgamate(g1: MicroPoint, g2: MicroPoint, case, column_order=None) -> Micro
             raise ValidationError(f"point does not live on {case.leg!r}")
     if g1.m != g2.m:
         raise ValidationError("points of different model dimension")
-    bad = []
-    for j in range(g1.m):
-        for mono in case_compat_errors(case, _point_dense(g1, j), _point_dense(g2, j)):
-            bad.append(f"coordinate {j}, monomial {mono}")
-    if bad:
-        raise PreconditionError(
-            f"legs disagree on the shared restriction: {bad[0]}")
+    dense = [(a.dense(), b.dense()) for a, b in zip(g1.coords, g2.coords)]
+    for j, (c1, c2) in enumerate(dense):
+        bad = case_compat_errors(case, c1, c2)
+        if bad:
+            raise PreconditionError(f"legs disagree on the shared restriction: "
+                                    f"coordinate {j}, monomial {bad[0]}")
     apex_alg = make_algebra(case.apex)
-    out = []
-    for j in range(g1.m):
-        sol = case_solve(case, _point_dense(g1, j), _point_dense(g2, j), column_order)
-        out.append(from_dense(apex_alg, sol))
+    out = [from_dense(apex_alg, case_solve(case, c1, c2)) for c1, c2 in dense]
     return MicroPoint(apex_alg, g1.m, out)
 
 
@@ -269,10 +254,6 @@ def strong_diff_i(g1: MicroPoint, g2: MicroPoint, i: int) -> MicroPoint:
         raise ValidationError("axis must be 1, 2 or 3")
     case = get_case(f"cube-{i}")
     return restrict(amalgamate(g1, g2, case), case.extract)
-
-
-def tangent_base(t: MicroPoint):
-    return t.base()
 
 
 def tangent_principal(t: MicroPoint):
@@ -378,7 +359,14 @@ _TRIANGLE_GROUPS = (
 
 
 class TriangleConfig:
-    __slots__ = ("m", "cubes")
+    """Six cubes labelled by the orders of three directions.
+
+    The membership conditions are checked once, here: the cubes are kept in
+    a read-only mapping, so the broken conditions and the inner strong
+    differences glued while checking them stay valid for the instance.
+    """
+
+    __slots__ = ("m", "cubes", "_violations", "_inner")
 
     def __init__(self, cubes: dict):
         if set(cubes) != set(TRIANGLE_LABELS):
@@ -391,62 +379,47 @@ class TriangleConfig:
             if c.algebra is not alg:
                 raise ValidationError("every cube must live on three square-zero directions")
         self.m = ms.pop()
-        self.cubes = dict(cubes)
-
-    def _check(self):
-        """Broken membership conditions, and the inner strong differences.
-
-        Returns (violations, inner) where inner maps each axis whose two
-        pairs glue to its two inner strong differences.  With no violations
-        every axis is present.
-        """
-        out = []
+        self.cubes = cubes = MappingProxyType(dict(cubes))
+        # _inner maps each axis whose two pairs glue to its two inner strong
+        # differences; with no violations every axis is present
+        bad = []
         inner = {}
-        dparen = d_paren(2)
-        sq_incl = inclusion(dparen, d_cube(2))
+        sq_incl = inclusion(d_paren(2), d_cube(2))
         for axis, others, pairs in _TRIANGLE_GROUPS:
             shared = SimplicialObject(3, frozenset({others}))
             incl = inclusion(shared, d_cube(3))
             for a, b in pairs:
-                ra = restrict(self.cubes[a], incl)
-                rb = restrict(self.cubes[b], incl)
-                if ra != rb:
-                    out.append(
+                if restrict(cubes[a], incl) != restrict(cubes[b], incl):
+                    bad.append(
                         f"cubes {a} and {b} disagree after killing d{others[0]}*d{others[1]}")
             try:
-                diffs = [strong_diff_i(self.cubes[a], self.cubes[b], axis)
-                         for a, b in pairs]
+                diffs = [strong_diff_i(cubes[a], cubes[b], axis) for a, b in pairs]
             except PreconditionError:
                 continue
             inner[axis] = diffs
-            r0 = restrict(diffs[0], sq_incl)
-            r1 = restrict(diffs[1], sq_incl)
-            if r0 != r1:
-                out.append(f"axis-{axis} differences disagree off the corner")
-        return out, inner
+            if restrict(diffs[0], sq_incl) != restrict(diffs[1], sq_incl):
+                bad.append(f"axis-{axis} differences disagree off the corner")
+        self._violations = bad
+        self._inner = inner
 
     def violations(self) -> list:
         """All broken membership conditions, as human-readable strings."""
-        return self._check()[0]
+        return list(self._violations)
 
     def verify(self):
-        bad = self.violations()
-        if bad:
-            raise PreconditionError("; ".join(bad))
+        if self._violations:
+            raise PreconditionError("; ".join(self._violations))
 
 
 def jacobi3_defect(t: TriangleConfig) -> MicroPoint:
     """Sum of the three iterated strong differences; zero principal part expected.
 
-    The membership check already glues the six inner strong differences, so
-    they are taken from it rather than glued again.
+    The inner strong differences are the ones the membership check glued.
     """
-    bad, inner = t._check()
-    if bad:
-        raise PreconditionError("; ".join(bad))
+    t.verify()
     total = None
     for axis, _others, _pairs in _TRIANGLE_GROUPS:
-        tangent = strong_diff(*inner[axis])
+        tangent = strong_diff(*t._inner[axis])
         total = tangent if total is None else add_tangents(total, tangent)
     return total
 

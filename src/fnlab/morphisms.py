@@ -99,21 +99,22 @@ class InfMorphism:
         return self._columns
 
     def pullback_element(self, w: WeilElement) -> WeilElement:
-        """Apply the dual algebra map to an element of the target algebra."""
-        tgt = make_algebra(self.target)
-        if w.algebra is not tgt:
+        """Apply the dual algebra map to an element of the target algebra.
+
+        Walks only the nonzero matrix entries of w's columns; the result's
+        coefficients are in sorted basis order, with zero sums dropped.
+        """
+        if w.algebra is not make_algebra(self.target):
             raise ValidationError("element does not live on the target algebra")
-        src = make_algebra(self.source)
-        imgs = self._images()
-        acc = src.zero()
-        for k, c in w.coeffs.items():
-            beta = tgt.basis[k]
-            term = src.one()
-            for i, e in enumerate(beta):
-                for _ in range(e):
-                    term = term * imgs[i]
-            acc = acc + term.scale(c)
-        return acc
+        columns = self.columns()
+        acc = {}
+        for j, v in w.coeffs.items():
+            for i, mv in columns[j]:
+                t = mv * v
+                s = acc.get(i)
+                acc[i] = t if s is None else s + t
+        return WeilElement(make_algebra(self.source),
+                           {i: acc[i] for i in sorted(acc) if acc[i]})
 
     def then(self, other: "InfMorphism") -> "InfMorphism":
         """Composite applying self first; requires self.target == other.source."""
@@ -162,11 +163,4 @@ def axis_map(source: SimplicialObject, target: SimplicialObject, images) -> InfM
     for i, tgt_axis in enumerate(images):
         if tgt_axis:
             comps[tgt_axis - 1] = comps[tgt_axis - 1] + Poly.var(source.n, i)
-    return InfMorphism(source, target, comps)
-
-
-def subst_from_terms(source: SimplicialObject, target: SimplicialObject, term_lists):
-    """Build a morphism from [[coefficient, exponent-vector], ...] per component."""
-    comps = [Poly.from_terms(source.n, [(Q(str(c)), e) for c, e in terms])
-             for terms in term_lists]
     return InfMorphism(source, target, comps)

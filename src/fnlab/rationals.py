@@ -10,15 +10,7 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Q
 
-ZERO = Q(0)
 ONE = Q(1)
-
-
-def rat(value) -> Q:
-    """Coerce an int, string "num/den" or rational into the scalar type."""
-    if isinstance(value, str):
-        return Q(value)
-    return Q(value)
 
 
 def rat_str(value) -> str:

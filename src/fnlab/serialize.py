@@ -7,6 +7,7 @@ with repeats for powers above one.  Polynomials are term lists
 """
 
 import json
+from collections.abc import Mapping
 
 from .errors import ValidationError
 from .forms import OMEGA0, FormElem, Kernel, cube_dim, pi_kernel
@@ -29,6 +30,13 @@ def _unkey(text: str):
     if not isinstance(idx, list) or any(not isinstance(i, int) for i in idx):
         raise ValidationError(f"bad monomial key {text!r}")
     return tuple(idx)
+
+
+def _exponents(value) -> tuple:
+    if not isinstance(value, list) or any(
+            isinstance(x, bool) or not isinstance(x, int) for x in value):
+        raise ValidationError(f"exponent vector must be a list of ints, got {value!r}")
+    return tuple(value)
 
 
 def _rat(value) -> Q:
@@ -77,7 +85,7 @@ def poly_from_json(data, n: int) -> Poly:
     for term in data:
         if not isinstance(term, dict) or "c" not in term or "e" not in term:
             raise ValidationError(f"bad polynomial term {term!r}")
-        pairs.append((_rat(term["c"]), tuple(int(x) for x in term["e"])))
+        pairs.append((_rat(term["c"]), _exponents(term["e"])))
     return Poly.from_terms(n, pairs)
 
 
@@ -89,10 +97,15 @@ def polymap_to_json(f: PolyMap) -> dict:
 def polymap_from_json(data) -> PolyMap:
     if not isinstance(data, dict) or "in_dim" not in data or "components" not in data:
         raise ValidationError("polynomial map JSON needs in_dim and components")
-    n = int(data["in_dim"])
-    comps = [poly_from_json(c, n) for c in data["components"]]
-    f = PolyMap(n, comps)
-    if "out_dim" in data and int(data["out_dim"]) != f.out_dim:
+    if not isinstance(data["components"], list):
+        raise ValidationError("polynomial map components must be a list")
+    try:
+        n = int(data["in_dim"])
+        out_dim = int(data.get("out_dim", len(data["components"])))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"polynomial map dimensions must be integers: {exc}") from exc
+    f = PolyMap(n, [poly_from_json(c, n) for c in data["components"]])
+    if out_dim != f.out_dim:
         raise ValidationError("out_dim does not match component count")
     return f
 
@@ -159,8 +172,11 @@ def form_from_json(data) -> FormElem:
         p, k, m = int(data["p"]), int(data["k"]), int(data["m"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"form JSON needs integer p, k, m: {exc}") from exc
+    table = data.get("coeffs", {})
+    if not isinstance(table, dict):
+        raise ValidationError("form coeffs must be an object")
     coeffs = {}
-    for key, body in data.get("coeffs", {}).items():
+    for key, body in table.items():
         subset = frozenset(_unkey(key))
         if body == "pi":
             ker = pi_kernel(p, m)
@@ -195,7 +211,7 @@ def to_json(value):
         return poly_to_json(value)
     if isinstance(value, (list, tuple)):
         return [to_json(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(k): to_json(v) for k, v in value.items()}
     if isinstance(value, (int, str, bool)) or value is None:
         return value

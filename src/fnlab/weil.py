@@ -76,9 +76,6 @@ class WeilAlgebra:
     def one(self) -> "WeilElement":
         return WeilElement(self, {0: ONE})
 
-    def scalar(self, c) -> "WeilElement":
-        return WeilElement(self, {0: c} if c else {})
-
     def generator(self, i: int) -> "WeilElement":
         """The class of d_i (1-indexed)."""
         if self._gen_elems is None:

@@ -106,3 +106,51 @@ def test_jacobi3_random(capsys):
     assert main(["jacobi3", "--random", "4", "--seed", "7", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["all_zero"] and len(data["cases"]) == 4
+
+
+def _form(coeffs):
+    return json.dumps({"p": 0, "k": 1, "m": 1, "coeffs": coeffs})
+
+
+def _kernel(components):
+    return {"in_dim": 1, "out_dim": 1, "components": components}
+
+
+MALFORMED_FORMS = {
+    "coeffs not an object": (_form([1]), "form coeffs must be an object"),
+    "kernel a number": (_form({"[1]": 5}), "needs in_dim and components"),
+    "kernel a string": (_form({"[1]": "x"}), "needs in_dim and components"),
+    "components not a list": (_form({"[1]": _kernel(5)}), "components must be a list"),
+    "in_dim not an integer": (_form({"[1]": {"in_dim": [1], "components": []}}),
+                              "dimensions must be integers"),
+    "out_dim not an integer": (_form({"[1]": {"in_dim": 1, "out_dim": [1], "components": []}}),
+                               "dimensions must be integers"),
+    "exponents a number": (_form({"[1]": _kernel([[{"c": "1", "e": 5}]])}),
+                           "exponent vector must be a list of ints"),
+    "exponents not ints": (_form({"[1]": _kernel([[{"c": "1", "e": ["1"]}]])}),
+                           "exponent vector must be a list of ints"),
+    "exponents a float": (_form({"[1]": _kernel([[{"c": "1", "e": [1.5]}]])}),
+                          "exponent vector must be a list of ints"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_FORMS))
+def test_bracket_malformed_form_is_invalid_input(shape, capsys):
+    bad, message = MALFORMED_FORMS[shape]
+    good = json.dumps(form_to_json(vector_field_form(PolyMap(1, [Poly.one(1)]))))
+    assert main(["bracket", bad, good]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and message in err
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"in_dim": 1, "components": 5}, "components must be a list"),
+    ({"in_dim": 1, "components": [[{"c": "1", "e": 5}]]},
+     "exponent vector must be a list of ints"),
+])
+def test_jacobi3_malformed_field_is_invalid_input(field, message, files, capsys):
+    x = files("vx.json", polymap_to_json(PolyMap(1, [Poly.var(1, 0)])))
+    bad = files("bad.json", field)
+    assert main(["jacobi3", "--fields", x, x, bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and message in err

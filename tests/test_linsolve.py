@@ -56,43 +56,25 @@ def test_stored_reduction_matches_fresh_solve(name, values):
     apex_dim = make_algebra(case.apex).dim
     leg_dim = make_algebra(case.leg).dim
     draw = rq if values == "rational" else rkernel
+    fresh = ReducedMatrix(rows)
+    reordered = ReducedMatrix(rows, reversed(range(apex_dim)))
+    assert fresh.steps == case.system.steps
+    assert reordered.steps != case.system.steps
     for _ in range(3):
         x = [draw() for _ in range(apex_dim)]
         rhs = apply_rows(rows, x)
         c1, c2 = rhs[:leg_dim], rhs[leg_dim:]
-        for order in (None, list(reversed(range(apex_dim)))):
-            fresh = solve_exact(rows, rhs, column_order=order)
-            assert fresh == x
-            assert case_solve(case, c1, c2, column_order=order) == fresh
-            assert solve_exact(case.system, rhs, column_order=order) == fresh
-
-
-def test_stored_reduction_is_replayed_only_under_its_column_order(monkeypatch):
-    case = amalgamation_cases()["square"]
-    apex_dim = make_algebra(case.apex).dim
-    leg_dim = make_algebra(case.leg).dim
-    rhs = apply_rows(plain_rows(case), [rq() for _ in range(apex_dim)])
-    built = []
-    reduce = ReducedMatrix.__init__
-
-    def counting_reduce(self, matrix, column_order=None):
-        built.append(column_order)
-        reduce(self, matrix, column_order)
-
-    monkeypatch.setattr(ReducedMatrix, "__init__", counting_reduce)
-    solved = case_solve(case, rhs[:leg_dim], rhs[leg_dim:])
-    assert solve_exact(case.system, rhs, column_order=range(apex_dim)) == solved
-    assert built == []
-    reversed_order = list(reversed(range(apex_dim)))
-    assert case_solve(case, rhs[:leg_dim], rhs[leg_dim:], reversed_order) == solved
-    assert built == [reversed_order]
+        assert case_solve(case, c1, c2) == x
+        for system in (case.system, fresh, reordered):
+            assert solve_exact(system, rhs) == x
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_inconsistent_rhs_names_the_leg_row(name):
     # the first leg carries d1 where the second leg is zero; the residue is
-    # left on the second leg's d1 row, for the stored and a fresh reduction
+    # left on the second leg's d1 row, for the stored and a reversed reduction
     case = amalgamation_cases()[name]
+    apex_dim = make_algebra(case.apex).dim
     leg = make_algebra(case.leg)
     c1 = [Q(0)] * leg.dim
     c1[leg.index[(1,) + (0,) * (case.leg.n - 1)]] = Q(1)
@@ -100,12 +82,13 @@ def test_inconsistent_rhs_names_the_leg_row(name):
     with pytest.raises(PreconditionError, match=r"residue at d1 \(second leg\)$"):
         case_solve(case, c1, c2)
     with pytest.raises(PreconditionError, match=r"residue at d1 \(second leg\)$"):
-        solve_exact(plain_rows(case), c1 + c2, row_labels=case.row_labels)
+        solve_exact(ReducedMatrix(plain_rows(case), reversed(range(apex_dim))), c1 + c2,
+                    row_labels=case.row_labels)
 
 
 def test_inconsistent_rhs_without_labels_names_the_row_number():
     with pytest.raises(PreconditionError, match=r"residue at row 1$"):
-        solve_exact([[Q(1)], [Q(2)]], [Q(1), Q(1)])
+        solve_exact(ReducedMatrix([[Q(1)], [Q(2)]]), [Q(1), Q(1)])
 
 
 def test_rank_deficient_matrix_raises_internal_error():
@@ -113,7 +96,7 @@ def test_rank_deficient_matrix_raises_internal_error():
     with pytest.raises(InternalError, match="rank-deficient"):
         ReducedMatrix(singular)
     with pytest.raises(InternalError, match="rank-deficient"):
-        solve_exact(singular, [Q(1), Q(2), Q(3)])
+        ReducedMatrix(singular, [1, 0])
 
 
 def test_wrong_rhs_length_raises_internal_error():
@@ -122,4 +105,4 @@ def test_wrong_rhs_length_raises_internal_error():
     with pytest.raises(InternalError, match="rhs length"):
         solve_exact(case.system, rhs)
     with pytest.raises(InternalError, match="rhs length"):
-        solve_exact(plain_rows(case), rhs)
+        solve_exact(case.system, rhs + [Q(0), Q(0)])

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import fnlab.micro
 from fnlab.errors import PreconditionError, ValidationError
+from fnlab.linsolve import ReducedMatrix, solve_exact
 from fnlab.micro import (MicroPoint, TRIANGLE_LABELS, TriangleConfig,
                          amalgamate, amalgamation_cases, flow_field, get_case,
                          jacobi3_defect, restrict, restrict_coeffs, strong_diff,
@@ -11,7 +13,7 @@ from fnlab.micro import (MicroPoint, TRIANGLE_LABELS, TriangleConfig,
 from fnlab.morphisms import InfMorphism, axis_map, inclusion
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
-from fnlab.simplicial import d_cube, d_paren
+from fnlab.simplicial import d_cube, d_order, d_paren
 from fnlab.weil import from_dense, make_algebra
 
 
@@ -57,29 +59,62 @@ def dense_restrict_coeffs(coeffs, mor):
     return out
 
 
+def products_of_images_pullback(mor, w):
+    """Dual algebra map by substitution: each basis monomial of the target
+    becomes the product of the generator images in the source algebra."""
+    src, tgt = make_algebra(mor.source), make_algebra(mor.target)
+    images = []
+    for p in mor.subst:
+        img = src.zero()
+        for e, c in p.terms.items():
+            img = img + src.monomial(e, c)
+        images.append(img)
+    out = src.zero()
+    for k, c in w.coeffs.items():
+        term = src.one()
+        for img, e in zip(images, tgt.basis[k]):
+            term = term * img ** e
+        out = out + term.scale(c)
+    return out
+
+
+def canonical_morphisms():
+    out = []
+    for case in amalgamation_cases().values():
+        out += [case.twisted, case.flat, case.shared_incl, case.extract]
+    out.append(InfMorphism(d_cube(1), d_cube(2), [Poly.var(1, 0), Poly.var(1, 0)]))
+    out.append(InfMorphism(d_order(2), d_cube(1), [Poly.var(1, 0) * Poly.var(1, 0)]))
+    return out
+
+
 def test_sparse_restriction_matches_dense_reference():
     rng = random.Random(5)
     rv = lambda: Q(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-    for case in amalgamation_cases().values():
-        for mor in (case.twisted, case.flat, case.shared_incl, case.extract):
-            tgt, src = make_algebra(mor.target), make_algebra(mor.source)
-            assert mor.columns() == tuple(
-                tuple((i, row[j]) for i, row in enumerate(mor.matrix()) if row[j])
-                for j in range(tgt.dim))
-            for _ in range(5):
-                m = rng.randint(1, 2)
-                rows = [[rv() if rng.random() < 0.6 else Q(0) for _ in range(tgt.dim)]
-                        for _ in range(m)]
-                point = MicroPoint(tgt, m, [from_dense(tgt, r) for r in rows])
-                expected = [from_dense(src, dense_restrict_coeffs(r, mor)) for r in rows]
-                got = restrict(point, mor)
-                assert got == MicroPoint(src, m, expected)
-                assert [sorted(c.coeffs) for c in got.coords] == \
-                    [list(c.coeffs) for c in got.coords]
-                assert restrict_coeffs(rows[0], mor) == dense_restrict_coeffs(rows[0], mor)
-                polys = [Poly.from_terms(2, [(rv(), (rng.randint(0, 2), rng.randint(0, 2)))])
-                         for _ in range(tgt.dim)]
-                assert restrict_coeffs(polys, mor) == dense_restrict_coeffs(polys, mor)
+    for mor in canonical_morphisms():
+        tgt, src = make_algebra(mor.target), make_algebra(mor.source)
+        assert mor.columns() == tuple(
+            tuple((i, row[j]) for i, row in enumerate(mor.matrix()) if row[j])
+            for j in range(tgt.dim))
+        for _ in range(5):
+            m = rng.randint(1, 2)
+            rows = [[rv() if rng.random() < 0.6 else Q(0) for _ in range(tgt.dim)]
+                    for _ in range(m)]
+            point = MicroPoint(tgt, m, [from_dense(tgt, r) for r in rows])
+            expected = [from_dense(src, dense_restrict_coeffs(r, mor)) for r in rows]
+            got = restrict(point, mor)
+            assert got == MicroPoint(src, m, expected)
+            assert [sorted(c.coeffs) for c in got.coords] == \
+                [list(c.coeffs) for c in got.coords]
+            assert restrict_coeffs(rows[0], mor) == dense_restrict_coeffs(rows[0], mor)
+            polys = [Poly.from_terms(2, [(rv(), (rng.randint(0, 2), rng.randint(0, 2)))])
+                     for _ in range(tgt.dim)]
+            assert restrict_coeffs(polys, mor) == dense_restrict_coeffs(polys, mor)
+            for w in point.coords:
+                pulled = mor.pullback_element(w)
+                assert pulled == products_of_images_pullback(mor, w)
+                assert list(pulled.coeffs) == sorted(pulled.coeffs)
+        with pytest.raises(ValidationError, match="target algebra"):
+            mor.pullback_element(src.one())
 
 
 def test_square_amalgamation_example():
@@ -152,6 +187,7 @@ def test_pullback_roundtrip_all_cases():
     rv = lambda m: [Q(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(m)]
     for name in ("square", "cube-1", "cube-2", "cube-3"):
         case = get_case(name)
+        reordered = ReducedMatrix(case.system, reversed(range(make_algebra(case.apex).dim)))
         for _ in range(10):
             m = rng.randint(1, 3)
             if name == "square":
@@ -172,9 +208,8 @@ def test_pullback_roundtrip_all_cases():
             glued = amalgamate(g1, g2, case)
             assert restrict(glued, case.twisted) == g1
             assert restrict(glued, case.flat) == g2
-            apex_dim = make_algebra(case.apex).dim
-            assert amalgamate(g1, g2, case,
-                              column_order=list(reversed(range(apex_dim)))) == glued
+            for a, b, c in zip(g1.coords, g2.coords, glued.coords):
+                assert solve_exact(reordered, a.dense() + b.dense()) == c.dense()
 
 
 def test_zero_fields_triangle():
@@ -253,6 +288,31 @@ def test_triangle_violation_detection():
     with pytest.raises(PreconditionError) as err:
         jacobi3_defect(t)
     assert str(err.value) == "; ".join(t.violations())
+
+
+def test_triangle_checks_membership_once(monkeypatch):
+    rng = random.Random(4)
+    rv = lambda: [Q(rng.randint(-9, 9), rng.choice([1, 2, 3]))]
+    glued = []
+    real = fnlab.micro.amalgamate
+
+    def counting_amalgamate(g1, g2, case):
+        glued.append(case if isinstance(case, str) else case.name)
+        return real(g1, g2, case)
+
+    monkeypatch.setattr(fnlab.micro, "amalgamate", counting_amalgamate)
+    t = triangle_from_slots(
+        1, [rv() for _ in range(4)],
+        {(1, 2): (rv(), rv()), (1, 3): (rv(), rv()), (2, 3): (rv(), rv())},
+        {label: rv() for label in TRIANGLE_LABELS})
+    assert t.violations() == []
+    assert tangent_principal(jacobi3_defect(t)) == (0,)
+    assert len(glued) == 9
+    assert sorted(glued) == ["cube-1"] * 2 + ["cube-2"] * 2 + ["cube-3"] * 2 + ["square"] * 3
+    with pytest.raises(TypeError):
+        t.cubes["123"] = t.cubes["132"]
+    t.violations().append("not stored")
+    assert t.violations() == []
 
 
 def test_translation_equivariance():

@@ -6,14 +6,14 @@ import pytest
 from fnlab.errors import ValidationError
 from fnlab.forms import Kernel, cube_dim, form_from_kernel, identity_one_form, \
     vector_field_form
-from fnlab.micro import MicroPoint
+from fnlab.micro import TRIANGLE_LABELS, MicroPoint, triangle_from_slots
 from fnlab.morphisms import InfMorphism
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 from fnlab.serialize import (form_from_json, form_to_json, micropoint_from_json,
                              micropoint_to_json, morphism_from_json,
                              morphism_to_json, obj_from_json, obj_to_json,
-                             polymap_from_json, polymap_to_json)
+                             polymap_from_json, polymap_to_json, to_json)
 from fnlab.simplicial import D2, SimplicialObject, d_cube, d_paren
 
 RNG = random.Random(4)
@@ -101,3 +101,11 @@ def test_form_rejects_bad_kernel_dims():
 def test_rationals_serialized_as_strings():
     p = MicroPoint.from_table(d_cube(1), 1, {(): [Q(-7, 3)]})
     assert micropoint_to_json(p)["coeffs"]["[]"] == ["-7/3"]
+
+
+def test_triangle_cubes_serialize_as_micropoints():
+    v = [Q(1)]
+    t = triangle_from_slots(1, [v, v, v, v], {pair: (v, v) for pair in [(1, 2), (1, 3), (2, 3)]},
+                            {label: v for label in TRIANGLE_LABELS})
+    assert to_json(t.cubes) == to_json(dict(t.cubes))
+    assert to_json(t.cubes)["123"] == micropoint_to_json(t.cubes["123"])
