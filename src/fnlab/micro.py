@@ -36,6 +36,16 @@ from .weil import WeilElement, from_dense, make_algebra
 # points
 
 
+def _key_exponents(n: int, key) -> list:
+    """Exponent vector of a 1-based axis-index tuple such as (1, 1, 3)."""
+    exps = [0] * n
+    for i in key:
+        if not 1 <= i <= n:
+            raise ValidationError(f"monomial {key} names a generator outside 1..{n}")
+        exps[i - 1] += 1
+    return exps
+
+
 class MicroPoint:
     __slots__ = ("algebra", "m", "coords")
 
@@ -60,10 +70,7 @@ class MicroPoint:
         alg = make_algebra(obj)
         dense = [[Q(0)] * alg.dim for _ in range(m)]
         for key, vec in table.items():
-            exps = [0] * obj.n
-            for i in key:
-                exps[i - 1] += 1
-            pos = alg.index.get(tuple(exps))
+            pos = alg.index.get(tuple(_key_exponents(obj.n, key)))
             if pos is None:
                 raise ValidationError(f"monomial {key} is not in the basis")
             vec = [Q(v) for v in (vec if isinstance(vec, (list, tuple)) else [vec])]
@@ -75,9 +82,7 @@ class MicroPoint:
 
     def coeff(self, key):
         """m-vector at an axis-index tuple such as (1, 2) for d1*d2."""
-        exps = [0] * self.algebra.source.n
-        for i in key:
-            exps[i - 1] += 1
+        exps = _key_exponents(self.algebra.source.n, key)
         return tuple(c.coeff(exps) for c in self.coords)
 
     def base(self):

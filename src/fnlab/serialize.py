@@ -27,7 +27,8 @@ def _unkey(text: str):
         idx = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad monomial key {text!r}") from exc
-    if not isinstance(idx, list) or any(not isinstance(i, int) for i in idx):
+    if not isinstance(idx, list) or any(
+            isinstance(i, bool) or not isinstance(i, int) for i in idx):
         raise ValidationError(f"bad monomial key {text!r}")
     return tuple(idx)
 
@@ -120,13 +121,21 @@ def morphism_to_json(f: InfMorphism) -> dict:
                       for p in f.subst]}
 
 
+def _subst_term(term):
+    if not isinstance(term, list) or len(term) != 2:
+        raise ValidationError(f"substitution term must be [c, exponents], got {term!r}")
+    return _rat(term[0]), _exponents(term[1])
+
+
 def morphism_from_json(data) -> InfMorphism:
+    if not isinstance(data, dict) or any(k not in data for k in ("source", "target", "subst")):
+        raise ValidationError("morphism JSON needs source, target and subst")
     src = obj_from_json(data["source"])
     tgt = obj_from_json(data["target"])
-    comps = []
-    for terms in data["subst"]:
-        comps.append(Poly.from_terms(
-            src.n, [(_rat(c), tuple(int(x) for x in e)) for c, e in terms]))
+    subst = data["subst"]
+    if not isinstance(subst, list) or any(not isinstance(terms, list) for terms in subst):
+        raise ValidationError("morphism subst must be a list of term lists")
+    comps = [Poly.from_terms(src.n, [_subst_term(t) for t in terms]) for terms in subst]
     return InfMorphism(src, tgt, comps)
 
 
@@ -148,10 +157,20 @@ def micropoint_to_json(p: MicroPoint) -> dict:
 
 
 def micropoint_from_json(data) -> MicroPoint:
+    if not isinstance(data, dict) or "object" not in data or "m" not in data:
+        raise ValidationError("point JSON needs object and m")
     obj = obj_from_json(data["object"])
-    m = int(data["m"])
+    try:
+        m = int(data["m"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"point m must be an integer: {exc}") from exc
+    coeffs = data.get("coeffs", {})
+    if not isinstance(coeffs, dict):
+        raise ValidationError("point coeffs must be an object")
     table = {}
-    for key, vec in data.get("coeffs", {}).items():
+    for key, vec in coeffs.items():
+        if not isinstance(vec, list):
+            raise ValidationError(f"coefficient vector at {key} must be a list")
         table[_unkey(key)] = [_rat(v) for v in vec]
     return MicroPoint.from_table(obj, m, table)
 

@@ -10,12 +10,16 @@ generators first) and is part of the serialization contract.
 
 WeilElement coefficients live in any commutative ring containing the
 rationals: plain rationals for jets of numbers, polynomials for jets of
-symbolic expressions.  Coefficients are stored sparsely; a missing index
-means zero.
+symbolic expressions.  Coefficients are stored sparsely, as rationals or
+ring values; a missing index means zero.  The product of two rational
+elements with at least two terms each is computed over one common
+denominator: integer numerators are accumulated and each output coefficient
+becomes a rational once.
 """
 
 from functools import lru_cache
 from itertools import product as iter_product
+from math import lcm
 
 from .errors import ValidationError
 from .rationals import ONE, Q
@@ -29,7 +33,7 @@ def _grlex_key(exps):
 class WeilAlgebra:
     """Quotient algebra attached to a SimplicialObject; build via make_algebra."""
 
-    __slots__ = ("source", "basis", "index", "_table", "_gen_elems")
+    __slots__ = ("source", "basis", "index", "_rows", "_gen_elems")
 
     def __init__(self, source: SimplicialObject):
         self.source = source
@@ -45,7 +49,16 @@ class WeilAlgebra:
         monomials.sort(key=_grlex_key)
         self.basis = tuple(monomials)
         self.index = {e: i for i, e in enumerate(self.basis)}
-        self._table = self._build_table()
+        # _rows[i] maps j to the basis index of basis[i] * basis[j], holding
+        # only the pairs whose product survives the quotient.
+        rows = tuple({} for _ in self.basis)
+        for i, a in enumerate(self.basis):
+            for j, b in enumerate(self.basis[i:], i):
+                k = self._reduce_exponents(tuple(x + y for x, y in zip(a, b)))
+                if k is not None:
+                    rows[i][j] = k
+                    rows[j][i] = k
+        self._rows = rows
         self._gen_elems = None
 
     @property
@@ -57,18 +70,6 @@ class WeilAlgebra:
         if any(e >= b for e, b in zip(exps, self.source.bounds)):
             return None
         return self.index.get(tuple(exps))
-
-    def _build_table(self):
-        table = {}
-        for i, a in enumerate(self.basis):
-            for j, b in enumerate(self.basis):
-                if j < i:
-                    continue
-                k = self._reduce_exponents(tuple(x + y for x, y in zip(a, b)))
-                if k is not None:
-                    table[(i, j)] = k
-                    table[(j, i)] = k
-        return table
 
     def zero(self) -> "WeilElement":
         return WeilElement(self, {})
@@ -155,11 +156,16 @@ class WeilElement:
     def __mul__(self, other):
         if isinstance(other, WeilElement):
             self._check(other)
-            table = self.algebra._table
+            rows = self.algebra._rows
+            a, b = self.coeffs, other.coeffs
+            if (len(a) > 1 and len(b) > 1 and all(type(c) is Q for c in a.values())
+                    and all(type(c) is Q for c in b.values())):
+                return WeilElement(self.algebra, _rational_product(rows, a, b))
             out = {}
-            for i, ci in self.coeffs.items():
-                for j, cj in other.coeffs.items():
-                    k = table.get((i, j))
+            for i, ci in a.items():
+                row = rows[i]
+                for j, cj in b.items():
+                    k = row.get(j)
                     if k is None:
                         continue
                     c = ci * cj
@@ -190,8 +196,10 @@ class WeilElement:
     def __pow__(self, e: int):
         if e < 0:
             raise ValidationError("nilpotent elements have no negative powers")
-        out = self.algebra.one()
-        for _ in range(e):
+        if e == 0:
+            return self.algebra.one()
+        out = self
+        for _ in range(e - 1):
             out = out * self
         return out
 
@@ -222,6 +230,32 @@ class WeilElement:
             c = self.coeffs[k]
             bits.append(f"{c}" if mono == "1" else f"{c}*{mono}")
         return " + ".join(bits)
+
+
+def _rational_product(rows, a: dict, b: dict) -> dict:
+    """Product coefficients of two rational coefficient dicts.
+
+    Each side is scaled to integer numerators over its lcm denominator; the
+    numerators are accumulated along each row's surviving pairs and every
+    nonzero sum becomes one rational over the product of the denominators.
+    """
+    # Lists, not generators: unpacking a generator grows the argument tuple
+    # by resizing, and the tuple freelists then keep one stranded tuple per
+    # call until a full collection (about 2 MB more peak RSS on jet_eval).
+    da = lcm(*[c.denominator for c in a.values()])
+    db = lcm(*[c.denominator for c in b.values()])
+    xa = {i: c.numerator * (da // c.denominator) for i, c in a.items()}
+    xb = {j: c.numerator * (db // c.denominator) for j, c in b.items()}
+    acc = {}
+    for i, x in xa.items():
+        for j, k in rows[i].items():
+            y = xb.get(j)
+            if y is not None:
+                acc[k] = acc.get(k, 0) + x * y
+    den = da * db
+    if den == 1:
+        return {k: Q(s) for k, s in acc.items() if s}
+    return {k: Q(s, den) for k, s in acc.items() if s}
 
 
 def from_dense(algebra: WeilAlgebra, values) -> WeilElement:

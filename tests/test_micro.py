@@ -26,6 +26,14 @@ GAMMA = MicroPoint.from_table(d_cube(2), 1, {
     (): [1], (1,): [2], (2,): [3], (1, 2): [5]})
 
 
+@pytest.mark.parametrize("key", [(0,), (3,), (1, 0), (-1,)])
+def test_axis_keys_outside_the_generators_rejected(key):
+    with pytest.raises(ValidationError):
+        MicroPoint.from_table(d_cube(2), 1, {key: [5]})
+    with pytest.raises(ValidationError):
+        GAMMA.coeff(key)
+
+
 def test_restrict_kills_corner():
     r = restrict(GAMMA, inclusion(d_paren(2), d_cube(2)))
     assert r.coeff(()) == (1,) and r.coeff((1,)) == (2,) and r.coeff((2,)) == (3,)

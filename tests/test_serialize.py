@@ -63,6 +63,64 @@ def test_morphism_round_trip():
     assert morphism_from_json(json.loads(json.dumps(morphism_to_json(psi)))) == psi
 
 
+def _psi_json():
+    sq = d_cube(2)
+    tgt = SimplicialObject(3, frozenset({(1, 3), (2, 3)}))
+    return morphism_to_json(InfMorphism(sq, tgt, [Poly.var(2, 0), Poly.var(2, 1),
+                                                  Poly.var(2, 0) * Poly.var(2, 1)]))
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: {},
+    lambda d: [d["source"], d["target"], d["subst"]],
+    lambda d: {k: v for k, v in d.items() if k != "source"},
+    lambda d: {k: v for k, v in d.items() if k != "target"},
+    lambda d: {k: v for k, v in d.items() if k != "subst"},
+    lambda d: {**d, "subst": 5},
+    lambda d: {**d, "subst": [5, [], []]},
+    lambda d: {**d, "subst": [[["1"]], [], []]},
+    lambda d: {**d, "subst": [["1", [1, 0]], [], []]},
+    lambda d: {**d, "subst": [[["1", 7]], [], []]},
+    lambda d: {**d, "subst": [[[None, [1, 0]]], [], []]},
+    lambda d: {**d, "source": 3},
+], ids=["empty", "list", "no-source", "no-target", "no-subst", "subst-int",
+        "terms-int", "term-short", "term-not-list", "exponents-int", "coeff-null",
+        "source-int"])
+def test_morphism_rejects_malformed(change):
+    with pytest.raises(ValidationError):
+        morphism_from_json(change(_psi_json()))
+
+
+def _point_json():
+    return micropoint_to_json(MicroPoint.from_table(d_cube(2), 2, {
+        (): [1, Q(1, 2)], (1,): [2, 0], (1, 2): [Q(-7, 3), 5]}))
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: {},
+    lambda d: [d["object"], d["m"]],
+    lambda d: {k: v for k, v in d.items() if k != "object"},
+    lambda d: {k: v for k, v in d.items() if k != "m"},
+    lambda d: {**d, "m": None},
+    lambda d: {**d, "m": "two"},
+    lambda d: {**d, "m": 3},
+    lambda d: {**d, "coeffs": [1]},
+    lambda d: {**d, "coeffs": {"[]": 1}},
+    lambda d: {**d, "coeffs": {"[]": "12"}},
+    lambda d: {**d, "coeffs": {"[0]": ["1", "2"]}},
+    lambda d: {**d, "coeffs": {"[3]": ["1", "2"]}},
+    lambda d: {**d, "coeffs": {"[true]": ["1", "2"]}},
+    lambda d: {**d, "coeffs": {"[1,1]": ["1", "2"]}},
+    lambda d: {**d, "coeffs": {"[": ["1", "2"]}},
+    lambda d: {**d, "coeffs": {"[]": ["1", []]}},
+], ids=["empty", "list", "no-object", "no-m", "m-null", "m-text", "m-wrong",
+        "coeffs-list", "vector-int", "vector-text", "index-zero", "index-high",
+        "index-bool", "not-in-basis", "bad-key", "coeff-list"])
+def test_micropoint_rejects_malformed(change):
+    with pytest.raises(ValidationError):
+        micropoint_from_json(change(_point_json()))
+
+
 def test_micropoint_round_trip():
     p = MicroPoint.from_table(d_cube(2), 2, {
         (): [1, Q(1, 2)], (1,): [2, 0], (1, 2): [Q(-7, 3), 5]})

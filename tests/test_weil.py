@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -8,8 +9,9 @@ from fnlab.morphisms import InfMorphism, compose_morphisms, identity_morphism, \
     inclusion
 from fnlab.poly import Poly
 from fnlab.rationals import Q
-from fnlab.simplicial import D2, SimplicialObject, d_cube, d_paren, oplus
-from fnlab.weil import from_dense, make_algebra
+from fnlab.simplicial import D2, SimplicialObject, d_cube, d_order, d_paren, oplus, \
+    tensor
+from fnlab.weil import WeilElement, from_dense, make_algebra
 
 
 def brute_basis(obj):
@@ -183,3 +185,133 @@ def test_pullback_is_algebra_map():
     assert psi.pullback_element(x * y) == \
         psi.pullback_element(x) * psi.pullback_element(y)
     assert psi.pullback_element(alg.one()) == make_algebra(sq).one()
+
+
+# products against a naive reference -----------------------------------------
+
+
+def naive_product(x, y):
+    """Add exponent vectors and look the sum up in the basis index.
+
+    The index holds exactly the monomials that survive the quotient, so a
+    sum that is missing from it is a product that vanishes.
+    """
+    alg = x.algebra
+    out = {}
+    for i, ci in x.coeffs.items():
+        for j, cj in y.coeffs.items():
+            k = alg.index.get(tuple(a + b for a, b in zip(alg.basis[i], alg.basis[j])))
+            if k is not None:
+                c = ci * cj
+                out[k] = c if k not in out else out[k] + c
+    return {k: c for k, c in out.items() if c}
+
+
+def random_element(rng, alg, terms, max_den=7):
+    positions = rng.sample(range(alg.dim), min(terms, alg.dim))
+    coeffs = {}
+    for k in positions:
+        num = rng.choice([n for n in range(-9, 10) if n])
+        coeffs[k] = Q(num, rng.randint(1, max_den))
+    return WeilElement(alg, coeffs)
+
+
+def shapes(rng, alg):
+    """(x, y) pairs: dense x dense, sparse x dense, 1 x 1, zero x dense, and
+    the same with integer coefficients only."""
+    dim = alg.dim
+    for max_den in (7, 1):
+        yield (random_element(rng, alg, dim, max_den),
+               random_element(rng, alg, dim, max_den))
+        yield (random_element(rng, alg, 2, max_den),
+               random_element(rng, alg, dim, max_den))
+        yield (random_element(rng, alg, dim, max_den),
+               random_element(rng, alg, 3, max_den))
+        yield (random_element(rng, alg, 1, max_den),
+               random_element(rng, alg, 1, max_den))
+        yield alg.zero(), random_element(rng, alg, dim, max_den)
+
+
+def check_product(x, y):
+    out = x * y
+    assert out.coeffs == naive_product(x, y)
+    assert all(type(c) is Q for c in out.coeffs.values())
+    assert all(out.coeffs.values())
+
+
+# a square-zero object on four generators where d1*d2, d1*d3 and d2*d4 vanish
+SPARSE_PAIRS = SimplicialObject(4, frozenset({(1, 2), (1, 3), (2, 4)}))
+
+
+@pytest.mark.parametrize("obj", [d_order(20), d_cube(5), tensor(d_order(3), d_paren(3)),
+                                 SPARSE_PAIRS, D2, d_cube(0)],
+                         ids=["order20", "cube5", "tensor", "sparse-pairs", "D2", "point"])
+def test_product_matches_reference(obj):
+    alg = make_algebra(obj)
+    rng = random.Random(repr(obj))
+    for _ in range(3):
+        for x, y in shapes(rng, alg):
+            check_product(x, y)
+            check_product(y, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(simplicial_objects(4), st.integers(0, 2 ** 32))
+def test_product_matches_reference_random_objects(obj, seed):
+    alg = make_algebra(obj)
+    rng = random.Random(seed)
+    for x, y in shapes(rng, alg):
+        check_product(x, y)
+        check_product(y, x)
+
+
+def test_product_drops_cancelled_sums():
+    alg = make_algebra(d_cube(2))
+    one, d1, d2 = alg.one(), alg.generator(1), alg.generator(2)
+    # (1 + d1/2)(1 - d1/2) = 1: the d1 sums cancel
+    x, y = one + d1.scale(Q(1, 2)), one - d1.scale(Q(1, 2))
+    assert (x * y).coeffs == {0: Q(1)}
+    # (d1 + d2)(d1 - d2) = 0 in D^2: the d1*d2 sum cancels
+    assert (d1 + d2) * (d1 - d2) == alg.zero()
+    assert ((d1 + d2) * (d1 - d2)).coeffs == {}
+    # integer coefficients come back as rationals
+    out = (one + d1 + d2) * (one + d1)
+    assert out.coeffs == {0: 1, 1: 2, 2: 1, 3: 1}
+    assert all(type(c) is Q for c in out.coeffs.values())
+
+
+def test_polynomial_coefficients_multiply_as_before():
+    rng = random.Random(11)
+    for obj in (d_cube(3), D2, SPARSE_PAIRS):
+        alg = make_algebra(obj)
+
+        def poly_element(terms):
+            coeffs = {}
+            for k in rng.sample(range(alg.dim), min(terms, alg.dim)):
+                c = Poly.var(2, rng.randrange(2)) * Q(rng.randint(1, 5), rng.randint(1, 3)) \
+                    + Poly.one(2) * Q(rng.randint(-3, 3))
+                coeffs[k] = c
+            return WeilElement(alg, coeffs)
+
+        for tx, ty in ((alg.dim, alg.dim), (2, alg.dim), (1, 1)):
+            x, y = poly_element(tx), poly_element(ty)
+            out = x * y
+            assert out.coeffs == naive_product(x, y)
+            assert all(isinstance(c, Poly) and c for c in out.coeffs.values())
+        # mixed: rational on one side, polynomial on the other
+        x = random_element(rng, alg, alg.dim)
+        y = poly_element(alg.dim)
+        assert (x * y).coeffs == naive_product(x, y)
+
+
+def test_powers_start_from_the_base():
+    alg = make_algebra(d_order(4))
+    x = from_dense(alg, [Q(2), Q(1, 3), Q(0), Q(-5, 2), Q(7)])
+    assert x ** 0 == alg.one()
+    assert x ** 1 == x
+    assert x ** 2 == x * x
+    assert x ** 3 == x * x * x
+    d = alg.generator(1)
+    assert d ** 4 == alg.monomial((4,)) and not d ** 5
+    with pytest.raises(ValidationError):
+        x ** -1
