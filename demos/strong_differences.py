@@ -14,7 +14,13 @@ from fnlab import (MicroPoint, Poly, PolyMap, amalgamate, d_cube,
                    tangent_principal, triangle_from_slots,
                    triangle_from_vector_fields)
 from fnlab.micro import TRIANGLE_LABELS, get_case
-from fnlab.rationals import Q
+from fnlab.rationals import Q, rat_str
+
+
+def vec(values):
+    """A vector of rationals as "[a, b/c]", whatever the scalar backend."""
+    return "[" + ", ".join(rat_str(v) for v in values) + "]"
+
 
 print("== gluing two squares over their shared restriction ==")
 g1 = MicroPoint.from_table(d_cube(2), 1, {(): [1], (1,): [2], (2,): [3], (1, 2): [5]})
@@ -49,9 +55,9 @@ y = PolyMap(1, [Poly.one(1)])
 z = PolyMap(1, [Poly.var(1, 0) ** 2])
 t = triangle_from_vector_fields(x, y, z, [Q(1, 2)])
 for label in ("123", "213"):
-    print(f"  cube {label} corner slot:", t.cubes[label].coeff((1, 2)))
+    print(f"  cube {label} corner slot:", vec(t.cubes[label].coeff((1, 2))))
 defect = jacobi3_defect(t)
-print("  sum of the three differences:", tangent_principal(defect))
+print("  sum of the three differences:", vec(tangent_principal(defect)))
 
 print()
 print("== the cancellation needs no vector fields at all ==")
@@ -62,4 +68,4 @@ t2 = triangle_from_slots(
     {(1, 2): (rv(), rv()), (1, 3): (rv(), rv()), (2, 3): (rv(), rv())},
     {label: rv() for label in TRIANGLE_LABELS})
 print("  membership violations:", t2.violations())
-print("  defect principal part:", tangent_principal(jacobi3_defect(t2)))
+print("  defect principal part:", vec(tangent_principal(jacobi3_defect(t2))))

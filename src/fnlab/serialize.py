@@ -160,10 +160,9 @@ def micropoint_from_json(data) -> MicroPoint:
     if not isinstance(data, dict) or "object" not in data or "m" not in data:
         raise ValidationError("point JSON needs object and m")
     obj = obj_from_json(data["object"])
-    try:
-        m = int(data["m"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"point m must be an integer: {exc}") from exc
+    m = data["m"]
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValidationError(f"point m must be an integer, got {m!r}")
     coeffs = data.get("coeffs", {})
     if not isinstance(coeffs, dict):
         raise ValidationError("point coeffs must be an object")

@@ -104,6 +104,10 @@ def _point_json():
     lambda d: {**d, "m": None},
     lambda d: {**d, "m": "two"},
     lambda d: {**d, "m": 3},
+    lambda d: {**d, "m": 2.0},
+    lambda d: {**d, "m": 2.5},
+    lambda d: {**d, "m": "2"},
+    lambda d: {**d, "m": True, "coeffs": {"[]": ["1"]}},
     lambda d: {**d, "coeffs": [1]},
     lambda d: {**d, "coeffs": {"[]": 1}},
     lambda d: {**d, "coeffs": {"[]": "12"}},
@@ -114,6 +118,7 @@ def _point_json():
     lambda d: {**d, "coeffs": {"[": ["1", "2"]}},
     lambda d: {**d, "coeffs": {"[]": ["1", []]}},
 ], ids=["empty", "list", "no-object", "no-m", "m-null", "m-text", "m-wrong",
+        "m-float", "m-half", "m-numeric-text", "m-bool",
         "coeffs-list", "vector-int", "vector-text", "index-zero", "index-high",
         "index-bool", "not-in-basis", "bad-key", "coeff-list"])
 def test_micropoint_rejects_malformed(change):
