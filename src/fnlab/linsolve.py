@@ -18,7 +18,8 @@ from .errors import InternalError, PreconditionError
 from .rationals import Q
 
 
-def _scale(v, c):
+def scale_value(v, c):
+    """c * v for a vector-space value v; scaling by 1 returns v itself."""
     if c == 1:
         return v
     scale = getattr(v, "scale", None)
@@ -91,10 +92,10 @@ def solve_exact(system: ReducedMatrix, rhs, row_labels=None):
         raise InternalError("rhs length mismatch")
     y = list(rhs)
     for pivot, inv, eliminations in system.steps:
-        yp = _scale(y[pivot], inv)
+        yp = scale_value(y[pivot], inv)
         y[pivot] = yp
         for r, f in eliminations:
-            y[r] = y[r] - _scale(yp, f)
+            y[r] = y[r] - scale_value(yp, f)
     for r in system.free_rows:
         if y[r]:
             label = row_labels[r] if row_labels else f"row {r}"

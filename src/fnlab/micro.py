@@ -13,6 +13,9 @@ solver serves them all, and it works unchanged for any coefficient space over
 the rationals, which is how the bracket machinery on kernel-valued forms
 reuses it.  A case's gluing system is a constant matrix, so each case reduces
 it once when it is created and every gluing replays the row operations.
+Every row operation is a unit, so rational points glue fraction-free: each
+coordinate pair goes through the check and the replay as integer numerators
+over one common denominator.
 
 Restricting a point maps each coordinate through the morphism's dual algebra
 map, InfMorphism.pullback_element.  A six-cube configuration checks its
@@ -21,15 +24,16 @@ differences that check glues for the threefold difference.
 """
 
 from dataclasses import dataclass, field
+from math import lcm
 from types import MappingProxyType
 
-from .errors import PreconditionError, ValidationError
-from .linsolve import ReducedMatrix, solve_exact
+from .errors import InternalError, PreconditionError, ValidationError
+from .linsolve import ReducedMatrix, scale_value, solve_exact
 from .morphisms import InfMorphism, axis_map, inclusion
 from .poly import Poly, PolyMap
 from .rationals import Q
 from .simplicial import SimplicialObject, d_cube, d_paren
-from .weil import WeilElement, from_dense, make_algebra
+from .weil import WeilElement, from_dense, from_numerators, make_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +140,10 @@ class AmalgamationCase:
         system = ReducedMatrix(self.twisted.matrix() + self.flat.matrix())
         labels = tuple(f"{leg_alg.monomial_str(i)} ({which} leg)"
                        for which in ("first", "second") for i in range(leg_alg.dim))
+        # integer numerators replay to integers only under unit row operations
+        if any(inv != 1 or any(f != 1 for _r, f in elims)
+               for _p, inv, elims in system.steps):
+            raise InternalError(f"{self.name}: gluing needs unit row operations")
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "row_labels", labels)
 
@@ -199,7 +207,7 @@ def restrict_coeffs(coeffs, mor: InfMorphism):
     acc = [None] * len(mor.matrix())
     for j, v in enumerate(coeffs):
         for i, c in columns[j]:
-            t = v.scale(c) if hasattr(v, "scale") else c * v
+            t = scale_value(v, c)
             acc[i] = t if acc[i] is None else acc[i] + t
     return [zero if a is None else a for a in acc]
 
@@ -237,14 +245,19 @@ def amalgamate(g1: MicroPoint, g2: MicroPoint, case) -> MicroPoint:
             raise ValidationError(f"point does not live on {case.leg!r}")
     if g1.m != g2.m:
         raise ValidationError("points of different model dimension")
-    dense = [(a.dense(), b.dense()) for a, b in zip(g1.coords, g2.coords)]
-    for j, (c1, c2) in enumerate(dense):
+    # each coordinate pair glues as integer numerators over one denominator
+    dense = []
+    for a, b in zip(g1.coords, g2.coords):
+        den = lcm(a.denominator, b.denominator)
+        dense.append((den, a.numerators(den), b.numerators(den)))
+    for j, (_den, c1, c2) in enumerate(dense):
         bad = case_compat_errors(case, c1, c2)
         if bad:
             raise PreconditionError(f"legs disagree on the shared restriction: "
                                     f"coordinate {j}, monomial {bad[0]}")
     apex_alg = make_algebra(case.apex)
-    out = [from_dense(apex_alg, case_solve(case, c1, c2)) for c1, c2 in dense]
+    out = [from_numerators(apex_alg, case_solve(case, c1, c2), den)
+           for den, c1, c2 in dense]
     return MicroPoint(apex_alg, g1.m, out)
 
 

@@ -9,13 +9,12 @@ T's algebra to S's; on points it restricts T-expansions to S-expansions.
 
 from .errors import ValidationError
 from .poly import Poly
-from .rationals import Q
 from .simplicial import SimplicialObject
 from .weil import WeilElement, make_algebra
 
 
 class InfMorphism:
-    __slots__ = ("source", "target", "subst", "_matrix", "_columns")
+    __slots__ = ("source", "target", "subst", "_matrix", "_columns", "_integral")
 
     def __init__(self, source: SimplicialObject, target: SimplicialObject, subst):
         """subst: one Poly in source.n variables per target generator."""
@@ -33,6 +32,7 @@ class InfMorphism:
         self.subst = subst
         self._matrix = None
         self._columns = None
+        self._integral = False
         self._validate()
 
     def _images(self):
@@ -80,8 +80,8 @@ class InfMorphism:
             for i, e in enumerate(beta):
                 for _ in range(e):
                     w = w * imgs[i]
-            cols.append(w.coeffs)
-        matrix = [[cols[j].get(i, Q(0)) for j in range(tgt.dim)] for i in range(src.dim)]
+            cols.append(w.dense())
+        matrix = [[col[i] for col in cols] for i in range(src.dim)]
         self._matrix = matrix
         return matrix
 
@@ -89,32 +89,30 @@ class InfMorphism:
         """Nonzero (row, value) entries of each matrix column, in row order.
 
         The matrix is constant and mostly zero, so restrictions walk these
-        entries instead of whole dense columns.
+        entries instead of whole dense columns.  Integral entries are ints,
+        so integer coefficient vectors stay integers.
         """
         if self._columns is None:
             matrix = self.matrix()
             self._columns = tuple(
-                tuple((i, row[j]) for i, row in enumerate(matrix) if row[j])
+                tuple((i, int(row[j]) if row[j].denominator == 1 else row[j])
+                      for i, row in enumerate(matrix) if row[j])
                 for j in range(len(matrix[0])))
+            self._integral = all(type(v) is int for col in self._columns for _i, v in col)
         return self._columns
 
     def pullback_element(self, w: WeilElement) -> WeilElement:
         """Apply the dual algebra map to an element of the target algebra.
 
         Walks only the nonzero matrix entries of w's columns; the result's
-        coefficients are in sorted basis order, with zero sums dropped.
+        coefficients are in sorted basis order, with zero sums dropped.  Every
+        entry of an inclusion or axis map is an integer, so a rational w maps
+        by adding its numerators under the same denominator.
         """
         if w.algebra is not make_algebra(self.target):
             raise ValidationError("element does not live on the target algebra")
         columns = self.columns()
-        acc = {}
-        for j, v in w.coeffs.items():
-            for i, mv in columns[j]:
-                t = mv * v
-                s = acc.get(i)
-                acc[i] = t if s is None else s + t
-        return WeilElement(make_algebra(self.source),
-                           {i: acc[i] for i in sorted(acc) if acc[i]})
+        return w.apply_columns(columns, make_algebra(self.source), self._integral)
 
     def then(self, other: "InfMorphism") -> "InfMorphism":
         """Composite applying self first; requires self.target == other.source."""

@@ -186,10 +186,13 @@ def form_to_json(x: FormElem) -> dict:
 
 
 def form_from_json(data) -> FormElem:
-    try:
-        p, k, m = int(data["p"]), int(data["k"]), int(data["m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"form JSON needs integer p, k, m: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError("form JSON must be an object")
+    for field in ("p", "k", "m"):
+        value = data.get(field)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValidationError(f"form {field} must be a non-negative integer, got {value!r}")
+    p, k, m = data["p"], data["k"], data["m"]
     table = data.get("coeffs", {})
     if not isinstance(table, dict):
         raise ValidationError("form coeffs must be an object")

@@ -8,18 +8,27 @@ a divisibility test, so no Groebner machinery is needed anywhere.
 Basis order is graded lexicographic (total degree first, then earlier
 generators first) and is part of the serialization contract.
 
-WeilElement coefficients live in any commutative ring containing the
-rationals: plain rationals for jets of numbers, polynomials for jets of
-symbolic expressions.  Coefficients are stored sparsely, as rationals or
-ring values; a missing index means zero.  The product of two rational
-elements with at least two terms each is computed over one common
-denominator: integer numerators are accumulated and each output coefficient
-becomes a rational once.
+A WeilElement is an immutable sparse coefficient vector over the basis; a
+missing index means zero.  Coefficients live in any commutative ring
+containing the rationals: plain rationals for jets of numbers, polynomials
+for jets of symbolic expressions.
+
+A rational element is held fraction-free, the representation of FLINT's
+fmpq_poly: integer numerators over one positive denominator, reduced so that
+no factor divides the denominator and every numerator.  The reduced form is
+canonical, so equality and hashing compare integers.  Sums, scaling,
+products, powers and linear maps such as pullbacks work on the integers and
+reduce once, by one gcd pass.  Rationals are built only for readers:
+`coeffs` is a read-only view that builds each one on lookup, and `coeff` and
+`dense` build theirs.  Elements with ring-valued coefficients keep a plain
+dict and the generic loops.
 """
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import product as iter_product
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import ValidationError
 from .rationals import ONE, Q
@@ -33,7 +42,7 @@ def _grlex_key(exps):
 class WeilAlgebra:
     """Quotient algebra attached to a SimplicialObject; build via make_algebra."""
 
-    __slots__ = ("source", "basis", "index", "_rows", "_gen_elems")
+    __slots__ = ("source", "basis", "index", "_rows", "_pairs", "_gen_elems")
 
     def __init__(self, source: SimplicialObject):
         self.source = source
@@ -50,7 +59,8 @@ class WeilAlgebra:
         self.basis = tuple(monomials)
         self.index = {e: i for i, e in enumerate(self.basis)}
         # _rows[i] maps j to the basis index of basis[i] * basis[j], holding
-        # only the pairs whose product survives the quotient.
+        # only the pairs whose product survives the quotient; _pairs[i] holds
+        # the same (j, k) pairs as a tuple, for the rational product's walk.
         rows = tuple({} for _ in self.basis)
         for i, a in enumerate(self.basis):
             for j, b in enumerate(self.basis[i:], i):
@@ -59,6 +69,7 @@ class WeilAlgebra:
                     rows[i][j] = k
                     rows[j][i] = k
         self._rows = rows
+        self._pairs = tuple(tuple(r.items()) for r in rows)
         self._gen_elems = None
 
     @property
@@ -72,10 +83,10 @@ class WeilAlgebra:
         return self.index.get(tuple(exps))
 
     def zero(self) -> "WeilElement":
-        return WeilElement(self, {})
+        return _element(self, {}, 1)
 
     def one(self) -> "WeilElement":
-        return WeilElement(self, {0: ONE})
+        return _element(self, {0: 1}, 1)
 
     def generator(self, i: int) -> "WeilElement":
         """The class of d_i (1-indexed)."""
@@ -84,7 +95,7 @@ class WeilAlgebra:
             for g in range(self.source.n):
                 exps = tuple(1 if j == g else 0 for j in range(self.source.n))
                 k = self.index.get(exps)
-                gens.append(WeilElement(self, {} if k is None else {k: ONE}))
+                gens.append(_element(self, {} if k is None else {k: 1}, 1))
             self._gen_elems = tuple(gens)
         return self._gen_elems[i - 1]
 
@@ -116,18 +127,121 @@ def make_algebra(obj: SimplicialObject) -> WeilAlgebra:
     return WeilAlgebra(obj)
 
 
-class WeilElement:
-    """Sparse coefficient vector over a WeilAlgebra basis.
+_RATIONAL = frozenset({Q, int})
+_new = object.__new__
 
-    Coefficients may be rationals or any ring value supporting +, -, * and
-    truth-testing (zero is falsy).  Mixed-algebra arithmetic is rejected.
+
+def _q(n, den):
+    """The rational n/den from a numerator and a coprime positive denominator."""
+    return Q(n) if den == 1 else Q(n, den)
+
+
+def _element(algebra, num, den):
+    """An element from its parts: den is None when num holds ring values."""
+    w = _new(WeilElement)
+    w.algebra = algebra
+    w._num = num
+    w._den = den
+    return w
+
+
+def _reduced(algebra, num, den):
+    """A rational element from nonzero integer numerators over den > 0.
+
+    One gcd pass over the denominator and the numerators reduces the form.
+    """
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: n // g for k, n in num.items()}
+            den //= g
+    return _element(algebra, num, den)
+
+
+def _ring(algebra, coeffs):
+    """An element from ring values; with no terms left it is the zero."""
+    return _element(algebra, coeffs, None) if coeffs else _element(algebra, {}, 1)
+
+
+class _RationalCoeffs(Mapping):
+    """Read-only view of a rational element's coefficients.
+
+    A lookup builds the rational from its numerator and the denominator;
+    iterating and sizing touch only the numerators.
     """
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, k):
+        return _q(self._num[k], self._den)
+
+    def get(self, k, default=None):
+        n = self._num.get(k)
+        return default if n is None else _q(n, self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+class WeilElement:
+    """Sparse coefficient vector over a WeilAlgebra basis; immutable.
+
+    Coefficients may be rationals or any ring value supporting +, -, * and
+    truth-testing (zero is falsy).  A coefficient dict of rationals (ints
+    included) makes a rational element, held as reduced integer numerators
+    over one positive denominator; any other dict is kept as given.
+    Mixed-algebra arithmetic is rejected.
+    """
+
+    __slots__ = ("algebra", "_num", "_den")
 
     def __init__(self, algebra: WeilAlgebra, coeffs: dict):
         self.algebra = algebra
-        self.coeffs = coeffs
+        for c in coeffs.values():
+            if type(c) not in _RATIONAL:
+                self._num, self._den = coeffs, None
+                return
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the form is already reduced
+        den = lcm(*[c.denominator for c in coeffs.values()])
+        self._num = {k: c.numerator * (den // c.denominator)
+                     for k, c in coeffs.items() if c}
+        self._den = den
+
+    @property
+    def coeffs(self):
+        """Read-only mapping from basis index to nonzero coefficient."""
+        if self._den is None:
+            return MappingProxyType(self._num)
+        return _RationalCoeffs(self._num, self._den)
+
+    @property
+    def denominator(self):
+        """Common denominator of a rational element; None for ring values."""
+        return self._den
+
+    def numerators(self, den) -> list:
+        """Dense integer numerators over den, a multiple of the denominator."""
+        f = den // self._den
+        num = self._num
+        return [num.get(k, 0) * f for k in range(self.algebra.dim)]
+
+    def _values(self) -> dict:
+        """Coefficient dict for the generic ring loops."""
+        if self._den is None:
+            return self._num
+        den = self._den
+        return {k: _q(n, den) for k, n in self._num.items()}
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -137,48 +251,78 @@ class WeilElement:
         if not isinstance(other, WeilElement):
             return NotImplemented
         self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            s = c if s is None else s + c
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        da, db = self._den, other._den
+        if da is None or db is None:
+            out = dict(self._values())
+            for k, c in other._values().items():
+                s = out.get(k)
+                s = c if s is None else s + c
+                if s:
+                    out[k] = s
+                elif k in out:
+                    del out[k]
+            return _ring(self.algebra, out)
+        if da == db:
+            out, fb = dict(self._num), 1
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            out = {k: x * fa for k, x in self._num.items()}
+            da *= fa
+        for k, y in other._num.items():
+            s = out.get(k, 0) + y * fb
             if s:
                 out[k] = s
-            elif k in out:
+            else:
                 del out[k]
-        return WeilElement(self.algebra, out)
+        return _reduced(self.algebra, out, da)
 
     def __neg__(self):
-        return WeilElement(self.algebra, {k: -c for k, c in self.coeffs.items()})
+        return _element(self.algebra, {k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, WeilElement):
-            self._check(other)
-            rows = self.algebra._rows
-            a, b = self.coeffs, other.coeffs
-            if (len(a) > 1 and len(b) > 1 and all(type(c) is Q for c in a.values())
-                    and all(type(c) is Q for c in b.values())):
-                return WeilElement(self.algebra, _rational_product(rows, a, b))
-            out = {}
-            for i, ci in a.items():
-                row = rows[i]
-                for j, cj in b.items():
-                    k = row.get(j)
-                    if k is None:
-                        continue
-                    c = ci * cj
-                    if not c:
-                        continue
-                    s = out.get(k)
-                    s = c if s is None else s + c
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-            return WeilElement(self.algebra, out)
-        return self.scale(other)
+        if not isinstance(other, WeilElement):
+            return self.scale(other)
+        self._check(other)
+        if self._den is not None and other._den is not None:
+            # numerators accumulate densely along each row's surviving pairs
+            dim = self.algebra.dim
+            pairs = self.algebra._pairs
+            b = [0] * dim
+            for j, y in other._num.items():
+                b[j] = y
+            acc = [0] * dim
+            for i, x in self._num.items():
+                for j, k in pairs[i]:
+                    acc[k] += x * b[j]
+            return _reduced(self.algebra, {k: s for k, s in enumerate(acc) if s},
+                            self._den * other._den)
+        out = {}
+        rows = self.algebra._rows
+        b = other._values()
+        for i, ci in self._values().items():
+            row = rows[i]
+            for j, cj in b.items():
+                k = row.get(j)
+                if k is None:
+                    continue
+                c = ci * cj
+                if not c:
+                    continue
+                s = out.get(k)
+                s = c if s is None else s + c
+                if s:
+                    out[k] = s
+                elif k in out:
+                    del out[k]
+        return _ring(self.algebra, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -186,12 +330,16 @@ class WeilElement:
     def scale(self, c) -> "WeilElement":
         if not c:
             return self.algebra.zero()
-        out = {}
-        for k, v in self.coeffs.items():
-            s = c * v
-            if s:
-                out[k] = s
-        return WeilElement(self.algebra, out)
+        if self._den is None or type(c) not in _RATIONAL:
+            out = {}
+            for k, v in self._values().items():
+                s = c * v
+                if s:
+                    out[k] = s
+            return _ring(self.algebra, out)
+        p = c.numerator
+        return _reduced(self.algebra, {k: n * p for k, n in self._num.items()},
+                        self._den * c.denominator)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -204,59 +352,65 @@ class WeilElement:
         return out
 
     def __eq__(self, other):
-        return (isinstance(other, WeilElement) and self.algebra is other.algebra
-                and self.coeffs == other.coeffs)
+        if not isinstance(other, WeilElement) or self.algebra is not other.algebra:
+            return False
+        if self._den is None or other._den is None:
+            return self._values() == other._values()
+        return self._den == other._den and self._num == other._num
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __hash__(self):
-        return hash((id(self.algebra), tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))))
+        return hash((id(self.algebra), self._den, frozenset(self._num.items())))
 
     def coeff(self, exps):
         """Coefficient of the (reduced) monomial with the given exponents."""
-        k = self.algebra.index.get(tuple(exps))
-        return self.coeffs.get(k, Q(0)) if k is not None else Q(0)
+        c = self._num.get(self.algebra.index.get(tuple(exps)))
+        if c is None:
+            return Q(0)
+        return c if self._den is None else _q(c, self._den)
 
     def dense(self):
-        return [self.coeffs.get(k, Q(0)) for k in range(self.algebra.dim)]
+        values, zero = self._values(), Q(0)
+        return [values.get(k, zero) for k in range(self.algebra.dim)]
+
+    def apply_columns(self, columns, algebra, integral=False) -> "WeilElement":
+        """Image under a linear map onto algebra's basis, in sorted basis order.
+
+        columns[j] lists the nonzero (row, entry) pairs of basis index j.
+        With integer entries (integral=True) a rational element maps
+        fraction-free: its numerators combine under the same denominator.
+        """
+        acc = {}
+        if integral and self._den is not None:
+            for j, n in self._num.items():
+                for i, e in columns[j]:
+                    acc[i] = acc.get(i, 0) + e * n
+            return _reduced(algebra, {i: acc[i] for i in sorted(acc) if acc[i]}, self._den)
+        for j, v in self._values().items():
+            for i, e in columns[j]:
+                t = e * v
+                s = acc.get(i)
+                acc[i] = t if s is None else s + t
+        return WeilElement(algebra, {i: acc[i] for i in sorted(acc) if acc[i]})
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._num:
             return "0"
+        coeffs = self.coeffs
         bits = []
-        for k in sorted(self.coeffs):
+        for k in sorted(coeffs):
             mono = self.algebra.monomial_str(k)
-            c = self.coeffs[k]
+            c = coeffs[k]
             bits.append(f"{c}" if mono == "1" else f"{c}*{mono}")
         return " + ".join(bits)
 
 
-def _rational_product(rows, a: dict, b: dict) -> dict:
-    """Product coefficients of two rational coefficient dicts.
-
-    Each side is scaled to integer numerators over its lcm denominator; the
-    numerators are accumulated along each row's surviving pairs and every
-    nonzero sum becomes one rational over the product of the denominators.
-    """
-    # Lists, not generators: unpacking a generator grows the argument tuple
-    # by resizing, and the tuple freelists then keep one stranded tuple per
-    # call until a full collection (about 2 MB more peak RSS on jet_eval).
-    da = lcm(*[c.denominator for c in a.values()])
-    db = lcm(*[c.denominator for c in b.values()])
-    xa = {i: c.numerator * (da // c.denominator) for i, c in a.items()}
-    xb = {j: c.numerator * (db // c.denominator) for j, c in b.items()}
-    acc = {}
-    for i, x in xa.items():
-        for j, k in rows[i].items():
-            y = xb.get(j)
-            if y is not None:
-                acc[k] = acc.get(k, 0) + x * y
-    den = da * db
-    if den == 1:
-        return {k: Q(s) for k, s in acc.items() if s}
-    return {k: Q(s, den) for k, s in acc.items() if s}
-
-
 def from_dense(algebra: WeilAlgebra, values) -> WeilElement:
     return WeilElement(algebra, {k: v for k, v in enumerate(values) if v})
+
+
+def from_numerators(algebra: WeilAlgebra, values, den) -> WeilElement:
+    """Element from dense integer numerators over a positive denominator."""
+    return _reduced(algebra, {k: v for k, v in enumerate(values) if v}, den)

@@ -161,6 +161,20 @@ def test_form_rejects_bad_kernel_dims():
         form_from_json(data)
 
 
+def _pi_form(**fields):
+    return {"p": 1, "k": 1, "m": 1, "coeffs": {"[]": "pi"}, **fields}
+
+
+@pytest.mark.parametrize("fields", [
+    {"p": -1}, {"p": 1.7}, {"p": True}, {"p": "1"}, {"k": -1},
+], ids=["p-negative", "p-float", "p-bool", "p-text", "k-negative"])
+def test_form_rejects_non_counting_arities(fields):
+    # each was decoded before: -1 leaked a ValueError, 1.7, true and "1"
+    # became 1, and k = -1 was kept
+    with pytest.raises(ValidationError, match=f"form {next(iter(fields))} must be"):
+        form_from_json(_pi_form(**fields))
+
+
 def test_rationals_serialized_as_strings():
     p = MicroPoint.from_table(d_cube(1), 1, {(): [Q(-7, 3)]})
     assert micropoint_to_json(p)["coeffs"]["[]"] == ["-7/3"]

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fnlab.errors import ValidationError
+from fnlab.micro import amalgamation_cases
 from fnlab.morphisms import InfMorphism, compose_morphisms, identity_morphism, \
     inclusion
 from fnlab.poly import Poly
@@ -315,3 +318,272 @@ def test_powers_start_from_the_base():
     assert d ** 4 == alg.monomial((4,)) and not d ** 5
     with pytest.raises(ValidationError):
         x ** -1
+
+
+# fraction-free elements against a naive Fraction-dict reference --------------
+#
+# Every rational element holds integer numerators over one denominator.  The
+# reference below computes with plain {basis index: Fraction} dicts; each
+# result must match it and be in reduced form (denominator >= 1, no factor
+# common to it and every numerator, and denominator 1 for zero).
+
+def fraction(c):
+    return Fraction(c.numerator, c.denominator)
+
+
+def ref_of(w):
+    return {k: fraction(c) for k, c in w.coeffs.items()}
+
+
+def element(alg, ref, flip_signs=False):
+    """An element from a reference dict; flip_signs passes each rational with
+    a negative numerator and a negative denominator."""
+    if flip_signs:
+        return WeilElement(alg, {k: Q(-v.numerator, -v.denominator) for k, v in ref.items()})
+    return WeilElement(alg, {k: Q(v.numerator, v.denominator) for k, v in ref.items()})
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_scale(c, a):
+    return {k: c * v for k, v in a.items() if c * v}
+
+
+def ref_mul(alg, a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            k = alg.index.get(tuple(p + q for p, q in zip(alg.basis[i], alg.basis[j])))
+            if k is not None:
+                out[k] = out.get(k, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_pullback(mor, ref):
+    """Substitute the generator images and multiply out, in Fraction dicts."""
+    src, tgt = make_algebra(mor.source), make_algebra(mor.target)
+    images = []
+    for p in mor.subst:
+        img = {}
+        for e, c in p.terms.items():
+            k = src.index.get(e)
+            if k is not None:
+                img = ref_add(img, {k: Fraction(c.numerator, c.denominator)})
+        images.append(img)
+    out = {}
+    for k, v in ref.items():
+        term = {0: Fraction(1)}
+        for img, e in zip(images, tgt.basis[k]):
+            for _ in range(e):
+                term = ref_mul(src, term, img)
+        out = ref_add(out, ref_scale(v, term))
+    return out
+
+
+def check(w, ref):
+    assert ref_of(w) == ref
+    assert all(type(c) is Q for c in w.coeffs.values())
+    den = w.denominator
+    assert den >= 1 and gcd(den, *w.numerators(den)) == 1
+    if not ref:
+        assert den == 1
+
+
+FIXED_OBJECTS = [d_cube(4), d_order(4), D2, tensor(d_order(2), d_paren(2)), SPARSE_PAIRS]
+fractions_1_7 = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
+
+
+@st.composite
+def ref_elements(draw, alg):
+    """Dense, sparse, single-term or zero reference dicts, denominators 1..7."""
+    kind = draw(st.sampled_from(["dense", "sparse", "single", "zero"]))
+    if kind == "zero":
+        return {}
+    if kind == "dense":
+        keys = range(alg.dim)
+    elif kind == "sparse":
+        keys = draw(st.lists(st.integers(0, alg.dim - 1), unique=True, max_size=alg.dim))
+    else:
+        keys = [draw(st.integers(0, alg.dim - 1))]
+    ref = {k: draw(fractions_1_7) for k in keys}
+    return {k: v for k, v in ref.items() if v}
+
+
+@st.composite
+def algebras_with(draw, count):
+    obj = draw(st.one_of(simplicial_objects(3), st.sampled_from(FIXED_OBJECTS)))
+    alg = make_algebra(obj)
+    return alg, [draw(ref_elements(alg)) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_with(2), st.booleans())
+def test_sum_difference_negation_match_reference(case, flip):
+    alg, (a, b) = case
+    x, y = element(alg, a, flip), element(alg, b)
+    neg_b = ref_scale(Fraction(-1), b)
+    check(-y, neg_b)
+    for other, other_ref in ((y, b), (-y, neg_b), (x, a), (-x, ref_scale(Fraction(-1), a))):
+        check(x + other, ref_add(a, other_ref))
+        check(other + x, ref_add(a, other_ref))
+        check(x - other, ref_add(a, ref_scale(Fraction(-1), other_ref)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_with(1), fractions_1_7, st.integers(-6, 6), st.booleans())
+def test_scaling_matches_reference(case, c, n, flip):
+    alg, (a,) = case
+    x = element(alg, a, flip)
+    check(x.scale(Q(c.numerator, c.denominator)), ref_scale(c, a))
+    check(x.scale(Q(-c.numerator, -c.denominator)), ref_scale(c, a))
+    check(x.scale(n), ref_scale(Fraction(n), a))
+    check(Q(c.numerator, c.denominator) * x, ref_scale(c, a))
+    check(x * n, ref_scale(Fraction(n), a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_with(2), st.integers(0, 4))
+def test_product_and_power_match_reference(case, e):
+    alg, (a, b) = case
+    x, y = element(alg, a), element(alg, b, True)
+    check(x * y, ref_mul(alg, a, b))
+    check(y * x, ref_mul(alg, a, b))
+    check(x * (-x), ref_scale(Fraction(-1), ref_mul(alg, a, a)))
+    power = {0: Fraction(1)}
+    for _ in range(e):
+        power = ref_mul(alg, power, a)
+    check(x ** e, power)
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_with(2))
+def test_equality_and_truth_match_reference(case):
+    alg, (a, b) = case
+    x, y = element(alg, a), element(alg, b)
+    assert (x == y) == (a == b) and (x != y) == (a != b)
+    assert x == element(alg, a, True) and hash(x) == hash(element(alg, a, True))
+    assert bool(x) == bool(a) and bool(y) == bool(b)
+    assert (x - y == alg.zero()) == (a == b)
+    assert x != a and x != make_algebra(d_cube(5)).zero()
+    # same numerators over different denominators
+    assert element(alg, {0: Fraction(1, 2)}) != element(alg, {0: Fraction(1, 3)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_with(1))
+def test_readers_match_reference(case):
+    alg, (a,) = case
+    x = element(alg, a)
+    assert [fraction(c) for c in x.dense()] == [a.get(k, 0) for k in range(alg.dim)]
+    assert all(type(c) is Q for c in x.dense())
+    for k, exps in enumerate(alg.basis):
+        assert fraction(x.coeff(exps)) == a.get(k, 0) and type(x.coeff(exps)) is Q
+    if alg.source.n:
+        assert x.coeff(tuple(b + 1 for b in alg.source.bounds)) == 0
+    assert len(x.coeffs) == len(a) and set(x.coeffs) == set(a)
+    assert all(k in x.coeffs and fraction(x.coeffs.get(k)) == v for k, v in a.items())
+    assert x.coeffs.get(alg.dim) is None and alg.dim not in x.coeffs
+
+
+def pullback_morphisms():
+    out = []
+    for case in amalgamation_cases().values():
+        out += [case.twisted, case.flat, case.shared_incl, case.extract]
+    out.append(InfMorphism(D2, d_cube(1), [Poly.var(1, 0) * Poly.var(1, 0)]))
+    out.append(InfMorphism(d_cube(2), d_cube(2), [Poly.var(2, 0).scale(2),
+                                                  Poly.var(2, 1).scale(-3)]))
+    out.append(InfMorphism(d_cube(2), d_cube(2), [Poly.var(2, 0).scale(Q(1, 2)),
+                                                  Poly.var(2, 1).scale(Q(-3))]))
+    out.append(InfMorphism(d_order(2), d_order(3),
+                           [Poly.var(1, 0).scale(Q(2, 3)) + Poly.var(1, 0) ** 2]))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pullback_matches_reference(data):
+    mor = data.draw(st.sampled_from(pullback_morphisms()))
+    tgt = make_algebra(mor.target)
+    a = data.draw(ref_elements(tgt))
+    check(mor.pullback_element(element(tgt, a)), ref_pullback(mor, a))
+    pulled = mor.pullback_element(element(tgt, a, True))
+    assert list(pulled.coeffs) == sorted(pulled.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras_with(2), fractions_1_7.filter(bool))
+def test_equal_values_from_different_paths_hash_equal(case, c):
+    alg, (a, b) = case
+    x, y = element(alg, a), element(alg, b)
+    q = Q(c.numerator, c.denominator)
+    ref = ref_mul(alg, a, b)
+    w = x * y
+    paths = [
+        element(alg, ref),
+        from_dense(alg, [Q(v.numerator, v.denominator)
+                         for v in (ref.get(k, Fraction(0)) for k in range(alg.dim))]),
+        alg.zero() + w,
+        (w + x) - x,
+        (w + x.scale(q)) - x.scale(q),
+        w.scale(q).scale(1 / q),
+        w.scale(2).scale(Q(1, 2)),
+        -(-w),
+        y * x * alg.one(),
+        identity_morphism(alg.source).pullback_element(w),
+    ]
+    for v in paths:
+        assert v == w and hash(v) == hash(w)
+        check(v, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras_with(1), fractions_1_7.filter(bool))
+def test_zero_has_denominator_one(case, c):
+    alg, (a,) = case
+    x = element(alg, a).scale(Q(c.numerator, c.denominator))
+    zeros = [x - x, x.scale(0), x * alg.zero(), alg.zero().scale(Q(1, 3)),
+             from_dense(alg, [Q(0)] * alg.dim), WeilElement(alg, {}),
+             identity_morphism(alg.source).pullback_element(x - x)]
+    if alg.source.n >= 2 and alg.source == d_cube(alg.source.n):
+        d1, d2 = alg.generator(1).scale(Q(1, 3)), alg.generator(2).scale(Q(1, 3))
+        zeros.append((d1 + d2) * (d1 - d2))
+    for z in zeros:
+        check(z, {})
+        assert z == alg.zero() and hash(z) == hash(alg.zero()) and not z
+
+
+def test_coefficients_are_read_only():
+    alg = make_algebra(d_cube(2))
+    source = {0: Q(1, 2), 3: Q(-2, 3)}
+    w = WeilElement(alg, source)
+    h = hash(w)
+    with pytest.raises(TypeError):
+        w.coeffs[1] = Q(1)
+    with pytest.raises(TypeError):
+        del w.coeffs[0]
+    # the element does not share the dict it was built from
+    source[0], source[1] = Q(7), Q(5)
+    assert dict(w.coeffs) == {0: Q(1, 2), 3: Q(-2, 3)}
+    assert w == WeilElement(alg, {0: Q(1, 2), 3: Q(-2, 3)}) and hash(w) == h
+    ring = WeilElement(alg, {0: Poly.one(1)})
+    with pytest.raises(TypeError):
+        ring.coeffs[0] = Poly.zero(1)
+
+
+def test_polynomial_elements_stay_ring_valued():
+    alg = make_algebra(d_cube(2))
+    x = WeilElement(alg, {0: Poly.var(1, 0), 1: Poly.one(1), 3: Poly.var(1, 0) ** 2})
+    r = from_dense(alg, [Q(2), Q(0), Q(1, 3), Q(0)])
+    assert x.denominator is None and r.denominator == 3
+    assert alg.zero() + x == x and x + alg.zero() == x
+    assert (x - x) == alg.zero() and (x - x).denominator == 1
+    assert (r * x).coeffs == naive_product(r, x) == (x * r).coeffs
+    assert x.scale(Q(1, 2)).coeffs == {k: c.scale(Q(1, 2)) for k, c in x.coeffs.items()}
+    assert r.scale(Poly.var(1, 0)).coeffs == {0: Poly.var(1, 0).scale(2),
+                                              2: Poly.var(1, 0).scale(Q(1, 3))}
+    assert x.coeff((1, 0)) == Poly.one(1) and x.coeff((0, 1)) == 0
