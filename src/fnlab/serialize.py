@@ -176,6 +176,10 @@ def micropoint_from_json(data) -> MicroPoint:
 
 # forms ----------------------------------------------------------------------
 
+# Kernels of arity p on R^m take m * 2^p variables, and class checks walk all
+# 2^p cube slots even for m = 0.  The heavy Jacobi sums reach p = 6, m = 2.
+MAX_KERNEL_VARS = 128
+
 
 def form_to_json(x: FormElem) -> dict:
     coeffs = {}
@@ -193,6 +197,10 @@ def form_from_json(data) -> FormElem:
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ValidationError(f"form {field} must be a non-negative integer, got {value!r}")
     p, k, m = data["p"], data["k"], data["m"]
+    # p is compared before shifting, so a huge p builds no huge integer
+    if p >= MAX_KERNEL_VARS.bit_length() or max(m, 1) << p > MAX_KERNEL_VARS:
+        raise ValidationError(f"form with p={p}, m={m} is too large: "
+                              f"max(m, 1)*2^p exceeds {MAX_KERNEL_VARS}")
     table = data.get("coeffs", {})
     if not isinstance(table, dict):
         raise ValidationError("form coeffs must be an object")

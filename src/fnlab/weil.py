@@ -42,7 +42,7 @@ def _grlex_key(exps):
 class WeilAlgebra:
     """Quotient algebra attached to a SimplicialObject; build via make_algebra."""
 
-    __slots__ = ("source", "basis", "index", "_rows", "_pairs", "_gen_elems")
+    __slots__ = ("source", "basis", "index", "_pairs", "_gen_elems")
 
     def __init__(self, source: SimplicialObject):
         self.source = source
@@ -58,18 +58,17 @@ class WeilAlgebra:
         monomials.sort(key=_grlex_key)
         self.basis = tuple(monomials)
         self.index = {e: i for i, e in enumerate(self.basis)}
-        # _rows[i] maps j to the basis index of basis[i] * basis[j], holding
-        # only the pairs whose product survives the quotient; _pairs[i] holds
-        # the same (j, k) pairs as a tuple, for the rational product's walk.
-        rows = tuple({} for _ in self.basis)
+        # _pairs[i] lists, by increasing j, the (j, k) with basis[i] * basis[j]
+        # = basis[k]: only the pairs whose product survives the quotient.
+        pairs = tuple([] for _ in self.basis)
         for i, a in enumerate(self.basis):
             for j, b in enumerate(self.basis[i:], i):
                 k = self._reduce_exponents(tuple(x + y for x, y in zip(a, b)))
                 if k is not None:
-                    rows[i][j] = k
-                    rows[j][i] = k
-        self._rows = rows
-        self._pairs = tuple(tuple(r.items()) for r in rows)
+                    pairs[i].append((j, k))
+                    if j != i:
+                        pairs[j].append((i, k))
+        self._pairs = tuple(tuple(r) for r in pairs)
         self._gen_elems = None
 
     @property
@@ -305,13 +304,12 @@ class WeilElement:
             return _reduced(self.algebra, {k: s for k, s in enumerate(acc) if s},
                             self._den * other._den)
         out = {}
-        rows = self.algebra._rows
+        pairs = self.algebra._pairs
         b = other._values()
         for i, ci in self._values().items():
-            row = rows[i]
-            for j, cj in b.items():
-                k = row.get(j)
-                if k is None:
+            for j, k in pairs[i]:
+                cj = b.get(j)
+                if cj is None:
                     continue
                 c = ci * cj
                 if not c:

@@ -151,6 +151,15 @@ def test_bracket_negative_arity_is_invalid_input(capsys):
     assert err.startswith("invalid input: ") and "form p must be a non-negative integer" in err
 
 
+def test_bracket_oversized_form_is_invalid_input(capsys):
+    # one kernel variable over the bound: m * 2^p = 129
+    bad = json.dumps({"p": 0, "k": 1, "m": 129, "coeffs": {"[]": "pi"}})
+    good = json.dumps(form_to_json(vector_field_form(PolyMap(1, [Poly.one(1)]))))
+    assert main(["bracket", bad, good]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "p=0, m=129 is too large" in err
+
+
 @pytest.mark.parametrize("field, message", [
     ({"in_dim": 1, "components": 5}, "components must be a list"),
     ({"in_dim": 1, "components": [[{"c": "1", "e": 5}]]},

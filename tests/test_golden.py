@@ -31,6 +31,15 @@ def test_jacobi3_random():
     assert out == (GOLDEN / "jacobi3_random20_seed3.json").read_bytes()
 
 
+@pytest.mark.parametrize("level", ["L1", "L12", "FN13", "FN123"])
+def test_bracket_levels(level):
+    # bracket_x.json and bracket_y.json are two alternating multilinear
+    # (1,1)-forms on R^2, so every level accepts them and none is zero
+    out = run("-m", "fnlab.cli", "bracket", str(Path("tests") / "golden" / "bracket_x.json"),
+              str(Path("tests") / "golden" / "bracket_y.json"), "--level", level)
+    assert out == (GOLDEN / f"bracket_{level}.json").read_bytes()
+
+
 @pytest.mark.parametrize("demo", ["bracket_tower", "strong_differences", "weil_algebras"])
 def test_demo(demo):
     out = run(str(Path("demos") / f"{demo}.py"))

@@ -13,7 +13,7 @@ from fnlab.micro import (MicroPoint, TRIANGLE_LABELS, TriangleConfig,
 from fnlab.morphisms import InfMorphism, axis_map, inclusion
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
-from fnlab.simplicial import d_cube, d_order, d_paren
+from fnlab.simplicial import SimplicialObject, d_cube, d_order, d_paren
 from fnlab.weil import from_dense, make_algebra
 
 
@@ -32,6 +32,60 @@ def test_axis_keys_outside_the_generators_rejected(key):
         MicroPoint.from_table(d_cube(2), 1, {key: [5]})
     with pytest.raises(ValidationError):
         GAMMA.coeff(key)
+
+
+def from_table_reference(obj, m, table):
+    """Dense rows of Q(0), each entry written in table order, then from_dense."""
+    alg = make_algebra(obj)
+    dense = [[Q(0)] * alg.dim for _ in range(m)]
+    for key, vec in table.items():
+        exps = [0] * obj.n
+        for i in key:
+            exps[i - 1] += 1
+        vec = vec if isinstance(vec, (list, tuple)) else [vec]
+        for j in range(m):
+            dense[j][alg.index[tuple(exps)]] = Q(vec[j])
+    return MicroPoint(alg, m, [from_dense(alg, row) for row in dense])
+
+
+def test_from_table_matches_dense_reference():
+    rng = random.Random(11)
+    objects = [d_cube(2), d_cube(3), d_order(2), d_paren(2)]
+    seen_zero = seen_alias = 0
+    for _ in range(60):
+        obj = rng.choice(objects)
+        alg = make_algebra(obj)
+        m = rng.randint(1, 3)
+        table = {}
+        for _ in range(rng.randint(0, alg.dim + 2)):
+            exps = alg.basis[rng.randrange(alg.dim)]
+            key = [i + 1 for i, e in enumerate(exps) for _ in range(e)]
+            rng.shuffle(key)  # an unsorted key names the same monomial
+            vec = [rng.choice([0, Q(0), rng.randint(-5, 5),
+                               Q(rng.randint(-5, 5), rng.randint(1, 4))])
+                   for _ in range(m)]
+            seen_alias += tuple(key) in table or tuple(sorted(key)) in table
+            seen_zero += any(v == 0 for v in vec)
+            table[tuple(key)] = vec if m > 1 or rng.random() < 0.5 else vec[0]
+        got = MicroPoint.from_table(obj, m, table)
+        want = from_table_reference(obj, m, table)
+        assert got == want
+        for a, b in zip(got.coords, want.coords):
+            assert dict(a.coeffs) == dict(b.coeffs) and a.denominator == b.denominator
+    # later keys naming the same monomial overwrite, a zero included
+    got = MicroPoint.from_table(d_cube(3), 2, {(1, 3): [1, Q(1, 2)], (3, 1): [0, 5]})
+    assert got.coeff((1, 3)) == (0, 5) and got == from_table_reference(
+        d_cube(3), 2, {(1, 3): [1, Q(1, 2)], (3, 1): [0, 5]})
+    assert seen_zero and seen_alias
+
+
+def test_from_table_errors():
+    with pytest.raises(ValidationError, match=r"monomial \(1, 2\) is not in the basis"):
+        MicroPoint.from_table(d_paren(2), 1, {(1, 2): [1]})
+    with pytest.raises(ValidationError, match="coefficient vector length != m"):
+        MicroPoint.from_table(d_cube(2), 2, {(1,): [1]})
+    with pytest.raises(ValidationError, match="coefficient vector length != m"):
+        MicroPoint.from_table(d_cube(2), 2, {(): 3})
 
 
 def test_restrict_kills_corner():
@@ -298,6 +352,79 @@ def test_triangle_violation_detection():
     assert str(err.value) == "; ".join(t.violations())
 
 
+GROUPS = ((1, (2, 3), (("123", "132"), ("231", "321"))),
+          (2, (1, 3), (("231", "213"), ("312", "132"))),
+          (3, (1, 2), (("312", "321"), ("123", "213"))))
+
+
+def naive_violations(cubes):
+    """Each pair compared through its own restriction, then the off-corner
+    agreement of the inner differences of every axis whose pairs agree."""
+    bad = []
+    off_corner = inclusion(d_paren(2), d_cube(2))
+    for axis, (j, k), pairs in GROUPS:
+        incl = inclusion(SimplicialObject(3, frozenset({(j, k)})), d_cube(3))
+        agree = True
+        for a, b in pairs:
+            if restrict(cubes[a], incl) != restrict(cubes[b], incl):
+                bad.append(f"cubes {a} and {b} disagree after killing d{j}*d{k}")
+                agree = False
+        if agree:
+            d1, d2 = (strong_diff_i(cubes[a], cubes[b], axis) for a, b in pairs)
+            if restrict(d1, off_corner) != restrict(d2, off_corner):
+                bad.append(f"axis-{axis} differences disagree off the corner")
+    return bad
+
+
+def test_violations_match_naive_reference():
+    rng = random.Random(21)
+    rv = lambda m: [Q(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(m)]
+    keys = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    kinds = set()
+    for _ in range(40):
+        m = rng.randint(1, 2)
+        t = triangle_from_slots(
+            m, [rv(m) for _ in range(4)],
+            {(1, 2): (rv(m), rv(m)), (1, 3): (rv(m), rv(m)), (2, 3): (rv(m), rv(m))},
+            {label: rv(m) for label in TRIANGLE_LABELS})
+        cubes = dict(t.cubes)
+        for _ in range(rng.randint(0, 2)):
+            label = rng.choice(TRIANGLE_LABELS)
+            table = {k: list(cubes[label].coeff(k)) for k in keys}
+            table[rng.choice(keys)] = rv(m)
+            cubes[label] = MicroPoint.from_table(d_cube(3), m, table)
+        want = naive_violations(cubes)
+        assert TriangleConfig(cubes).violations() == want
+        kinds.update("off the corner" if "corner" in v else "pair" for v in want)
+        kinds.add("clean" if not want else "broken")
+    assert kinds == {"pair", "off the corner", "clean", "broken"}
+
+
+def test_triangle_both_pairs_of_one_axis_disagree():
+    rng = random.Random(8)
+    rv = lambda: [Q(rng.randint(-9, 9), rng.choice([1, 2, 3]))]
+    t = triangle_from_slots(
+        1, [rv() for _ in range(4)],
+        {(1, 2): (rv(), rv()), (1, 3): (rv(), rv()), (2, 3): (rv(), rv())},
+        {label: rv() for label in TRIANGLE_LABELS})
+    cubes = dict(t.cubes)
+    # the d1*d3 slot is compared by the pairs of axes 1 and 3; moving it in
+    # 132 and 231 splits both axis-1 pairs and no axis-3 pair, and moving it
+    # by opposite amounts shifts both axis-2 differences alike
+    keys = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    for label, shift in (("132", -1), ("231", 1)):
+        table = {k: list(cubes[label].coeff(k)) for k in keys}
+        table[(1, 3)] = [table[(1, 3)][0] + shift]
+        cubes[label] = MicroPoint.from_table(d_cube(3), 1, table)
+    bad = TriangleConfig(cubes)
+    assert bad.violations() == ["cubes 123 and 132 disagree after killing d2*d3",
+                                "cubes 231 and 321 disagree after killing d2*d3"]
+    assert bad.violations() == naive_violations(cubes)
+    with pytest.raises(PreconditionError) as err:
+        jacobi3_defect(bad)
+    assert str(err.value) == "; ".join(bad.violations())
+
+
 def test_triangle_checks_membership_once(monkeypatch):
     rng = random.Random(4)
     rv = lambda: [Q(rng.randint(-9, 9), rng.choice([1, 2, 3]))]
@@ -308,11 +435,28 @@ def test_triangle_checks_membership_once(monkeypatch):
         glued.append(case if isinstance(case, str) else case.name)
         return real(g1, g2, case)
 
-    monkeypatch.setattr(fnlab.micro, "amalgamate", counting_amalgamate)
     t = triangle_from_slots(
         1, [rv() for _ in range(4)],
         {(1, 2): (rv(), rv()), (1, 3): (rv(), rv()), (2, 3): (rv(), rv())},
         {label: rv() for label in TRIANGLE_LABELS})
+    # the membership check itself builds one inclusion and restricts only
+    # the six glued squares and the six inner differences
+    built, restricted = [], []
+    real_init, real_restrict = InfMorphism.__init__, fnlab.micro.restrict
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_restrict(p, f):
+        restricted.append(f)
+        return real_restrict(p, f)
+
+    monkeypatch.setattr(InfMorphism, "__init__", counting_init)
+    monkeypatch.setattr(fnlab.micro, "restrict", counting_restrict)
+    monkeypatch.setattr(fnlab.micro, "amalgamate", counting_amalgamate)
+    t = TriangleConfig(dict(t.cubes))
+    assert len(built) == 1 and len(restricted) == 12
     assert t.violations() == []
     assert tangent_principal(jacobi3_defect(t)) == (0,)
     assert len(glued) == 9

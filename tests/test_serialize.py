@@ -5,12 +5,13 @@ import pytest
 
 from fnlab.errors import ValidationError
 from fnlab.forms import Kernel, cube_dim, form_from_kernel, identity_one_form, \
-    vector_field_form
+    pi_kernel, vector_field_form
 from fnlab.micro import TRIANGLE_LABELS, MicroPoint, triangle_from_slots
 from fnlab.morphisms import InfMorphism
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
-from fnlab.serialize import (form_from_json, form_to_json, micropoint_from_json,
+from fnlab.serialize import (MAX_KERNEL_VARS, form_from_json, form_to_json,
+                             micropoint_from_json,
                              micropoint_to_json, morphism_from_json,
                              morphism_to_json, obj_from_json, obj_to_json,
                              polymap_from_json, polymap_to_json, to_json)
@@ -173,6 +174,21 @@ def test_form_rejects_non_counting_arities(fields):
     # became 1, and k = -1 was kept
     with pytest.raises(ValidationError, match=f"form {next(iter(fields))} must be"):
         form_from_json(_pi_form(**fields))
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (6, 2), (0, 128), (7, 0)])
+def test_form_at_the_size_bound_decodes(p, m):
+    assert max(m, 1) << p == MAX_KERNEL_VARS
+    x = form_from_json(_pi_form(p=p, m=m))
+    assert (x.p, x.m) == (p, m) and x.coeff(()) == pi_kernel(p, m)
+
+
+@pytest.mark.parametrize("p, m", [(8, 1), (7, 2), (0, 129), (8, 0)])
+def test_form_above_the_size_bound_rejected(p, m):
+    # kernels in m * 2^p variables; a form with m = 0 still has 2^p slots
+    assert max(m, 1) << p > MAX_KERNEL_VARS
+    with pytest.raises(ValidationError, match=rf"p={p}, m={m} is too large"):
+        form_from_json(_pi_form(p=p, m=m))
 
 
 def test_rationals_serialized_as_strings():
