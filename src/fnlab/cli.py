@@ -9,21 +9,13 @@ import json
 import sys
 
 from .errors import PreconditionError, ValidationError
-from .forms import BRACKETS, is_omega1, is_omega12, is_omega13
+from .forms import BRACKETS
 from .micro import jacobi3_defect, tangent_principal, triangle_from_vector_fields
 from .rationals import Q, rat_str
 from .serialize import form_from_json, form_to_json, obj_from_json, \
     polymap_from_json, to_json
 from .verify import Sampler, SuiteConfig, run_verification
 from .weil import make_algebra
-
-LEVEL_PREDICATES = {
-    "L1": (("is_omega1", is_omega1),),
-    "L12": (("is_omega12", is_omega12),),
-    "FN13": (("is_omega13", is_omega13),),
-    "FN123": (("is_omega12", is_omega12), ("is_omega13", is_omega13)),
-}
-
 
 def _load_json_arg(text: str):
     """Parse inline JSON, or read from a file path / @path."""
@@ -65,10 +57,6 @@ def cmd_bracket(args) -> int:
         raise ValidationError(f"model dimensions differ: {x.m} vs {y.m}")
     if x.k != 1 or y.k != 1:
         raise ValidationError("bracket inputs must have expansion arity 1")
-    for name, pred in LEVEL_PREDICATES[args.level]:
-        for label, form in (("first", x), ("second", y)):
-            if not pred(form):
-                raise PreconditionError(f"{label} form fails {name}")
     out = BRACKETS[args.level](x, y)
     print(json.dumps(form_to_json(out), indent=None, sort_keys=True))
     return 0

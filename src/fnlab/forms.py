@@ -18,8 +18,8 @@ cube layouts never change: one layout per arity p (the basis-order subsets
 of {1..p} and their positions, 2^p entries, kept for the life of the process
 like the cube algebra it is read from) and one variable map per permutation
 (an LRU cache of at most 1024 maps of m * 2^p indices each).  The
-antisymmetrizer adds every signed, scaled permutation of the kernel into one
-term dict per component and builds a single kernel.
+antisymmetrizer adds the signed integer numerators of every permuted kernel
+into one dict per component and builds a single kernel.
 """
 
 from functools import lru_cache
@@ -373,7 +373,7 @@ def is_omega12(x: FormElem) -> bool:
         return False
     ker = x.principal()
     for comp in ker.body.comps:
-        for exps in comp.terms:
+        for exps in comp.numerators:
             if any(d != 1 for d in _axis_degrees(x.p, x.m, exps)):
                 return False
     return True
@@ -548,25 +548,24 @@ def prod_over(x: FormElem, y: FormElem) -> FormElem:
 def antisymmetrize(x: FormElem, factor=ONE) -> FormElem:
     """Signed sum over all axis permutations of the principal kernel.
 
-    Every signed term is multiplied by factor as it is added, so scaling
-    costs no second kernel.  The base projection is symmetric, so it is
-    carried unchanged rather than picking up a factor p!.
+    Permuting variables keeps each component's denominator, so the signed
+    integer numerators of every permuted component add up in one accumulator
+    and factor scales the sum once.  The base projection is symmetric, so it
+    is carried unchanged rather than picking up a factor p!.
     """
     ker = x.principal()
     sums = [{} for _ in range(x.m)]
     for sigma in Permutation.all(x.p):
-        c = factor if sigma.sign == 1 else -factor
+        sign = sigma.sign
         for acc, comp in zip(sums, perm_kernel(ker, sigma).body.comps):
-            for e, v in comp.terms.items():
-                t = c * v
-                s = acc.get(e)
-                s = t if s is None else s + t
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
+            for e, v in comp.numerators.items():
+                acc[e] = acc.get(e, 0) + sign * v
     n = ker.body.in_dim
-    total = Kernel(x.p, x.m, PolyMap(n, [Poly(n, acc) for acc in sums]))
+    p, q = factor.numerator, factor.denominator
+    comps = [Poly.from_numerators(n, {e: s * p for e, s in acc.items()},
+                                  comp.denominator * q)
+             for acc, comp in zip(sums, ker.body.comps)]
+    total = Kernel(x.p, x.m, PolyMap(n, comps))
     return FormElem(x.p, 1, x.m,
                     {frozenset(): x.coeff(()), frozenset({1}): total},
                     x.class_tag, x.view)
@@ -606,37 +605,36 @@ def _bracket_core(x: FormElem, y: FormElem) -> FormElem:
                     OMEGA1)
 
 
-def _require(x: FormElem, pred, name: str):
-    if not pred(x):
-        raise PreconditionError(f"input does not satisfy {name}")
+def _require(pred, name: str, x: FormElem, y: FormElem):
+    """Check one class predicate on the first input, then on the second."""
+    for label, form in (("first", x), ("second", y)):
+        if not pred(form):
+            raise PreconditionError(f"{label} form fails {name}")
 
 
 def bracket_l1(x: FormElem, y: FormElem) -> FormElem:
     """Unnormalized bracket of Dirac-normalized forms."""
-    _require(x, is_omega1, "is_omega1")
-    _require(y, is_omega1, "is_omega1")
+    _require(is_omega1, "is_omega1", x, y)
     return _bracket_core(x, y)
 
 
 def bracket_l12(x: FormElem, y: FormElem) -> FormElem:
     """Bracket restricted to multilinear forms; multilinearity is preserved."""
-    _require(x, is_omega12, "is_omega12")
-    _require(y, is_omega12, "is_omega12")
+    _require(is_omega12, "is_omega12", x, y)
     return _bracket_core(x, y).with_tag(OMEGA12)
 
 
 def bracket_fn13(x: FormElem, y: FormElem) -> FormElem:
     """Graded bracket on alternating forms: antisymmetrized strong difference."""
-    _require(x, is_omega13, "is_omega13")
-    _require(y, is_omega13, "is_omega13")
+    _require(is_omega13, "is_omega13", x, y)
     raw = _bracket_core(x, y)
     return antisymmetrize_scaled(raw, (x.p, y.p)).with_tag(OMEGA13)
 
 
 def bracket_fn123(x: FormElem, y: FormElem) -> FormElem:
     """Graded bracket on alternating multilinear forms."""
-    _require(x, is_omega123, "is_omega123")
-    _require(y, is_omega123, "is_omega123")
+    _require(is_omega12, "is_omega12", x, y)
+    _require(is_omega13, "is_omega13", x, y)
     raw = _bracket_core(x, y)
     return antisymmetrize_scaled(raw, (x.p, y.p)).with_tag(OMEGA123)
 

@@ -10,7 +10,7 @@ T's algebra to S's; on points it restricts T-expansions to S-expansions.
 from .errors import ValidationError
 from .poly import Poly
 from .simplicial import SimplicialObject
-from .weil import WeilElement, make_algebra
+from .weil import WeilElement, from_numerators, make_algebra
 
 
 class InfMorphism:
@@ -40,10 +40,12 @@ class InfMorphism:
         alg = make_algebra(self.source)
         out = []
         for p in self.subst:
-            acc = alg.zero()
-            for e, c in p.terms.items():
-                acc = acc + alg.monomial(e, c)
-            out.append(acc)
+            values = [0] * alg.dim
+            for e, n in p.numerators.items():
+                k = alg._reduce_exponents(e)
+                if k is not None:
+                    values[k] = n
+            out.append(from_numerators(alg, values, p.denominator))
         return out
 
     def _validate(self):
@@ -123,11 +125,9 @@ class InfMorphism:
         src_alg = make_algebra(self.source)
         reduced = []
         for p in comps:
-            keep = {}
-            for e, c in p.terms.items():
-                if src_alg._reduce_exponents(e) is not None:
-                    keep[e] = c
-            reduced.append(Poly(self.source.n, keep))
+            keep = {e: c for e, c in p.numerators.items()
+                    if src_alg._reduce_exponents(e) is not None}
+            reduced.append(Poly.from_numerators(self.source.n, keep, p.denominator))
         return InfMorphism(self.source, other.target, reduced)
 
     def __eq__(self, other):

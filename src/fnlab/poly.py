@@ -1,9 +1,15 @@
-"""Multivariate polynomials and polynomial maps, generic over the scalar ring.
+"""Multivariate polynomials with rational coefficients, and polynomial maps.
 
-Poly stores a dict from dense exponent tuples to nonzero coefficients;
-equality is structural, so two polynomials are equal iff they normalize to
-the same terms.  Degree is never truncated here: nilpotency of Weil scalars
-performs all truncation during evaluation.
+A Poly is held fraction-free, in the format of `rationals` (FLINT's fmpq_poly
+representation): a dict from dense exponent tuples to nonzero integer
+numerators over one positive denominator, reduced so that no factor divides
+the denominator and every numerator.  The reduced form is canonical, so two
+polynomials are equal iff their numerators and denominators are.  Ring
+operations work on the integers and reduce once, by one gcd pass; rationals
+are built only for readers, by the read-only `terms` view, `constant_term`
+and the single 1/denominator scaling that ends an evaluation.  Degree is
+never truncated here: nilpotency of Weil scalars performs all truncation
+during evaluation.
 
 PolyMap bundles out_dim component polynomials in in_dim variables.  Its
 eval() is the single entry point for extending a map to exotic scalars: feed
@@ -11,30 +17,61 @@ it Weil-valued arguments and it computes the jet the corresponding functor
 would produce.
 """
 
+from math import lcm
+from operator import add
+from types import MappingProxyType
+
 from .errors import ValidationError
-from .rationals import ONE, Q
+from .rationals import (ONE, Q, RationalCoeffs, add_numerators, rational,
+                        reduce_numerators, to_numerators)
+
+_new = object.__new__
+
+
+def _poly(n, num, den):
+    """A polynomial from its parts, already reduced."""
+    f = _new(Poly)
+    f.n = n
+    f._num = num
+    f._den = den
+    return f
+
+
+def _reduced(n, num, den):
+    """A polynomial from nonzero integer numerators over den > 0."""
+    if den != 1:
+        num, den = reduce_numerators(num, den)
+    return _poly(n, num, den)
+
+
+def _monomial(n, e, c):
+    """c * x^e for a rational or an int c."""
+    return _poly(n, {e: c.numerator}, c.denominator) if c else _poly(n, {}, 1)
 
 
 class Poly:
-    __slots__ = ("n", "terms")
+    """Polynomial in n variables with rational coefficients; immutable."""
+
+    __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n: int, terms: dict):
+        """From a dict of exponent tuples to rationals (ints included)."""
         self.n = n
-        self.terms = terms
+        self._num, self._den = to_numerators(terms)
 
     # construction ---------------------------------------------------------
 
     @staticmethod
     def zero(n: int) -> "Poly":
-        return Poly(n, {})
+        return _poly(n, {}, 1)
 
     @staticmethod
     def const(n: int, c) -> "Poly":
-        return Poly(n, {(0,) * n: c} if c else {})
+        return _monomial(n, (0,) * n, c)
 
     @staticmethod
     def one(n: int) -> "Poly":
-        return Poly.const(n, ONE)
+        return _poly(n, {(0,) * n: 1}, 1)
 
     @staticmethod
     def var(n: int, i: int, c=ONE) -> "Poly":
@@ -43,10 +80,13 @@ class Poly:
             raise ValidationError(f"variable index {i} out of range for {n} variables")
         e = [0] * n
         e[i] = 1
-        return Poly(n, {tuple(e): c} if c else {})
+        return _monomial(n, tuple(e), c)
 
     @staticmethod
     def from_terms(n: int, pairs) -> "Poly":
+        """Sum of (rational, exponents) pairs; repeated exponents add up."""
+        pairs = list(pairs)
+        den = lcm(*[c.denominator for c, _ in pairs])
         out = {}
         for c, e in pairs:
             e = tuple(int(x) for x in e)
@@ -56,13 +96,34 @@ class Poly:
                 raise ValidationError("negative exponent")
             if not c:
                 continue
-            s = out.get(e)
-            s = c if s is None else s + c
+            s = out.get(e, 0) + c.numerator * (den // c.denominator)
             if s:
                 out[e] = s
-            elif e in out:
+            else:
                 del out[e]
-        return Poly(n, out)
+        return _reduced(n, out, den)
+
+    @staticmethod
+    def from_numerators(n: int, num, den) -> "Poly":
+        """From integer numerators by exponent tuple over a positive denominator."""
+        return _reduced(n, {e: v for e, v in num.items() if v}, den)
+
+    # the fraction-free parts ----------------------------------------------
+
+    @property
+    def terms(self):
+        """Read-only mapping from exponent tuple to nonzero rational coefficient."""
+        return RationalCoeffs(self._num, self._den)
+
+    @property
+    def numerators(self):
+        """Read-only mapping from exponent tuple to nonzero integer numerator."""
+        return MappingProxyType(self._num)
+
+    @property
+    def denominator(self):
+        """The positive common denominator; 1 for the zero polynomial."""
+        return self._den
 
     # ring operations ------------------------------------------------------
 
@@ -74,53 +135,46 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Poly(self.n, out)
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        num, den = add_numerators(self._num, self._den, other._num, other._den)
+        return _poly(self.n, num, den)
 
     def __neg__(self):
-        return Poly(self.n, {e: -c for e, c in self.terms.items()})
+        return _poly(self.n, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check(other)
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    c = c1 * c2
-                    if not c:
-                        continue
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(e)
-                    s = c if s is None else s + c
-                    if s:
-                        out[e] = s
-                    elif e in out:
-                        del out[e]
-            return Poly(self.n, out)
-        return self.scale(other)
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        self._check(other)
+        out = {}
+        get = out.get
+        b = other._num.items()
+        for e1, x in self._num.items():
+            for e2, y in b:
+                e = tuple(map(add, e1, e2))
+                s = get(e, 0) + x * y
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return _reduced(self.n, out, self._den * other._den)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "Poly":
+        """c times self, for a rational or an int c."""
         if not c:
             return Poly.zero(self.n)
-        out = {}
-        for e, v in self.terms.items():
-            s = c * v
-            if s:
-                out[e] = s
-        return Poly(self.n, out)
+        p = c.numerator
+        return _reduced(self.n, {e: x * p for e, x in self._num.items()},
+                        self._den * c.denominator)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -131,50 +185,45 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
+        return (isinstance(other, Poly) and self.n == other.n
+                and self._den == other._den and self._num == other._num)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     # queries ----------------------------------------------------------------
 
     def degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self._num), default=-1)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.n, Q(0))
+        c = self._num.get((0,) * self.n)
+        return Q(0) if c is None else rational(c, self._den)
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative in variable i."""
+        # lowering e[i] by one is injective on the monomials with e[i] > 0,
+        # so no two terms meet
         out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            d = list(e)
-            k = d[i]
-            d[i] = k - 1
-            d = tuple(d)
-            s = out.get(d)
-            v = c * k
-            s = v if s is None else s + v
-            if s:
-                out[d] = s
-            elif d in out:
-                del out[d]
-        return Poly(self.n, out)
+        for e, c in self._num.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return _reduced(self.n, out, self._den)
 
     def eval(self, args, one=ONE):
         """Evaluate at ring elements; `one` is the ring unit for empty products.
 
         Coefficients multiply arguments from the left, so any ring whose
-        elements accept rational scaling works.
+        elements accept rational scaling works.  Terms are scaled by their
+        integer numerators and the sum by 1/denominator, once.
         """
         if len(args) != self.n:
             raise ValidationError(f"expected {self.n} arguments, got {len(args)}")
         total = None
         pow_cache = {}
-        for e, c in self.terms.items():
+        for e, c in self._num.items():
             prod = None
             for i, k in enumerate(e):
                 if k == 0:
@@ -186,34 +235,38 @@ class Poly:
                         p = p * args[i]
                     pow_cache[(i, k)] = p
                 prod = p if prod is None else prod * p
-            term = c * one if prod is None else c * prod
+            if prod is None:
+                prod = one
+            term = prod if c == 1 else c * prod
             total = term if total is None else total + term
-        return c_zero_like(one) if total is None else total
+        if total is None:
+            return c_zero_like(one)
+        return total if self._den == 1 else rational(1, self._den) * total
 
     def remap_variables(self, mapping, new_n=None) -> "Poly":
         """Substitute x_i -> x_mapping[i]; mapping is a 0-based index list."""
         m = self.n if new_n is None else new_n
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._num.items():
             d = [0] * m
             for i, k in enumerate(e):
                 if k:
                     d[mapping[i]] += k
             d = tuple(d)
-            s = out.get(d)
-            s = c if s is None else s + c
+            s = out.get(d, 0) + c
             if s:
                 out[d] = s
-            elif d in out:
+            else:
                 del out[d]
-        return Poly(m, out)
+        return _reduced(m, out, self._den)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
+        terms = self.terms
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), tuple(-x for x in t))):
-            c = self.terms[e]
+        for e in sorted(terms, key=lambda t: (sum(t), tuple(-x for x in t))):
+            c = terms[e]
             mono = "*".join(
                 f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k)
             bits.append(str(c) if not mono else f"{c}*{mono}")

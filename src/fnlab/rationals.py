@@ -3,7 +3,17 @@
 Everything in this package computes over the rationals; there is no floating
 point anywhere.  The scalar type is gmpy2's mpq when available (much faster),
 falling back to fractions.Fraction.  Both print as "num/den" and parse back.
+
+Rational polynomials and Weil elements share one fraction-free format, the
+representation of FLINT's fmpq_poly: a dict of nonzero integer numerators over
+one positive denominator, reduced so that no factor divides the denominator
+and every numerator.  The reduced form is canonical, so equality compares
+integers.  This module owns that format: conversion from rationals, the gcd
+reduction, the sum, and the read-only view that builds rationals for readers.
 """
+
+from collections.abc import Mapping
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as Q
@@ -23,3 +33,84 @@ def factorial(n: int) -> int:
     for k in range(2, n + 1):
         out *= k
     return out
+
+
+# fraction-free coefficient dicts ---------------------------------------------
+
+
+def rational(n, den):
+    """The rational n/den from a numerator and a coprime positive denominator."""
+    return Q(n) if den == 1 else Q(n, den)
+
+
+def to_numerators(coeffs) -> tuple:
+    """(numerators, denominator) of a dict of rationals (ints included).
+
+    Zero values are dropped.  Over the lcm of reduced denominators the
+    numerators share no factor with it, so the form is already reduced.
+    """
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in coeffs.items() if c}, den
+
+
+def reduce_numerators(num: dict, den) -> tuple:
+    """Divide nonzero numerators over den > 0 by their common factor.
+
+    One gcd pass over the denominator and the numerators; with no numerators
+    left the denominator becomes 1.
+    """
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: n // g for k, n in num.items()}
+            den //= g
+    return num, den
+
+
+def add_numerators(a: dict, da, b: dict, db) -> tuple:
+    """The reduced sum of a/da and b/db, both nonzero and reduced."""
+    if da == db:
+        out, fb = dict(a), 1
+    else:
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = {k: x * fa for k, x in a.items()}
+        da *= fa
+    for k, y in b.items():
+        s = out.get(k, 0) + y * fb
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return reduce_numerators(out, da)
+
+
+class RationalCoeffs(Mapping):
+    """Read-only view of fraction-free coefficients as rationals.
+
+    A lookup builds the rational from its numerator and the denominator;
+    iterating and sizing touch only the numerators.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, k):
+        return rational(self._num[k], self._den)
+
+    def get(self, k, default=None):
+        n = self._num.get(k)
+        return default if n is None else rational(n, self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __repr__(self):
+        return repr(dict(self))

@@ -8,6 +8,7 @@ with repeats for powers above one.  Polynomials are term lists
 
 import json
 from collections.abc import Mapping
+from itertools import repeat
 
 from .errors import ValidationError
 from .forms import OMEGA0, FormElem, Kernel, cube_dim, pi_kernel
@@ -58,16 +59,41 @@ def obj_to_json(obj: SimplicialObject) -> dict:
             "bounds": list(obj.bounds)}
 
 
+# WeilAlgebra enumerates every exponent tuple below the power bounds, the
+# product of the bounds (2^n for square-zero generators); d_cube(10) has 1024
+# and builds in a couple of seconds.
+MAX_MONOMIALS = 1024
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def obj_from_json(data: dict) -> SimplicialObject:
     if not isinstance(data, dict) or "n" not in data:
         raise ValidationError("simplicial object JSON needs at least {'n': ...}")
-    try:
-        n = int(data["n"])
-        rels = frozenset(tuple(int(i) for i in seq) for seq in data.get("p", []))
-        bounds = data.get("bounds")
-        bounds = None if bounds is None else tuple(int(b) for b in bounds)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed simplicial object JSON: {exc}") from exc
+    n = _json_int(data["n"], "simplicial object n")
+    rels = data.get("p", [])
+    if not isinstance(rels, list) or any(not isinstance(seq, list) for seq in rels):
+        raise ValidationError("simplicial object p must be a list of index lists")
+    rels = frozenset(tuple(_json_int(i, "relation index") for i in seq) for seq in rels)
+    bounds = data.get("bounds")
+    if bounds is not None:
+        if not isinstance(bounds, list):
+            raise ValidationError("simplicial object bounds must be a list")
+        bounds = tuple(_json_int(b, "power bound") for b in bounds)
+    # multiplied bound by bound up to the first product past the limit, so a
+    # huge n or bound builds no huge integer (and bit_length() doublings
+    # already pass it); bounds below 2 are left to SimplicialObject to reject
+    size = 1
+    for b in repeat(2, min(n, MAX_MONOMIALS.bit_length())) if bounds is None else bounds:
+        size *= max(b, 1)
+        if size > MAX_MONOMIALS:
+            raise ValidationError(
+                f"simplicial object is too large: the product of its power "
+                f"bounds exceeds {MAX_MONOMIALS}")
     return SimplicialObject(n, rels, bounds)
 
 
@@ -160,9 +186,7 @@ def micropoint_from_json(data) -> MicroPoint:
     if not isinstance(data, dict) or "object" not in data or "m" not in data:
         raise ValidationError("point JSON needs object and m")
     obj = obj_from_json(data["object"])
-    m = data["m"]
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise ValidationError(f"point m must be an integer, got {m!r}")
+    m = _json_int(data["m"], "point m")
     coeffs = data.get("coeffs", {})
     if not isinstance(coeffs, dict):
         raise ValidationError("point coeffs must be an object")

@@ -13,25 +13,24 @@ missing index means zero.  Coefficients live in any commutative ring
 containing the rationals: plain rationals for jets of numbers, polynomials
 for jets of symbolic expressions.
 
-A rational element is held fraction-free, the representation of FLINT's
-fmpq_poly: integer numerators over one positive denominator, reduced so that
-no factor divides the denominator and every numerator.  The reduced form is
-canonical, so equality and hashing compare integers.  Sums, scaling,
-products, powers and linear maps such as pullbacks work on the integers and
-reduce once, by one gcd pass.  Rationals are built only for readers:
-`coeffs` is a read-only view that builds each one on lookup, and `coeff` and
-`dense` build theirs.  Elements with ring-valued coefficients keep a plain
-dict and the generic loops.
+A rational element is held in the fraction-free format of `rationals`
+(FLINT's fmpq_poly representation): integer numerators over one positive
+denominator, reduced so that no factor divides the denominator and every
+numerator.  The reduced form is canonical, so equality and hashing compare
+integers.  Sums, scaling, products, powers and linear maps such as pullbacks
+work on the integers and reduce once, by one gcd pass.  Rationals are built
+only for readers: `coeffs` is a read-only view that builds each one on
+lookup, and `coeff` and `dense` build theirs.  Elements with ring-valued
+coefficients keep a plain dict and the generic loops.
 """
 
-from collections.abc import Mapping
 from functools import lru_cache
 from itertools import product as iter_product
-from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import ValidationError
-from .rationals import ONE, Q
+from .rationals import (ONE, Q, RationalCoeffs, add_numerators, rational,
+                        reduce_numerators, to_numerators)
 from .simplicial import SimplicialObject
 
 
@@ -130,11 +129,6 @@ _RATIONAL = frozenset({Q, int})
 _new = object.__new__
 
 
-def _q(n, den):
-    """The rational n/den from a numerator and a coprime positive denominator."""
-    return Q(n) if den == 1 else Q(n, den)
-
-
 def _element(algebra, num, den):
     """An element from its parts: den is None when num holds ring values."""
     w = _new(WeilElement)
@@ -145,51 +139,15 @@ def _element(algebra, num, den):
 
 
 def _reduced(algebra, num, den):
-    """A rational element from nonzero integer numerators over den > 0.
-
-    One gcd pass over the denominator and the numerators reduces the form.
-    """
+    """A rational element from nonzero integer numerators over den > 0."""
     if den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {k: n // g for k, n in num.items()}
-            den //= g
+        num, den = reduce_numerators(num, den)
     return _element(algebra, num, den)
 
 
 def _ring(algebra, coeffs):
     """An element from ring values; with no terms left it is the zero."""
     return _element(algebra, coeffs, None) if coeffs else _element(algebra, {}, 1)
-
-
-class _RationalCoeffs(Mapping):
-    """Read-only view of a rational element's coefficients.
-
-    A lookup builds the rational from its numerator and the denominator;
-    iterating and sizing touch only the numerators.
-    """
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num, den):
-        self._num = num
-        self._den = den
-
-    def __getitem__(self, k):
-        return _q(self._num[k], self._den)
-
-    def get(self, k, default=None):
-        n = self._num.get(k)
-        return default if n is None else _q(n, self._den)
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __len__(self):
-        return len(self._num)
-
-    def __repr__(self):
-        return repr(dict(self))
 
 
 class WeilElement:
@@ -210,19 +168,14 @@ class WeilElement:
             if type(c) not in _RATIONAL:
                 self._num, self._den = coeffs, None
                 return
-        # over the lcm of reduced denominators the numerators share no
-        # factor with it, so the form is already reduced
-        den = lcm(*[c.denominator for c in coeffs.values()])
-        self._num = {k: c.numerator * (den // c.denominator)
-                     for k, c in coeffs.items() if c}
-        self._den = den
+        self._num, self._den = to_numerators(coeffs)
 
     @property
     def coeffs(self):
         """Read-only mapping from basis index to nonzero coefficient."""
         if self._den is None:
             return MappingProxyType(self._num)
-        return _RationalCoeffs(self._num, self._den)
+        return RationalCoeffs(self._num, self._den)
 
     @property
     def denominator(self):
@@ -240,7 +193,7 @@ class WeilElement:
         if self._den is None:
             return self._num
         den = self._den
-        return {k: _q(n, den) for k, n in self._num.items()}
+        return {k: rational(n, den) for k, n in self._num.items()}
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -265,20 +218,8 @@ class WeilElement:
                 elif k in out:
                     del out[k]
             return _ring(self.algebra, out)
-        if da == db:
-            out, fb = dict(self._num), 1
-        else:
-            g = gcd(da, db)
-            fa, fb = db // g, da // g
-            out = {k: x * fa for k, x in self._num.items()}
-            da *= fa
-        for k, y in other._num.items():
-            s = out.get(k, 0) + y * fb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _reduced(self.algebra, out, da)
+        num, den = add_numerators(self._num, da, other._num, db)
+        return _element(self.algebra, num, den)
 
     def __neg__(self):
         return _element(self.algebra, {k: -c for k, c in self._num.items()}, self._den)
@@ -367,7 +308,7 @@ class WeilElement:
         c = self._num.get(self.algebra.index.get(tuple(exps)))
         if c is None:
             return Q(0)
-        return c if self._den is None else _q(c, self._den)
+        return c if self._den is None else rational(c, self._den)
 
     def dense(self):
         values, zero = self._values(), Q(0)

@@ -1,10 +1,15 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+from fnlab import forms
 from fnlab.cli import main
-from fnlab.forms import identity_one_form, vector_field_form
+from fnlab.forms import (FormElem, Kernel, cube_dim, cube_var, form_from_kernel,
+                         identity_one_form, pi_kernel, vector_field_form)
 from fnlab.poly import Poly, PolyMap
+from fnlab.rationals import Q
 from fnlab.serialize import form_to_json, polymap_to_json
 
 
@@ -29,6 +34,16 @@ def test_weil_rejects_malformed(capsys):
     assert main(["weil", '{"n":2,"p":[[2,1]]}']) == 2
     assert main(["weil", '{"n":2,"p":']) == 2
     assert main(["weil", "no-such-file.json"]) == 2
+    capsys.readouterr()
+    for text, message in (('{"n":2.7}', "n must be an integer"),
+                          ('{"n":"3"}', "n must be an integer"),
+                          ('{"n":true}', "n must be an integer"),
+                          ('{"n":3,"p":[[1,2.0]]}', "relation index must be an integer"),
+                          ('{"n":1,"bounds":[true]}', "power bound must be an integer"),
+                          ('{"n":11}', "product of its power bounds exceeds 1024")):
+        assert main(["weil", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and message in err
 
 
 def test_bracket_vector_fields(files, capsys):
@@ -45,13 +60,73 @@ def test_bracket_levels_and_preconditions(files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["class"] == "omega123" and out["p"] == 2
     # an alternating but non-multilinear form trips FN123's precondition
-    from fnlab.forms import Kernel, cube_dim, cube_var, form_from_kernel
     n = cube_dim(1, 1)
     sq = form_from_kernel(Kernel(1, 1, PolyMap(n, [
         Poly.var(n, cube_var(1, 1, {1}, 0)) ** 2])))
     bad = files("sq.json", form_to_json(sq))
     assert main(["bracket", bad, ident, "--level", "FN123"]) == 3
     capsys.readouterr()
+
+
+LEVEL_PREDICATES = {"L1": ("is_omega1",), "L12": ("is_omega12",),
+                    "FN13": ("is_omega13",), "FN123": ("is_omega12", "is_omega13")}
+
+
+def _failing_forms():
+    """Forms on R^1, each failing one class predicate and passing the rest."""
+    n = cube_dim(2, 1)
+    g1, g2 = (Poly.var(n, cube_var(2, 1, {i}, 0)) for i in (1, 2))
+    doubled = FormElem(1, 1, 1, {frozenset(): pi_kernel(1, 1).scale(Q(2)),
+                                 frozenset({1}): identity_one_form(1).principal()})
+    squared = form_from_kernel(Kernel(1, 1, PolyMap(2, [Poly.var(2, 1) ** 2])))
+    symmetric = form_from_kernel(Kernel(2, 1, PolyMap(n, [g1 * g2])))
+    return {"is_omega1": doubled, "is_omega12": squared, "is_omega13": symmetric}
+
+
+@pytest.mark.parametrize("level", sorted(LEVEL_PREDICATES))
+def test_bracket_precondition_messages(level, files, capsys):
+    good = files("good.json", form_to_json(identity_one_form(1)))
+    failing = _failing_forms()
+    for name in LEVEL_PREDICATES[level]:
+        bad = files(f"{name}.json", form_to_json(failing[name]))
+        for label, pair in (("first", (bad, good)), ("second", (good, bad))):
+            assert main(["bracket", *pair, "--level", level]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"precondition violated: {label} form fails {name}\n"
+
+
+def test_bracket_fn123_checks_multilinearity_of_both_forms_first(files, capsys):
+    failing = _failing_forms()
+    not_alternating = files("x.json", form_to_json(failing["is_omega13"]))
+    not_multilinear = files("y.json", form_to_json(failing["is_omega12"]))
+    assert main(["bracket", not_alternating, not_multilinear, "--level", "FN123"]) == 3
+    assert capsys.readouterr().err == \
+        "precondition violated: second form fails is_omega12\n"
+
+
+@pytest.mark.parametrize("level", sorted(LEVEL_PREDICATES))
+def test_bracket_checks_each_input_condition_once(level, files, capsys):
+    # executions of each predicate's code are counted, however it is reached
+    codes = {getattr(forms, name).__code__: name for name in LEVEL_PREDICATES[level]}
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code], id(frame.f_locals["x"])] += 1
+
+    x = files("x.json", form_to_json(identity_one_form(1)))
+    y = files("y.json", form_to_json(identity_one_form(1)))
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        status = main(["bracket", x, y, "--level", level])
+    finally:
+        sys.setprofile(previous)
+    assert status == 0
+    capsys.readouterr()
+    assert sorted(name for name, _ in calls) == sorted(LEVEL_PREDICATES[level] * 2)
+    assert set(calls.values()) == {1}
 
 
 def test_bracket_dimension_mismatch(files, capsys):

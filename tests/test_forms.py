@@ -164,14 +164,14 @@ def naive_perm_kernel(k, sigma):
     return Kernel(k.p, k.m, PolyMap(n, [c.eval(args, Poly.one(n)) for c in k.body.comps]))
 
 
-def naive_antisymmetrize(x, denom=1):
+def naive_antisymmetrize(x, factor=Q(1)):
     ker = x.principal()
     total = None
     for sigma in Permutation.all(x.p):
         term = naive_perm_kernel(ker, sigma).scale(Q(sigma.sign))
         total = term if total is None else total + term
     return FormElem(x.p, 1, x.m, {frozenset(): x.coeff(()),
-                                  frozenset({1}): total.scale(Q(1, denom))},
+                                  frozenset({1}): total.scale(factor)},
                     x.class_tag, x.view)
 
 
@@ -203,17 +203,20 @@ def test_permutation_machinery_matches_naive_reference():
             for _ in range(2):
                 ker = Kernel(p, m, PolyMap(n, [
                     Poly.from_terms(n, [
-                        (Q(rng.randint(-5, 5), rng.randint(1, 3)),
+                        (Q(rng.randint(-5, 5), rng.randint(1, 7)),
                          [int(rng.random() < 0.3) for _ in range(n)]) for _ in range(3)])
                     for _ in range(m)]))
                 for sigma in rng.sample(sigmas, min(len(sigmas), 6)):
                     assert perm_kernel(ker, sigma) == naive_perm_kernel(ker, sigma)
                 x = form_from_kernel(ker)
                 assert_same_form(antisymmetrize(x), naive_antisymmetrize(x))
+                for factor in (Q(-3, 4), Q(6), Q(10, 9)):
+                    assert_same_form(antisymmetrize(x, factor),
+                                     naive_antisymmetrize(x, factor))
                 for parts in ((p, 0), (1, p - 1) if p else (0, 0)):
                     denom = factorial(parts[0]) * factorial(parts[1])
                     assert_same_form(antisymmetrize_scaled(x, parts),
-                                     naive_antisymmetrize(x, denom))
+                                     naive_antisymmetrize(x, Q(1, denom)))
                 alt = antisymmetrize(x)
                 for y in (x, alt, transpose_views(alt), alt.with_tag(OMEGA12)):
                     assert is_omega13(y) == naive_is_omega13(y)

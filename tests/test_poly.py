@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,3 +124,247 @@ def test_arity_errors():
         f.eval([Q(1)])
     with pytest.raises(ValidationError):
         Poly.var(2, 5)
+
+
+# fraction-free polynomials against a naive Fraction-dict reference -----------
+#
+# A Poly holds integer numerators over one denominator.  The reference below
+# computes with plain {exponents: Fraction} dicts; each result must match it
+# and be in reduced form (denominator >= 1, no factor common to it and every
+# numerator, and denominator 1 for zero).
+
+N = 3
+
+
+def ref_of(p):
+    return {e: Fraction(c.numerator, c.denominator) for e, c in p.terms.items()}
+
+
+def poly_of(ref, n=N):
+    return Poly(n, {e: Q(v.numerator, v.denominator) for e, v in ref.items()})
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + v
+    return {e: v for e, v in out.items() if v}
+
+
+def ref_scale(c, a):
+    return {e: c * v for e, v in a.items() if c * v}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e = tuple(p + q for p, q in zip(e1, e2))
+            out[e] = out.get(e, 0) + x * y
+    return {e: v for e, v in out.items() if v}
+
+
+def ref_eval(a, args, one, mul, add, scale):
+    """Term-by-term substitution with the ring's own operations."""
+    total = None
+    for e, c in a.items():
+        term = scale(c, one)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = mul(term, args[i])
+        total = term if total is None else add(total, term)
+    return total
+
+
+def check(p, ref):
+    assert ref_of(p) == ref
+    assert all(type(c) is Q for c in p.terms.values())
+    den = p.denominator
+    assert den >= 1 and gcd(den, *p.numerators.values()) == 1
+    assert all(p.numerators.values())
+    if not ref:
+        assert den == 1
+
+
+fractions_1_7 = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
+
+
+@st.composite
+def ref_polys(draw, n=N):
+    """Zero, single-term or sparse reference dicts, denominators 1..7."""
+    kind = draw(st.sampled_from(["zero", "single", "sparse", "sparse"]))
+    if kind == "zero":
+        return {}
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    keys = [draw(exps)] if kind == "single" else draw(
+        st.lists(exps, unique=True, min_size=1, max_size=5))
+    ref = {e: draw(fractions_1_7) for e in keys}
+    return {e: v for e, v in ref.items() if v}
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_polys(), ref_polys())
+def test_sum_difference_negation_match_reference(a, b):
+    x, y = poly_of(a), poly_of(b)
+    neg_b = ref_scale(Fraction(-1), b)
+    check(-y, neg_b)
+    # half of a's terms, negated: the sum cancels them and keeps the rest
+    half = {e: -v for e, v in list(a.items())[: (len(a) + 1) // 2]}
+    for other, other_ref in ((y, b), (-y, neg_b), (x, a), (-x, ref_scale(Fraction(-1), a)),
+                             (poly_of(half), half)):
+        check(x + other, ref_add(a, other_ref))
+        check(other + x, ref_add(a, other_ref))
+        check(x - other, ref_add(a, ref_scale(Fraction(-1), other_ref)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_polys(), fractions_1_7, st.integers(-6, 6))
+def test_scaling_matches_reference(a, c, n):
+    x = poly_of(a)
+    check(x.scale(Q(c.numerator, c.denominator)), ref_scale(c, a))
+    check(x.scale(Q(-c.numerator, -c.denominator)), ref_scale(c, a))
+    check(x.scale(n), ref_scale(Fraction(n), a))
+    check(Q(c.numerator, c.denominator) * x, ref_scale(c, a))
+    check(x * n, ref_scale(Fraction(n), a))
+    check(Poly.const(N, Q(c.numerator, c.denominator)), {(0,) * N: c} if c else {})
+    check(Poly.var(N, 1, Q(c.numerator, c.denominator)), {(0, 1, 0): c} if c else {})
+    check(Poly.var(N, 2, n), {(0, 0, 1): Fraction(n)} if n else {})
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_polys(), ref_polys(), st.integers(0, 3))
+def test_product_and_power_match_reference(a, b, k):
+    x, y = poly_of(a), poly_of(b)
+    check(x * y, ref_mul(a, b))
+    check(y * x, ref_mul(a, b))
+    check(x * (-x), ref_scale(Fraction(-1), ref_mul(a, a)))
+    # the cross terms cancel
+    check((x + y) * (x - y), ref_add(ref_mul(a, a), ref_scale(Fraction(-1), ref_mul(b, b))))
+    power = {(0,) * N: Fraction(1)}
+    for _ in range(k):
+        power = ref_mul(power, a)
+    check(x ** k, power)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_polys(), st.integers(0, N - 1), st.lists(st.integers(0, N - 1), min_size=N,
+                                                     max_size=N))
+def test_queries_partial_and_remap_match_reference(a, i, mapping):
+    x = poly_of(a)
+    assert x.degree() == max((sum(e) for e in a), default=-1)
+    const = x.constant_term()
+    assert type(const) is Q and const == a.get((0,) * N, 0)
+    partial = {}
+    for e, v in a.items():
+        if e[i]:
+            partial[e[:i] + (e[i] - 1,) + e[i + 1:]] = v * e[i]
+    check(x.partial(i), partial)
+    # a mapping into N + 1 variables that may send several variables to one
+    remapped = {}
+    for e, v in a.items():
+        d = [0] * (N + 1)
+        for j, k in enumerate(e):
+            d[mapping[j]] += k
+        remapped = ref_add(remapped, {tuple(d): v})
+    check(x.remap_variables(mapping, N + 1), remapped)
+    perm = list(range(N))[::-1]
+    check(x.remap_variables(perm), {tuple(e[::-1]): v for e, v in a.items()})
+
+
+def test_remap_merging_terms_reduces():
+    # x0/2 + x1/2 -> x0, and x0/6 + x1/3 -> x0/2: merged numerators share a
+    # factor with the denominator that the parts did not
+    p = Poly(2, {(1, 0): Q(1, 2), (0, 1): Q(1, 2)})
+    check(p.remap_variables([0, 0]), {(1, 0): Fraction(1)})
+    q = Poly(2, {(1, 0): Q(1, 6), (0, 1): Q(1, 3), (1, 1): Q(1, 6)})
+    check(q.remap_variables([1, 1]), {(0, 1): Fraction(1, 2), (0, 2): Fraction(1, 6)})
+    check(p.remap_variables([1, 0]), {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_polys(), st.lists(fractions_1_7, min_size=N, max_size=N), st.data())
+def test_eval_matches_reference(a, point, data):
+    x = poly_of(a)
+    # rational arguments
+    got = x.eval([Q(v.numerator, v.denominator) for v in point])
+    want = ref_eval(a, point, Fraction(1), lambda s, t: s * t, lambda s, t: s + t,
+                    lambda c, s: c * s)
+    assert type(got) is Q and got == (want or 0)
+    # Weil arguments
+    alg = make_algebra(d_cube(2))
+    args = [from_dense(alg, [Q(v.numerator, v.denominator)
+                             for v in data.draw(st.lists(fractions_1_7, min_size=4,
+                                                         max_size=4))])
+            for _ in range(N)]
+    want = ref_eval(a, args, alg.one(), lambda s, t: s * t, lambda s, t: s + t,
+                    lambda c, s: s.scale(Q(c.numerator, c.denominator)))
+    assert x.eval(args, alg.one()) == (alg.zero() if want is None else want)
+    # polynomial arguments, multiplied out in the reference dicts
+    refs = [data.draw(ref_polys(2)) for _ in range(N)]
+    want = ref_eval(a, refs, {(0, 0): Fraction(1)}, ref_mul, ref_add, ref_scale)
+    check(x.eval([poly_of(r, 2) for r in refs], Poly.one(2)), want or {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_polys(), ref_polys(), fractions_1_7.filter(bool))
+def test_equal_values_from_different_paths_compare_equal(a, b, c):
+    x, y = poly_of(a), poly_of(b)
+    q = Q(c.numerator, c.denominator)
+    ref = ref_mul(a, b)
+    w = x * y
+    paths = [
+        poly_of(ref),
+        Poly.from_terms(N, [(Q(v.numerator, v.denominator), e) for e, v in ref.items()]),
+        Poly.from_terms(N, [(Q(v.numerator, 2 * v.denominator), e) for e, v in ref.items()]
+                        + [(Q(v.numerator, 2 * v.denominator), e) for e, v in ref.items()]),
+        Poly.from_numerators(N, {e: 6 * v for e, v in w.numerators.items()},
+                             6 * w.denominator),
+        Poly.zero(N) + w,
+        (w + x) - x,
+        (w + x.scale(q)) - x.scale(q),
+        w.scale(q).scale(1 / q),
+        w.scale(2).scale(Q(1, 2)),
+        -(-w),
+        y * x * Poly.one(N),
+        w.remap_variables(list(range(N))),
+        w.eval([Poly.var(N, i) for i in range(N)], Poly.one(N)),
+    ]
+    for v in paths:
+        assert v == w
+        check(v, ref)
+    assert (x == y) == (a == b)
+    assert poly_of({(1, 0, 0): Fraction(1, 2)}) != poly_of({(1, 0, 0): Fraction(1, 3)})
+
+
+def test_zero_has_denominator_one():
+    x = Poly.from_terms(2, [(Q(1, 3), (1, 0)), (Q(-5, 6), (0, 2))])
+    e = (1, 1)
+    zeros = [x - x, x.scale(0), x * Poly.zero(2), Poly.zero(2).scale(Q(1, 3)),
+             Poly(2, {e: Q(0)}), Poly(2, {}), Poly.const(2, Q(0)),
+             Poly.from_terms(2, [(Q(1, 3), e), (Q(-1, 3), e)]),
+             Poly.from_numerators(2, {e: 0}, 5), x.partial(0).partial(0),
+             (x - x).eval([Q(1, 2), Q(1, 3)]) * Poly.one(2)]
+    for z in zeros:
+        check(z, {})
+        assert z == Poly.zero(2) and not z
+    # a zero coefficient is dropped: the polynomial is zero, not truthy
+    assert Poly(2, {e: Q(0)}) == Poly.zero(2) and not Poly(2, {e: Q(0)})
+
+
+def test_terms_and_numerators_are_read_only():
+    source = {(1, 0): Q(1, 2), (0, 1): Q(-2, 3)}
+    p = Poly(2, source)
+    with pytest.raises(TypeError):
+        p.terms[(1, 1)] = Q(1)
+    with pytest.raises(TypeError):
+        del p.terms[(1, 0)]
+    with pytest.raises(TypeError):
+        p.numerators[(1, 0)] = 7
+    # the polynomial does not share the dict it was built from
+    source[(1, 0)] = Q(7)
+    assert dict(p.terms) == {(1, 0): Q(1, 2), (0, 1): Q(-2, 3)}
+    assert dict(p.numerators) == {(1, 0): 3, (0, 1): -4} and p.denominator == 6
+    num = {(1, 0): 3}
+    q = Poly.from_numerators(2, num, 6)
+    num[(1, 0)] = 5
+    assert q == Poly(2, {(1, 0): Q(1, 2)})

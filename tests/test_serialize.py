@@ -10,7 +10,7 @@ from fnlab.micro import TRIANGLE_LABELS, MicroPoint, triangle_from_slots
 from fnlab.morphisms import InfMorphism
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
-from fnlab.serialize import (MAX_KERNEL_VARS, form_from_json, form_to_json,
+from fnlab.serialize import (MAX_KERNEL_VARS, MAX_MONOMIALS, form_from_json, form_to_json,
                              micropoint_from_json,
                              micropoint_to_json, morphism_from_json,
                              morphism_to_json, obj_from_json, obj_to_json,
@@ -46,6 +46,50 @@ def test_object_rejects_garbage():
         obj_from_json({"n": 2, "p": [[2, 1]]})
     with pytest.raises(ValidationError):
         obj_from_json({"n": 2, "p": "nope"})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 2.7}, "simplicial object n must be an integer"),
+    ({"n": 2.0}, "simplicial object n must be an integer"),
+    ({"n": "3"}, "simplicial object n must be an integer"),
+    ({"n": True}, "simplicial object n must be an integer"),
+    ({"n": None}, "simplicial object n must be an integer"),
+    ({"n": 2, "p": [[1, 2.0]]}, "relation index must be an integer"),
+    ({"n": 2, "p": [["1", 2]]}, "relation index must be an integer"),
+    ({"n": 2, "p": [[True, 2]]}, "relation index must be an integer"),
+    ({"n": 2, "p": [12]}, "p must be a list of index lists"),
+    ({"n": 2, "p": {"1": 2}}, "p must be a list of index lists"),
+    ({"n": 1, "bounds": [2.5]}, "power bound must be an integer"),
+    ({"n": 1, "bounds": ["3"]}, "power bound must be an integer"),
+    ({"n": 1, "bounds": [True]}, "power bound must be an integer"),
+    ({"n": 1, "bounds": "3"}, "bounds must be a list"),
+    ({"n": 1, "bounds": 3}, "bounds must be a list"),
+])
+def test_object_accepts_true_ints_only(data, message):
+    with pytest.raises(ValidationError, match=message):
+        obj_from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 10}, {"n": 10, "p": [[1, 2], [3, 4]]}, {"n": 1, "bounds": [1024]},
+    {"n": 2, "bounds": [32, 32]}, {"n": 3, "bounds": [2, 2, 256]},
+])
+def test_object_at_the_size_bound_decodes(data):
+    obj = obj_from_json(data)
+    size = 1
+    for b in obj.bounds:
+        size *= b
+    assert size == MAX_MONOMIALS
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 11}, {"n": 11, "p": [[1, 2]]}, {"n": 1, "bounds": [1025]},
+    {"n": 2, "bounds": [32, 33]}, {"n": 3, "bounds": [2, 2, 257]},
+])
+def test_object_above_the_size_bound_rejected(data):
+    message = f"product of its power bounds exceeds {MAX_MONOMIALS}"
+    with pytest.raises(ValidationError, match=message):
+        obj_from_json(data)
 
 
 def test_polymap_round_trip():
