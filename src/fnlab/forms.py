@@ -13,24 +13,35 @@ extracted by the same amalgamation solver that powers strong differences of
 points, is the bracket.  Antisymmetrizing with 1/(p! q!) yields the graded
 bracket on alternating forms.
 
-The cube combinatorics are worked out once and cached, which is safe because
-cube layouts never change: one layout per arity p (the basis-order subsets
-of {1..p} and their positions, 2^p entries, kept for the life of the process
-like the cube algebra it is read from) and one variable map per permutation
-(an LRU cache of at most 1024 maps of m * 2^p indices each).  The
+The constant combinatorics are worked out once and cached, which is safe
+because none of them ever changes:
+- one cube layout per arity p (the basis-order subsets of {1..p} and their
+  positions, 2^p entries, kept for the life of the process like the cube
+  algebra it is read from);
+- one variable map per permutation (an LRU cache of at most 1024 maps of
+  m * 2^p indices each), which `Poly.remap_variables` applies as a gather;
+- one convolution layout per shape (an LRU cache of at most 128): the two
+  algebras and their units, the inner arguments, the scalar split table and
+  the expansion positions, held in tuples and read-only mappings of
+  immutable values.
+A convolution embeds each kernel value at its expansion subset by
+re-indexing (`WeilElement.times_basis`), not by a product.  The
 antisymmetrizer adds the signed integer numerators of every permuted kernel
 into one dict per component and builds a single kernel.
 """
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import permutations as iter_permutations
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import InternalError, PreconditionError, ValidationError
 from .micro import case_compat_errors, case_solve, get_case, restrict_coeffs
 from .poly import Poly, PolyMap
 from .rationals import ONE, Q, factorial
 from .simplicial import d_cube
-from .weil import WeilElement, make_algebra
+from .weil import WeilAlgebra, WeilElement, make_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +288,8 @@ class FormElem:
         self.view = view
 
     def coeff(self, subset) -> Kernel:
-        return self.coeffs.get(frozenset(subset), zero_kernel(self.p, self.m))
+        ker = self.coeffs.get(frozenset(subset))
+        return zero_kernel(self.p, self.m) if ker is None else ker
 
     def principal(self) -> Kernel:
         if self.k != 1:
@@ -362,27 +374,17 @@ def _axis_degrees(p: int, m: int, exps):
     return degs
 
 
-def is_omega12(x: FormElem) -> bool:
-    """Multilinearity: the principal kernel is degree-1 in every axis grading.
-
-    Scaling axis i of the cube by a formal scalar multiplies every gamma_S
-    with i in S; the kernel must come out scaled exactly once per axis, which
-    holds iff each monomial has axis degree one in every direction.
-    """
-    if not is_omega1(x):
-        return False
-    ker = x.principal()
-    for comp in ker.body.comps:
+def _multilinear(x: FormElem) -> bool:
+    """The principal kernel is degree-1 in every axis grading (see is_omega12)."""
+    for comp in x.principal().body.comps:
         for exps in comp.numerators:
             if any(d != 1 for d in _axis_degrees(x.p, x.m, exps)):
                 return False
     return True
 
 
-def is_omega13(x: FormElem) -> bool:
-    """Alternation: permuting cube axes multiplies the kernel by the sign."""
-    if not is_omega1(x):
-        return False
+def _alternating(x: FormElem) -> bool:
+    """Permuting cube axes multiplies the principal kernel by the sign."""
     ker = x.principal()
     if x.p <= 3:
         sigmas = Permutation.all(x.p)
@@ -396,8 +398,23 @@ def is_omega13(x: FormElem) -> bool:
     return True
 
 
+def is_omega12(x: FormElem) -> bool:
+    """Multilinearity: the principal kernel is degree-1 in every axis grading.
+
+    Scaling axis i of the cube by a formal scalar multiplies every gamma_S
+    with i in S; the kernel must come out scaled exactly once per axis, which
+    holds iff each monomial has axis degree one in every direction.
+    """
+    return is_omega1(x) and _multilinear(x)
+
+
+def is_omega13(x: FormElem) -> bool:
+    """Alternation: permuting cube axes multiplies the kernel by the sign."""
+    return is_omega1(x) and _alternating(x)
+
+
 def is_omega123(x: FormElem) -> bool:
-    return is_omega12(x) and is_omega13(x)
+    return is_omega12(x) and _alternating(x)
 
 
 _PREDICATES = {
@@ -418,30 +435,36 @@ def verify_class(x: FormElem) -> bool:
 # convolution and expanded product
 
 
-def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
-    """Evaluate the inner kernels inside the outer ones with Weil scalars.
+class _ConvLayout(NamedTuple):
+    """The parts of a convolution that depend only on its shape.
 
-    outer_bar / inner_bar map expansion subsets to kernels of arity
-    len(outer_axes) / len(inner_axes); the axis tuples partition {1..total}.
-    Scalars live in the algebra on ext_n expansion generators tensored with
-    one square-zero generator per outer axis; coefficients are polynomials in
-    the total-cube variables.  Returns expansion subset -> Kernel(total).
+    Built once per (outer_axes, inner_axes, total, m, ext_n) and shared by
+    every convolution of that shape; the containers are read-only, and the
+    Poly and WeilElement values in them are immutable.
     """
+
+    big_alg: WeilAlgebra    # expansion generators, then one per outer axis
+    ext_alg: WeilAlgebra    # expansion generators only
+    n_gamma: int            # variables of the total cube
+    big_one: WeilElement
+    ext_one: WeilElement
+    args: tuple             # inner-kernel arguments, gamma with outer scalars
+    inner_pos: Mapping      # expansion subset -> its position in big_alg
+    split: tuple            # big_alg position -> (outer position, ext position)
+    ext_pos: Mapping        # expansion subset -> its position in ext_alg
+    ext_subsets: tuple      # (position, subset) pairs of ext_alg, basis order
+
+
+@lru_cache(maxsize=128)
+def _conv_layout(outer_axes, inner_axes, total, m, ext_n) -> _ConvLayout:
     po, qi = len(outer_axes), len(inner_axes)
     big_alg = make_algebra(d_cube(ext_n + po))
     ext_alg = make_algebra(d_cube(ext_n))
     n_gamma = cube_dim(total, m)
-    big_one = WeilElement(big_alg, {0: Poly.one(n_gamma)})
-    ext_one = WeilElement(ext_alg, {0: Poly.one(n_gamma)})
-
     big = _cube_layout(ext_n + po)
     ext = _cube_layout(ext_n)
     outer = _cube_layout(po)
 
-    def big_position(ext_subset, outer_pos_subset):
-        return big.index[frozenset(ext_subset).union(ext_n + t for t in outer_pos_subset)]
-
-    # arguments for the inner kernels: gamma viewed with outer-directions scalars
     args = []
     for _pos, s_own in _cube_layout(qi).subsets:
         s_global = {inner_axes[s - 1] for s in s_own}
@@ -450,42 +473,63 @@ def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
             for _tpos, t_own in outer.subsets:
                 t_global = {outer_axes[t - 1] for t in t_own}
                 var = cube_var(total, m, s_global | t_global, j)
-                coeffs[big_position((), t_own)] = Poly.var(n_gamma, var)
+                coeffs[big.index[frozenset(ext_n + t for t in t_own)]] = Poly.var(n_gamma, var)
             args.append(WeilElement(big_alg, coeffs))
 
-    inner_vals = [WeilElement(big_alg, {}) for _ in range(m)]
-    for v_subset, ker in inner_bar.items():
-        emb = WeilElement(big_alg, {big_position(v_subset, ()): Poly.one(n_gamma)})
-        vals = ker.body.eval(args, big_one)
-        for j in range(m):
-            inner_vals[j] = inner_vals[j] + emb * vals[j]
-
-    # split the scalars: polynomial h-cube entries over the expansion algebra
-    split = {}
+    split = [None] * len(big.subsets)
     for pos, subset in big.subsets:
         t_own = frozenset(i - ext_n for i in subset if i > ext_n)
         ext_subset = frozenset(i for i in subset if i <= ext_n)
         split[pos] = (outer.index[t_own], ext.index[ext_subset])
 
-    h_args = []
-    for tpos in range(1 << po):
+    return _ConvLayout(
+        big_alg, ext_alg, n_gamma,
+        WeilElement(big_alg, {0: Poly.one(n_gamma)}),
+        WeilElement(ext_alg, {0: Poly.one(n_gamma)}),
+        tuple(args),
+        MappingProxyType({subset: big.index[subset] for _pos, subset in ext.subsets}),
+        tuple(split), MappingProxyType(ext.index), ext.subsets)
+
+
+def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
+    """Evaluate the inner kernels inside the outer ones with Weil scalars.
+
+    outer_bar / inner_bar map expansion subsets to kernels of arity
+    len(outer_axes) / len(inner_axes); the axis tuples partition {1..total}.
+    Scalars live in the algebra on ext_n expansion generators tensored with
+    one square-zero generator per outer axis; coefficients are polynomials in
+    the total-cube variables.  Each kernel's values are embedded at their
+    expansion subset by re-indexing (`WeilElement.times_basis`).  Returns
+    expansion subset -> Kernel(total).
+    """
+    layout = _conv_layout(outer_axes, inner_axes, total, m, ext_n)
+    n_gamma = layout.n_gamma
+
+    inner_vals = [WeilElement(layout.big_alg, {}) for _ in range(m)]
+    for v_subset, ker in inner_bar.items():
+        pos = layout.inner_pos[v_subset]
+        vals = ker.body.eval(layout.args, layout.big_one)
         for j in range(m):
-            h_args.append({})
+            inner_vals[j] = inner_vals[j] + vals[j].times_basis(pos)
+
+    # split the scalars: polynomial h-cube entries over the expansion algebra
+    split = layout.split
+    h_args = [{} for _ in range(m << len(outer_axes))]
     for j in range(m):
         for pos, poly in inner_vals[j].coeffs.items():
             tpos, ext_pos = split[pos]
             h_args[tpos * m + j][ext_pos] = poly
-    h_args = [WeilElement(ext_alg, c) for c in h_args]
+    h_args = [WeilElement(layout.ext_alg, c) for c in h_args]
 
-    out_vals = [WeilElement(ext_alg, {}) for _ in range(m)]
+    out_vals = [WeilElement(layout.ext_alg, {}) for _ in range(m)]
     for u_subset, ker in outer_bar.items():
-        emb = WeilElement(ext_alg, {ext.index[u_subset]: Poly.one(n_gamma)})
-        vals = ker.body.eval(h_args, ext_one)
+        pos = layout.ext_pos[u_subset]
+        vals = ker.body.eval(h_args, layout.ext_one)
         for j in range(m):
-            out_vals[j] = out_vals[j] + emb * vals[j]
+            out_vals[j] = out_vals[j] + vals[j].times_basis(pos)
 
     result = {}
-    for pos, subset in ext.subsets:
+    for pos, subset in layout.ext_subsets:
         comps = [out_vals[j].coeffs.get(pos, Poly.zero(n_gamma)) for j in range(m)]
         if any(comps):
             result[subset] = Kernel(total, m, PolyMap(n_gamma, comps))
@@ -634,7 +678,8 @@ def bracket_fn13(x: FormElem, y: FormElem) -> FormElem:
 def bracket_fn123(x: FormElem, y: FormElem) -> FormElem:
     """Graded bracket on alternating multilinear forms."""
     _require(is_omega12, "is_omega12", x, y)
-    _require(is_omega13, "is_omega13", x, y)
+    # is_omega12 has checked the Dirac condition; is_omega13 would again
+    _require(_alternating, "is_omega13", x, y)
     raw = _bracket_core(x, y)
     return antisymmetrize_scaled(raw, (x.p, y.p)).with_tag(OMEGA123)
 

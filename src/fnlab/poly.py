@@ -17,8 +17,9 @@ it Weil-valued arguments and it computes the jet the corresponding functor
 would produce.
 """
 
+from functools import lru_cache
 from math import lcm
-from operator import add
+from operator import add, itemgetter
 from types import MappingProxyType
 
 from .errors import ValidationError
@@ -244,8 +245,21 @@ class Poly:
         return total if self._den == 1 else rational(1, self._den) * total
 
     def remap_variables(self, mapping, new_n=None) -> "Poly":
-        """Substitute x_i -> x_mapping[i]; mapping is a 0-based index list."""
+        """Substitute x_i -> x_mapping[i]; mapping is a 0-based index list.
+
+        A permutation of this polynomial's own variables (new_n absent or
+        equal to n) moves every exponent to its new slot with one cached
+        gather and keeps the numerators and the denominator: distinct
+        monomials stay distinct, so nothing merges and the form stays
+        reduced.  Any other map, an embedding into more variables or a map
+        sending several variables to one, sums exponents term by term and
+        reduces once.
+        """
         m = self.n if new_n is None else new_n
+        if m == self.n == len(mapping):
+            gather = _permutation_gather(tuple(mapping))
+            if gather is not None:
+                return _poly(m, {gather(e): c for e, c in self._num.items()}, self._den)
         out = {}
         for e, c in self._num.items():
             d = [0] * m
@@ -271,6 +285,26 @@ class Poly:
                 f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k)
             bits.append(str(c) if not mono else f"{c}*{mono}")
         return " + ".join(bits)
+
+
+@lru_cache(maxsize=1024)
+def _permutation_gather(mapping: tuple):
+    """Exponent-tuple gather of the permutation x_i -> x_mapping[i], or None.
+
+    None when mapping is not a permutation of range(len(mapping)).  Slot j of
+    the result reads slot i of the source, where mapping[i] = j.  With fewer
+    than two variables the only permutation is the identity, and `tuple`
+    returns a tuple unchanged (a one-index itemgetter would return a scalar).
+    """
+    n = len(mapping)
+    if sorted(mapping) != list(range(n)):
+        return None
+    if n < 2:
+        return tuple
+    inverse = [0] * n
+    for i, j in enumerate(mapping):
+        inverse[j] = i
+    return itemgetter(*inverse)
 
 
 def c_zero_like(one):

@@ -22,6 +22,10 @@ work on the integers and reduce once, by one gcd pass.  Rationals are built
 only for readers: `coeffs` is a read-only view that builds each one on
 lookup, and `coeff` and `dense` build theirs.  Elements with ring-valued
 coefficients keep a plain dict and the generic loops.
+
+Multiplying by a basis monomial with coefficient 1 needs no arithmetic:
+`times_basis` moves each coefficient along that monomial's surviving pairs,
+for rational and ring-valued elements alike.
 """
 
 from functools import lru_cache
@@ -265,6 +269,22 @@ class WeilElement:
 
     def __rmul__(self, other):
         return self.scale(other)
+
+    def times_basis(self, pos: int) -> "WeilElement":
+        """self times the basis monomial at index pos, with coefficient 1.
+
+        The coefficient at j moves to k along pos's surviving pairs (j, k)
+        and is otherwise dropped.  In a monomial algebra basis[j] is
+        basis[k] / basis[pos], so j -> k is injective and no two
+        coefficients add: rational and ring-valued elements alike move
+        without arithmetic.  A rational result keeps the denominator and is
+        reduced once, since the dropped terms may leave a common factor.
+        """
+        num = self._num
+        out = {k: num[j] for j, k in self.algebra._pairs[pos] if j in num}
+        if self._den is None:
+            return _ring(self.algebra, out)
+        return _reduced(self.algebra, out, self._den)
 
     def scale(self, c) -> "WeilElement":
         if not c:

@@ -105,10 +105,17 @@ def test_bracket_fn123_checks_multilinearity_of_both_forms_first(files, capsys):
         "precondition violated: second form fails is_omega12\n"
 
 
+# the code of each condition a level checks: the Dirac condition, then
+# multilinearity and alternation, however the public predicates reach them
+LEVEL_CONDITIONS = {"L1": ("is_omega1",), "L12": ("is_omega1", "_multilinear"),
+                    "FN13": ("is_omega1", "_alternating"),
+                    "FN123": ("is_omega1", "_multilinear", "_alternating")}
+
+
 @pytest.mark.parametrize("level", sorted(LEVEL_PREDICATES))
 def test_bracket_checks_each_input_condition_once(level, files, capsys):
-    # executions of each predicate's code are counted, however it is reached
-    codes = {getattr(forms, name).__code__: name for name in LEVEL_PREDICATES[level]}
+    # executions of each condition's code are counted, however it is reached
+    codes = {getattr(forms, name).__code__: name for name in LEVEL_CONDITIONS[level]}
     calls = Counter()
 
     def profile(frame, event, _arg):
@@ -125,7 +132,7 @@ def test_bracket_checks_each_input_condition_once(level, files, capsys):
         sys.setprofile(previous)
     assert status == 0
     capsys.readouterr()
-    assert sorted(name for name, _ in calls) == sorted(LEVEL_PREDICATES[level] * 2)
+    assert sorted(name for name, _ in calls) == sorted(LEVEL_CONDITIONS[level] * 2)
     assert set(calls.values()) == {1}
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fnlab import forms
 from fnlab.errors import PreconditionError, ValidationError
 from fnlab.forms import (FormElem, Kernel, OMEGA1, OMEGA12, OMEGA123,
                          Permutation, antisymmetrize, antisymmetrize_scaled,
@@ -283,6 +284,36 @@ def test_conv_associativity_random():
         f, g, h = rkernel(p, 1, terms=2), rkernel(q, 1, terms=2), rkernel(r, 1, terms=2)
         assert conv_under(conv_under(f, g), h) == conv_under(f, conv_under(g, h))
         assert conv_over(conv_over(f, g), h) == conv_over(f, conv_over(g, h))
+
+
+def test_conv_and_prod_do_not_depend_on_the_layout_cache():
+    # shapes that share arities but differ in axes, roles or expansion count
+    kernels = [rkernel(p, m, terms=2) for p, m in ((0, 1), (1, 1), (2, 1), (1, 2), (0, 2))]
+    form_list = [rform(p, m) for p, m in ((0, 1), (1, 1), (2, 1), (1, 2), (0, 2))]
+    calls = [(fn, a, b) for fn in (conv_under, conv_over) for a in kernels for b in kernels
+             if a.m == b.m]
+    calls += [(fn, a, b) for fn in (prod_under, prod_over) for a in form_list
+              for b in form_list if a.m == b.m]
+    cold = []
+    for fn, a, b in calls:
+        forms._conv_layout.cache_clear()
+        cold.append(fn(a, b))
+    forms._conv_layout.cache_clear()
+    assert [fn(a, b) for fn, a, b in calls] == cold
+    forms._conv_layout.cache_clear()
+    assert [fn(a, b) for fn, a, b in calls[::-1]] == cold[::-1]
+
+
+def test_cached_conv_layout_is_read_only():
+    layout = forms._conv_layout((1,), (2,), 2, 1, 2)
+    assert forms._conv_layout((1,), (2,), 2, 1, 2) is layout
+    with pytest.raises(AttributeError):
+        layout.args = ()
+    for container, key in ((layout.args, 0), (layout.split, 0),
+                           (layout.inner_pos, frozenset()), (layout.ext_pos, frozenset()),
+                           (layout.ext_subsets, 0)):
+        with pytest.raises(TypeError):
+            container[key] = None
 
 
 def test_conv_dimension_mismatch():

@@ -271,6 +271,41 @@ def test_queries_partial_and_remap_match_reference(a, i, mapping):
     check(x.remap_variables(perm), {tuple(e[::-1]): v for e, v in a.items()})
 
 
+def ref_remap(a, mapping, new_n):
+    """Summing reference: exponent i of every term adds into slot mapping[i]."""
+    out = {}
+    for e, v in a.items():
+        d = [0] * new_n
+        for i, k in enumerate(e):
+            d[mapping[i]] += k
+        out = ref_add(out, {tuple(d): v})
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_remap_matches_summing_reference(data):
+    # permutations (the identity and n = 1 included), embeddings into more
+    # variables and merging maps, on n = 1..8 variables
+    n = data.draw(st.integers(1, 8))
+    a = data.draw(ref_polys(n))
+    x = poly_of(a, n)
+    identity = list(range(n))
+    perm = data.draw(st.permutations(identity))
+    extra = data.draw(st.integers(1, 2))
+    embed = data.draw(st.lists(st.integers(0, n + extra - 1), min_size=n, max_size=n,
+                               unique=True))
+    merge = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    merge[-1] = merge[0]
+    for mapping, new_n in ((perm, None), (identity, None), (identity, n), (embed, n + extra),
+                           (merge, None), (merge, n + extra)):
+        y = x.remap_variables(mapping, new_n)
+        want_n = n if new_n is None else new_n
+        assert y.n == want_n
+        check(y, ref_remap(a, mapping, want_n))
+        assert all(type(e) is tuple and len(e) == want_n for e in y.numerators)
+
+
 def test_remap_merging_terms_reduces():
     # x0/2 + x1/2 -> x0, and x0/6 + x1/3 -> x0/2: merged numerators share a
     # factor with the denominator that the parts did not
