@@ -42,7 +42,7 @@ class InfMorphism:
         for p in self.subst:
             values = [0] * alg.dim
             for e, n in p.numerators.items():
-                k = alg._reduce_exponents(e)
+                k = alg.index.get(e)
                 if k is not None:
                     values[k] = n
             out.append(from_numerators(alg, values, p.denominator))
@@ -125,8 +125,7 @@ class InfMorphism:
         src_alg = make_algebra(self.source)
         reduced = []
         for p in comps:
-            keep = {e: c for e, c in p.numerators.items()
-                    if src_alg._reduce_exponents(e) is not None}
+            keep = {e: c for e, c in p.numerators.items() if e in src_alg.index}
             reduced.append(Poly.from_numerators(self.source.n, keep, p.denominator))
         return InfMorphism(self.source, other.target, reduced)
 

@@ -7,9 +7,14 @@ the denominator and every numerator.  The reduced form is canonical, so two
 polynomials are equal iff their numerators and denominators are.  Ring
 operations work on the integers and reduce once, by one gcd pass; rationals
 are built only for readers, by the read-only `terms` view, `constant_term`
-and the single 1/denominator scaling that ends an evaluation.  Degree is
-never truncated here: nilpotency of Weil scalars performs all truncation
-during evaluation.
+and the single 1/denominator scaling that ends an evaluation in a ring
+outside the format.  Degree is never truncated here: nilpotency of Weil
+scalars performs all truncation during evaluation.
+
+Evaluation builds each power of an argument once, by repeated squaring, so
+an exponent k costs about 2 log2(k) products.  At fraction-free arguments
+(polynomials, as in `PolyMap.compose`, and rational Weil elements) the terms
+combine as one integer linear combination, reduced once.
 
 PolyMap bundles out_dim component polynomials in in_dim variables.  Its
 eval() is the single entry point for extending a map to exotic scalars: feed
@@ -23,8 +28,9 @@ from operator import add, itemgetter
 from types import MappingProxyType
 
 from .errors import ValidationError
-from .rationals import (ONE, Q, RationalCoeffs, add_numerators, rational,
-                        reduce_numerators, to_numerators)
+from .rationals import (ONE, Q, FractionFree, RationalCoeffs, add_numerators,
+                        combine, fraction_free, rational, reduce_numerators,
+                        to_numerators)
 
 _new = object.__new__
 
@@ -50,7 +56,7 @@ def _monomial(n, e, c):
     return _poly(n, {e: c.numerator}, c.denominator) if c else _poly(n, {}, 1)
 
 
-class Poly:
+class Poly(FractionFree):
     """Polynomial in n variables with rational coefficients; immutable."""
 
     __slots__ = ("n", "_num", "_den")
@@ -110,6 +116,9 @@ class Poly:
         return _reduced(n, {e: v for e, v in num.items() if v}, den)
 
     # the fraction-free parts ----------------------------------------------
+
+    def _from_reduced(self, num, den):
+        return _poly(self.n, num, den)
 
     @property
     def terms(self):
@@ -178,12 +187,19 @@ class Poly:
                         self._den * c.denominator)
 
     def __pow__(self, k: int):
+        """self ** k by repeated squaring: about 2 log2(k) products."""
         if k < 0:
             raise ValidationError("negative power")
-        out = Poly.one(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
+        if k == 0:
+            return Poly.one(self.n)
+        out, base = None, self
+        while True:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.n == other.n
@@ -216,32 +232,41 @@ class Poly:
     def eval(self, args, one=ONE):
         """Evaluate at ring elements; `one` is the ring unit for empty products.
 
-        Coefficients multiply arguments from the left, so any ring whose
-        elements accept rational scaling works.  Terms are scaled by their
-        integer numerators and the sum by 1/denominator, once.
+        Each power args[i] ** k is built once per call, by repeated squaring.
+        At fraction-free values (`Poly` arguments, rational `WeilElement`s)
+        the terms combine fraction-free: each term's integer numerator times
+        its monomial's numerators, over the lcm of the monomial
+        denominators, reduced once (`rationals.combine`).  Any other ring
+        (plain rationals, ring-valued Weil elements) scales each monomial by
+        its numerator from the left, adds, and scales the sum by
+        1/denominator once.
         """
         if len(args) != self.n:
             raise ValidationError(f"expected {self.n} arguments, got {len(args)}")
-        total = None
+        if not self._num:
+            return c_zero_like(one)
+        combined = fraction_free((one, *args))
         pow_cache = {}
+        terms = []
+        total = None
         for e, c in self._num.items():
             prod = None
             for i, k in enumerate(e):
                 if k == 0:
                     continue
-                p = pow_cache.get((i, k))
+                p = args[i] if k == 1 else pow_cache.get((i, k))
                 if p is None:
-                    p = args[i]
-                    for _ in range(k - 1):
-                        p = p * args[i]
-                    pow_cache[(i, k)] = p
+                    p = pow_cache[(i, k)] = args[i] ** k
                 prod = p if prod is None else prod * p
             if prod is None:
                 prod = one
-            term = prod if c == 1 else c * prod
-            total = term if total is None else total + term
-        if total is None:
-            return c_zero_like(one)
+            if combined:
+                terms.append((c, prod))
+            else:
+                term = prod if c == 1 else c * prod
+                total = term if total is None else total + term
+        if combined:
+            return combine(terms, self._den, one)
         return total if self._den == 1 else rational(1, self._den) * total
 
     def remap_variables(self, mapping, new_n=None) -> "Poly":

@@ -9,7 +9,14 @@ representation of FLINT's fmpq_poly: a dict of nonzero integer numerators over
 one positive denominator, reduced so that no factor divides the denominator
 and every numerator.  The reduced form is canonical, so equality compares
 integers.  This module owns that format: conversion from rationals, the gcd
-reduction, the sum, and the read-only view that builds rationals for readers.
+reduction, the sum, linear combinations, and the read-only view that builds
+rationals for readers.
+
+`FractionFree` is the base of the types held in the format (`Poly` and
+`WeilElement`): `_num` holds the numerators, `_den` the denominator (None for
+a `WeilElement` with ring-valued coefficients).  Each type supplies only its
+constructor from reduced parts, `_from_reduced`; `combine` works on the parts
+of any of them.
 """
 
 from collections.abc import Mapping
@@ -84,6 +91,43 @@ def add_numerators(a: dict, da, b: dict, db) -> tuple:
         else:
             del out[k]
     return reduce_numerators(out, da)
+
+
+class FractionFree:
+    """Base of the fraction-free types; see the module docstring."""
+
+    __slots__ = ()
+
+    def _from_reduced(self, num: dict, den):
+        """An element of this one's ring from reduced numerators over den."""
+        raise NotImplementedError
+
+
+def fraction_free(values) -> bool:
+    """Whether every value is held in the fraction-free format."""
+    for v in values:
+        if not isinstance(v, FractionFree) or v._den is None:
+            return False
+    return True
+
+
+def combine(terms, den, like):
+    """sum(c * x for c, x in terms) / den, as an element of like's ring.
+
+    terms holds (integer, fraction-free element) pairs, at least one; den is
+    a positive integer.  Each element's numerators are brought over the lcm
+    L of the element denominators, so the sum is integer multiply-adds with
+    no gcd pass; the result, over L * den, is reduced once.
+    """
+    big = lcm(*[x._den for _c, x in terms])
+    acc = {}
+    get = acc.get
+    for c, x in terms:
+        f = c * (big // x._den)
+        for k, n in x._num.items():
+            acc[k] = get(k, 0) + f * n
+    num, den = reduce_numerators({k: n for k, n in acc.items() if n}, big * den)
+    return like._from_reduced(num, den)
 
 
 class RationalCoeffs(Mapping):

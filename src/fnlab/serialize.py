@@ -59,9 +59,10 @@ def obj_to_json(obj: SimplicialObject) -> dict:
             "bounds": list(obj.bounds)}
 
 
-# WeilAlgebra enumerates every exponent tuple below the power bounds, the
-# product of the bounds (2^n for square-zero generators); d_cube(10) has 1024
-# and builds in a couple of seconds.
+# A WeilAlgebra basis holds at most every exponent tuple below the power
+# bounds, the product of the bounds (2^n for square-zero generators), and its
+# pair table grows with the square of that; d_cube(10) has 1024 and builds in
+# a fraction of a second.
 MAX_MONOMIALS = 1024
 
 
@@ -126,11 +127,10 @@ def polymap_from_json(data) -> PolyMap:
         raise ValidationError("polynomial map JSON needs in_dim and components")
     if not isinstance(data["components"], list):
         raise ValidationError("polynomial map components must be a list")
-    try:
-        n = int(data["in_dim"])
-        out_dim = int(data.get("out_dim", len(data["components"])))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"polynomial map dimensions must be integers: {exc}") from exc
+    n = _json_int(data["in_dim"], "polynomial map in_dim")
+    if n < 0:
+        raise ValidationError(f"polynomial map in_dim must be >= 0, got {n}")
+    out_dim = _json_int(data.get("out_dim", len(data["components"])), "polynomial map out_dim")
     f = PolyMap(n, [poly_from_json(c, n) for c in data["components"]])
     if out_dim != f.out_dim:
         raise ValidationError("out_dim does not match component count")

@@ -8,6 +8,14 @@ a divisibility test, so no Groebner machinery is needed anywhere.
 Basis order is graded lexicographic (total degree first, then earlier
 generators first) and is part of the serialization contract.
 
+Each algebra tabulates, once, the pairs of basis monomials whose product
+survives, with the product's position.  The table is built from packed
+exponent codes (Monagan & Pearce, CASC 2007): each basis monomial is one
+integer in mixed radix 2*bound - 1, so that adding codes adds exponents, and
+a pair survives exactly when its code sum is a basis code.  The basis index
+holds only the surviving monomials, so looking a monomial up in it is its
+normal form.
+
 A WeilElement is an immutable sparse coefficient vector over the basis; a
 missing index means zero.  Coefficients live in any commutative ring
 containing the rationals: plain rationals for jets of numbers, polynomials
@@ -17,8 +25,9 @@ A rational element is held in the fraction-free format of `rationals`
 (FLINT's fmpq_poly representation): integer numerators over one positive
 denominator, reduced so that no factor divides the denominator and every
 numerator.  The reduced form is canonical, so equality and hashing compare
-integers.  Sums, scaling, products, powers and linear maps such as pullbacks
-work on the integers and reduce once, by one gcd pass.  Rationals are built
+integers.  Sums, scaling, products and linear maps such as pullbacks work
+on the integers and reduce once, by one gcd pass.  Powers are built by
+repeated squaring, for rational and ring-valued elements alike.  Rationals are built
 only for readers: `coeffs` is a read-only view that builds each one on
 lookup, and `coeff` and `dense` build theirs.  Elements with ring-valued
 coefficients keep a plain dict and the generic loops.
@@ -29,12 +38,11 @@ for rational and ring-valued elements alike.
 """
 
 from functools import lru_cache
-from itertools import product as iter_product
 from types import MappingProxyType
 
 from .errors import ValidationError
-from .rationals import (ONE, Q, RationalCoeffs, add_numerators, rational,
-                        reduce_numerators, to_numerators)
+from .rationals import (ONE, Q, FractionFree, RationalCoeffs, add_numerators,
+                        rational, reduce_numerators, to_numerators)
 from .simplicial import SimplicialObject
 
 
@@ -49,24 +57,39 @@ class WeilAlgebra:
 
     def __init__(self, source: SimplicialObject):
         self.source = source
-        n = source.n
-        rel_list = [tuple(seq) for seq in sorted(source.relations)]
-        monomials = []
-        for exps in iter_product(*(range(b) for b in source.bounds)):
-            if any(all(exps[i - 1] >= 1 for i in seq) for seq in rel_list):
-                continue
-            monomials.append(exps)
-        if n == 0:
-            monomials = [()]
-        monomials.sort(key=_grlex_key)
-        self.basis = tuple(monomials)
+        # Monomials grow one generator at a time, with their supports as bit
+        # masks.  A vanishing product is tested when its last generator
+        # enters the support, so no dead monomial is ever extended.
+        closing = [[] for _ in source.bounds]
+        for seq in source.relations:
+            closing[seq[-1] - 1].append(sum(1 << (i - 1) for i in seq))
+        grown = [((), 0)]
+        for i, b in enumerate(source.bounds):
+            longer = [(exps + (0,), s) for exps, s in grown]
+            for exps, s in grown:
+                t = s | 1 << i
+                if not any(t & m == m for m in closing[i]):
+                    longer.extend((exps + (e,), t) for e in range(1, b))
+            grown = longer
+        self.basis = tuple(sorted((exps for exps, _s in grown), key=_grlex_key))
         self.index = {e: i for i, e in enumerate(self.basis)}
+        # Each basis monomial as one integer, with mixed radix 2*bound - 1
+        # per generator.  A basis exponent is below its bound, so the digits
+        # of a sum of two stay below 2*bound - 1 and never carry: the code of
+        # a product is the sum of the codes, and the product survives exactly
+        # when that sum is a basis code.
+        place, places = 1, []
+        for b in source.bounds:
+            places.append(place)
+            place *= 2 * b - 1
+        codes = [sum(e * p for e, p in zip(exps, places)) for exps in self.basis]
+        at = {c: k for k, c in enumerate(codes)}.get
         # _pairs[i] lists, by increasing j, the (j, k) with basis[i] * basis[j]
         # = basis[k]: only the pairs whose product survives the quotient.
-        pairs = tuple([] for _ in self.basis)
-        for i, a in enumerate(self.basis):
-            for j, b in enumerate(self.basis[i:], i):
-                k = self._reduce_exponents(tuple(x + y for x, y in zip(a, b)))
+        pairs = tuple([] for _ in codes)
+        for i, a in enumerate(codes):
+            for j in range(i, len(codes)):
+                k = at(a + codes[j])
                 if k is not None:
                     pairs[i].append((j, k))
                     if j != i:
@@ -77,12 +100,6 @@ class WeilAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def _reduce_exponents(self, exps):
-        """Normal form of a raw monomial: its basis index, or None if it dies."""
-        if any(e >= b for e, b in zip(exps, self.source.bounds)):
-            return None
-        return self.index.get(tuple(exps))
 
     def zero(self) -> "WeilElement":
         return _element(self, {}, 1)
@@ -102,7 +119,7 @@ class WeilAlgebra:
         return self._gen_elems[i - 1]
 
     def monomial(self, exps, coeff=ONE) -> "WeilElement":
-        k = self._reduce_exponents(tuple(exps))
+        k = self.index.get(tuple(exps))
         if k is None or not coeff:
             return self.zero()
         return WeilElement(self, {k: coeff})
@@ -154,7 +171,7 @@ def _ring(algebra, coeffs):
     return _element(algebra, coeffs, None) if coeffs else _element(algebra, {}, 1)
 
 
-class WeilElement:
+class WeilElement(FractionFree):
     """Sparse coefficient vector over a WeilAlgebra basis; immutable.
 
     Coefficients may be rationals or any ring value supporting +, -, * and
@@ -173,6 +190,9 @@ class WeilElement:
                 self._num, self._den = coeffs, None
                 return
         self._num, self._den = to_numerators(coeffs)
+
+    def _from_reduced(self, num, den):
+        return _element(self.algebra, num, den)
 
     @property
     def coeffs(self):
@@ -301,14 +321,19 @@ class WeilElement:
                         self._den * c.denominator)
 
     def __pow__(self, e: int):
+        """self ** e by repeated squaring: about 2 log2(e) products."""
         if e < 0:
             raise ValidationError("nilpotent elements have no negative powers")
         if e == 0:
             return self.algebra.one()
-        out = self
-        for _ in range(e - 1):
-            out = out * self
-        return out
+        out, base = None, self
+        while True:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if not e:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, WeilElement) or self.algebra is not other.algebra:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from fnlab import forms
+from fnlab import forms, weil
 from fnlab.cli import main
 from fnlab.forms import (FormElem, Kernel, cube_dim, cube_var, form_from_kernel,
                          identity_one_form, pi_kernel, vector_field_form)
@@ -204,9 +204,9 @@ MALFORMED_FORMS = {
     "kernel a string": (_form({"[1]": "x"}), "needs in_dim and components"),
     "components not a list": (_form({"[1]": _kernel(5)}), "components must be a list"),
     "in_dim not an integer": (_form({"[1]": {"in_dim": [1], "components": []}}),
-                              "dimensions must be integers"),
+                              "polynomial map in_dim must be an integer"),
     "out_dim not an integer": (_form({"[1]": {"in_dim": 1, "out_dim": [1], "components": []}}),
-                               "dimensions must be integers"),
+                               "polynomial map out_dim must be an integer"),
     "exponents a number": (_form({"[1]": _kernel([[{"c": "1", "e": 5}]])}),
                            "exponent vector must be a list of ints"),
     "exponents not ints": (_form({"[1]": _kernel([[{"c": "1", "e": ["1"]}]])}),
@@ -246,6 +246,17 @@ def test_bracket_oversized_form_is_invalid_input(capsys):
     ({"in_dim": 1, "components": 5}, "components must be a list"),
     ({"in_dim": 1, "components": [[{"c": "1", "e": 5}]]},
      "exponent vector must be a list of ints"),
+    # dimensions are JSON integers: no float, bool or string is coerced
+    ({"in_dim": 1.7, "out_dim": 1, "components": [[]]},
+     "polynomial map in_dim must be an integer, got 1.7"),
+    ({"in_dim": True, "out_dim": 1, "components": [[]]},
+     "polynomial map in_dim must be an integer, got True"),
+    ({"in_dim": "1", "out_dim": 1, "components": [[]]},
+     "polynomial map in_dim must be an integer, got '1'"),
+    ({"in_dim": 1, "out_dim": 1.0, "components": [[]]},
+     "polynomial map out_dim must be an integer, got 1.0"),
+    ({"in_dim": -1, "out_dim": 1, "components": [[]]},
+     "polynomial map in_dim must be >= 0, got -1"),
 ])
 def test_jacobi3_malformed_field_is_invalid_input(field, message, files, capsys):
     x = files("vx.json", polymap_to_json(PolyMap(1, [Poly.var(1, 0)])))
@@ -253,3 +264,59 @@ def test_jacobi3_malformed_field_is_invalid_input(field, message, files, capsys)
     assert main(["jacobi3", "--fields", x, x, bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and message in err
+
+
+# powers by repeated squaring ---------------------------------------------------
+
+
+def _linear_pow(one_of):
+    """self ** k as k products from the unit, the loop squaring replaced."""
+    def power(self, k):
+        out = one_of(self)
+        for _ in range(k):
+            out = out * self
+        return out
+    return power
+
+
+def _bracket_with_power(files, capsys, k):
+    """fnlab bracket of the vector fields x^k and x on R^1, as printed."""
+    power = Poly(1, {(k,): Q(1)})
+    xk = files("xk.json", form_to_json(vector_field_form(PolyMap(1, [power]))))
+    x = files("x.json", form_to_json(vector_field_form(PolyMap(1, [Poly.var(1, 0)]))))
+    assert main(["bracket", xk, x, "--level", "L1"]) == 0
+    return capsys.readouterr().out
+
+
+def _closed_form(k):
+    # the vector fields x^k and x bracket to (k - 1) x^k
+    return [[{"c": str(k - 1), "e": [k]}]]
+
+
+def test_bracket_of_a_huge_power_takes_logarithmically_many_products(files, capsys,
+                                                                       monkeypatch):
+    _bracket_with_power(files, capsys, 1)  # builds the shared convolution layouts
+    mul = weil.WeilElement.__mul__
+    products = Counter()
+
+    def counting_mul(self, other):
+        # a linear power chain takes about 2k products: stop it at the bound
+        products["weil"] += 1
+        assert products["weil"] <= products["bound"], "more products than 4 log2(k)"
+        return mul(self, other)
+
+    monkeypatch.setattr(weil.WeilElement, "__mul__", counting_mul)
+    for k in (2, 3, 1000, 10 ** 9, 2 ** 30 - 1):
+        products.clear()
+        products["bound"] = 4 * k.bit_length()
+        out = json.loads(_bracket_with_power(files, capsys, k))
+        assert out["coeffs"]["[1]"]["components"] == _closed_form(k)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_bracket_powers_match_the_linear_loop(k, files, capsys, monkeypatch):
+    fast = _bracket_with_power(files, capsys, k)
+    assert json.loads(fast)["coeffs"]["[1]"]["components"] == _closed_form(k)
+    monkeypatch.setattr(weil.WeilElement, "__pow__", _linear_pow(lambda w: w.algebra.one()))
+    monkeypatch.setattr(Poly, "__pow__", _linear_pow(lambda p: Poly.one(p.n)))
+    assert _bracket_with_power(files, capsys, k) == fast

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fnlab.errors import ValidationError
 from fnlab.poly import Poly, PolyMap, poly_equal
 from fnlab.rationals import Q
-from fnlab.simplicial import D2, d_cube, d_paren
-from fnlab.weil import from_dense, make_algebra
+from fnlab.simplicial import D2, d_cube, d_order, d_paren, tensor
+from fnlab.weil import WeilElement, from_dense, make_algebra
 
 
 def naive_eval(poly, args):
@@ -190,12 +190,12 @@ fractions_1_7 = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
 
 
 @st.composite
-def ref_polys(draw, n=N):
+def ref_polys(draw, n=N, max_exp=2):
     """Zero, single-term or sparse reference dicts, denominators 1..7."""
     kind = draw(st.sampled_from(["zero", "single", "sparse", "sparse"]))
     if kind == "zero":
         return {}
-    exps = st.tuples(*[st.integers(0, 2)] * n)
+    exps = st.tuples(*[st.integers(0, max_exp)] * n)
     keys = [draw(exps)] if kind == "single" else draw(
         st.lists(exps, unique=True, min_size=1, max_size=5))
     ref = {e: draw(fractions_1_7) for e in keys}
@@ -338,6 +338,129 @@ def test_eval_matches_reference(a, point, data):
     refs = [data.draw(ref_polys(2)) for _ in range(N)]
     want = ref_eval(a, refs, {(0, 0): Fraction(1)}, ref_mul, ref_add, ref_scale)
     check(x.eval([poly_of(r, 2) for r in refs], Poly.one(2)), want or {})
+
+
+# evaluation at fraction-free values against Fraction-dict references ---------
+#
+# A rational Weil element is a {basis index: Fraction} dict here, multiplied
+# by adding basis exponents and keeping the sums the basis holds.  Exponents
+# up to 5 exercise powers built by squaring; the algebras keep high powers of
+# a unit-like argument alive.
+
+WEIL_OBJECTS = [d_cube(2), d_order(6), tensor(d_order(3), d_paren(2))]
+
+
+def weil_ref_mul(alg):
+    def mul(a, b):
+        out = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                k = alg.index.get(tuple(p + q for p, q in zip(alg.basis[i], alg.basis[j])))
+                if k is not None:
+                    out[k] = out.get(k, 0) + x * y
+        return {k: v for k, v in out.items() if v}
+    return mul
+
+
+def weil_of(alg, ref):
+    return WeilElement(alg, {k: Q(v.numerator, v.denominator) for k, v in ref.items()})
+
+
+def check_weil(w, ref):
+    """w equals the reference and is reduced; zero has denominator 1."""
+    assert {k: Fraction(c.numerator, c.denominator) for k, c in w.coeffs.items()} == ref
+    assert all(type(c) is Q for c in w.coeffs.values())
+    den = w.denominator
+    assert den >= 1 and gcd(den, *w.numerators(den)) == 1
+    if not ref:
+        assert den == 1
+
+
+@st.composite
+def weil_refs(draw, alg):
+    """Dense or sparse {basis index: Fraction} dicts, denominators 1..7."""
+    keys = range(alg.dim) if draw(st.booleans()) else draw(
+        st.lists(st.integers(0, alg.dim - 1), unique=True, max_size=alg.dim))
+    ref = {k: draw(fractions_1_7) for k in keys}
+    return {k: v for k, v in ref.items() if v}
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_polys(max_exp=5), st.sampled_from(WEIL_OBJECTS), st.data())
+def test_eval_at_rational_weil_matches_fraction_reference(a, obj, data):
+    alg = make_algebra(obj)
+    refs = [data.draw(weil_refs(alg)) for _ in range(N)]
+    want = ref_eval(a, refs, {0: Fraction(1)}, weil_ref_mul(alg), ref_add, ref_scale)
+    check_weil(poly_of(a).eval([weil_of(alg, r) for r in refs], alg.one()), want or {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_polys(max_exp=4), st.data())
+def test_eval_at_polynomials_matches_fraction_reference(a, data):
+    refs = [data.draw(ref_polys(2)) for _ in range(N)]
+    want = ref_eval(a, refs, {(0, 0): Fraction(1)}, ref_mul, ref_add, ref_scale)
+    check(poly_of(a).eval([poly_of(r, 2) for r in refs], Poly.one(2)), want or {})
+
+
+def test_eval_cancelling_terms_reduce():
+    alg = make_algebra(d_cube(2))
+    d1, d2 = alg.generator(1), alg.generator(2)
+    w = alg.one().scale(Q(2, 3)) + d1.scale(Q(1, 5)) + (d1 * d2).scale(Q(-3, 7))
+    x0, x1 = Poly.var(2, 0), Poly.var(2, 1)
+    q = Poly.var(2, 0) * Q(2, 3) + Poly.var(2, 1) * Q(-1, 5)
+    # every term cancels: zero, over denominator 1
+    for f, make in (((x0 - x1).scale(Q(1, 6)), lambda v: [v, v]),
+                    (x0 ** 2 * Q(1, 3) - x1 * Q(1, 6), lambda v: [v, (v * v).scale(2)]),
+                    (x0 ** 3 - x0 * x1, lambda v: [v, v * v])):
+        check_weil(f.eval(make(w), alg.one()), {})
+        check(f.eval(make(q), Poly.one(2)), {})
+    # the sum shares a factor with the denominators: (1 + d1)/2 + (1 - d1)/2 = 1
+    half = (x0 + x1).scale(Q(1, 2))
+    check_weil(half.eval([alg.one() + d1, alg.one() - d1], alg.one()), {0: Fraction(1)})
+    # x0/6 + x1/3 at x0 = 2 + d2/5 and x1 = 1/2: numerators 10, 1 and 5 over
+    # 30 give 1/2 + d2/30, reduced by the final gcd pass
+    f = x0 * Q(1, 6) + x1 * Q(1, 3)
+    check_weil(f.eval([alg.one().scale(2) + d2.scale(Q(1, 5)), alg.one().scale(Q(1, 2))],
+                      alg.one()),
+               {0: Fraction(1, 2), 2: Fraction(1, 30)})
+    p = Poly.from_terms(2, [(Q(1, 2), (1, 0)), (Q(1, 2), (0, 1))])
+    check(p.eval([Poly.var(1, 0) + Poly.one(1), Poly.one(1) - Poly.var(1, 0)], Poly.one(1)),
+          {(0,): Fraction(1)})
+
+
+def test_eval_constant_and_zero_polynomials():
+    alg = make_algebra(d_order(3))
+    args = [from_dense(alg, [Q(1, 2), Q(3), Q(0), Q(-1, 7)])] * 2
+    poly_args = [Poly.var(2, 0) * Q(1, 3), Poly.one(2) * Q(2, 5)]
+    for c in (Q(5, 3), Q(-4), Q(1, 7)):
+        want = Fraction(c.numerator, c.denominator)
+        check_weil(Poly.const(2, c).eval(args, alg.one()), {0: want})
+        check(Poly.const(2, c).eval(poly_args, Poly.one(2)), {(0, 0): want})
+        assert Poly.const(2, c).eval([Q(1), Q(2)]) == c
+    check_weil(Poly.zero(2).eval(args, alg.one()), {})
+    check(Poly.zero(2).eval(poly_args, Poly.one(2)), {})
+    assert Poly.zero(2).eval([Q(1), Q(2)]) == 0
+
+
+def test_eval_at_ring_valued_weil_keeps_the_term_loop():
+    # Weil elements with polynomial coefficients, as the bracket tower and
+    # the flows use: the result is ring-valued and equals the term-by-term sum
+    alg = make_algebra(d_cube(2))
+    one = WeilElement(alg, {0: Poly.one(2)})
+    args = [WeilElement(alg, {0: Poly.var(2, 0) * Q(1, 3), 1: Poly.one(2) * Q(2, 5)}),
+            WeilElement(alg, {0: Poly.var(2, 1), 2: Poly.var(2, 0) * Q(-1, 7)}),
+            WeilElement(alg, {3: Poly.one(2) * Q(3, 2)})]
+    a = {(2, 1, 0): Fraction(1, 2), (0, 3, 1): Fraction(-5, 6), (1, 0, 0): Fraction(7),
+         (0, 0, 0): Fraction(2, 3)}
+    want = ref_eval(a, args, one, lambda s, t: s * t, lambda s, t: s + t,
+                    lambda c, s: s.scale(Q(c.numerator, c.denominator)))
+    got = poly_of(a).eval(args, one)
+    assert got == want and got.denominator is None
+    assert all(isinstance(c, Poly) and c for c in got.coeffs.values())
+    # a rational unit does not make ring-valued arguments fraction-free
+    del a[(0, 0, 0)]
+    got = poly_of(a).eval(args, alg.one())
+    assert got == want - one.scale(Q(2, 3)) and got.denominator is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -100,6 +100,27 @@ def test_polymap_round_trip():
         polymap_from_json({"in_dim": 2, "out_dim": 5, "components": data["components"]})
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"in_dim": 1.7}, "polynomial map in_dim must be an integer, got 1.7"),
+    ({"in_dim": True}, "polynomial map in_dim must be an integer, got True"),
+    ({"in_dim": "1"}, "polynomial map in_dim must be an integer, got '1'"),
+    ({"in_dim": None}, "polynomial map in_dim must be an integer, got None"),
+    ({"out_dim": 1.0}, "polynomial map out_dim must be an integer, got 1.0"),
+    ({"out_dim": False}, "polynomial map out_dim must be an integer, got False"),
+    ({"out_dim": "1"}, "polynomial map out_dim must be an integer, got '1'"),
+    ({"in_dim": -1}, "polynomial map in_dim must be >= 0, got -1"),
+])
+def test_polymap_dimensions_are_json_integers(fields, message):
+    data = {"in_dim": 1, "out_dim": 1, "components": [[{"c": "1", "e": [1]}]], **fields}
+    with pytest.raises(ValidationError) as exc:
+        polymap_from_json(data)
+    assert str(exc.value) == message
+    # the unchanged map decodes, and a map on no variables is allowed
+    assert polymap_from_json({**data, "in_dim": 1, "out_dim": 1}) == PolyMap(1, [Poly.var(1, 0)])
+    assert polymap_from_json({"in_dim": 0, "components": [[{"c": "2", "e": []}]]}) == \
+        PolyMap(0, [Poly.const(0, Q(2))])
+
+
 def test_morphism_round_trip():
     sq = d_cube(2)
     tgt = SimplicialObject(3, frozenset({(1, 3), (2, 3)}))

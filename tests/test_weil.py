@@ -623,3 +623,50 @@ def test_times_basis_matches_unit_monomial_product(obj):
             assert got == poly_unit * x
             assert got.coeffs == naive_product(poly_unit, x)
             assert all(isinstance(c, Poly) and c for c in got.coeffs.values())
+
+
+# the packed pair table against a brute-force table ---------------------------
+
+
+def brute_pairs(obj):
+    """For each basis position i, the (j, k) with basis[i] * basis[j] = basis[k].
+
+    The product's exponents are the sums; it survives when every sum is below
+    its bound and no vanishing product divides it.  Positions come from the
+    brute-force basis.
+    """
+    basis = brute_basis(obj)
+    rels = [tuple(s) for s in obj.relations]
+    table = []
+    for a in basis:
+        row = []
+        for j, b in enumerate(basis):
+            e = tuple(x + y for x, y in zip(a, b))
+            if any(x >= bound for x, bound in zip(e, obj.bounds)):
+                continue
+            if any(all(e[i - 1] >= 1 for i in seq) for seq in rels):
+                continue
+            row.append((j, basis.index(e)))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+PAIR_TABLE_OBJECTS = (
+    [d_cube(n) for n in range(6)] + [d_order(k) for k in range(1, 32)]
+    + [d_paren(n) for n in range(2, 7)]
+    + [tensor(d_order(3), d_paren(3)), tensor(d_order(2), d_order(4)),
+       tensor(d_paren(2), tensor(d_order(5), d_cube(1))),
+       tensor(d_cube(2), d_order(7)), tensor(d_order(4), d_order(1)),
+       # vanishing products of three generators, also beside higher bounds
+       SimplicialObject(3, frozenset({(1, 2, 3)})),
+       SimplicialObject(5, frozenset({(1, 2, 3), (2, 4, 5), (1, 5)})),
+       SimplicialObject(4, frozenset({(1, 2, 4), (3,)})),
+       SimplicialObject(3, frozenset({(1, 2, 3)}), (3, 2, 4)),
+       SimplicialObject(4, frozenset({(1, 3, 4), (2, 3)}), (2, 3, 2, 3))])
+
+
+@pytest.mark.parametrize("obj", PAIR_TABLE_OBJECTS, ids=repr)
+def test_pair_table_matches_brute_force(obj):
+    alg = make_algebra(obj)
+    assert list(alg.basis) == brute_basis(obj)
+    assert alg._pairs == brute_pairs(obj)
