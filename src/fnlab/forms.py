@@ -20,14 +20,18 @@ because none of them ever changes:
   algebra it is read from);
 - one variable map per permutation (an LRU cache of at most 1024 maps of
   m * 2^p indices each), which `Poly.remap_variables` applies as a gather;
+- one permutation table per arity p and dimension m (an LRU cache of at
+  most 64): every axis permutation's sign and exponent gather, and the
+  signed permutations that the alternation check applies;
 - one convolution layout per shape (an LRU cache of at most 128): the two
   algebras and their units, the inner arguments, the scalar split table and
   the expansion positions, held in tuples and read-only mappings of
   immutable values.
 A convolution embeds each kernel value at its expansion subset by
 re-indexing (`WeilElement.times_basis`), not by a product.  The
-antisymmetrizer adds the signed integer numerators of every permuted kernel
-into one dict per component and builds a single kernel.
+antisymmetrizer builds no permuted kernel: it sums the signed integer
+numerators once per orbit of monomials under the axis permutations, and
+writes the result at every monomial of the orbit with the permutation's sign.
 """
 
 from collections.abc import Mapping
@@ -38,7 +42,7 @@ from typing import NamedTuple
 
 from .errors import InternalError, PreconditionError, ValidationError
 from .micro import case_compat_errors, case_solve, get_case, restrict_coeffs
-from .poly import Poly, PolyMap
+from .poly import Poly, PolyMap, _permutation_gather
 from .rationals import ONE, Q, factorial
 from .simplicial import d_cube
 from .weil import WeilAlgebra, WeilElement, make_algebra
@@ -230,6 +234,30 @@ def _perm_map(p: int, m: int, images: tuple) -> tuple:
     return tuple(mapping)
 
 
+class _PermTable(NamedTuple):
+    """The axis permutations of arity p on R^m with their signs, built once."""
+
+    checks: tuple   # (Permutation, sign) pairs that decide alternation
+    even: tuple     # exponent gathers of the even permutations of S_p
+    odd: tuple      # exponent gathers of the odd permutations of S_p
+
+
+@lru_cache(maxsize=64)
+def _perm_table(p: int, m: int) -> _PermTable:
+    signed = [(sigma, sigma.sign) for sigma in Permutation.all(p)]
+    even, odd = [], []
+    for sigma, sign in signed:
+        gather = _permutation_gather(_perm_map(p, m, sigma.images))
+        (even if sign == 1 else odd).append(gather)
+    if p <= 3:
+        checks = signed
+    else:
+        # the adjacent transpositions generate S_p
+        checks = [(Permutation([*range(1, i), i + 1, i, *range(i + 2, p + 1)]), -1)
+                  for i in range(1, p)]
+    return _PermTable(tuple(checks), tuple(even), tuple(odd))
+
+
 def perm_kernel(k: Kernel, sigma: Permutation) -> Kernel:
     """Precompose with the axis permutation: result(gamma) = k(gamma^sigma)."""
     if sigma.p != k.p:
@@ -386,14 +414,9 @@ def _multilinear(x: FormElem) -> bool:
 def _alternating(x: FormElem) -> bool:
     """Permuting cube axes multiplies the principal kernel by the sign."""
     ker = x.principal()
-    if x.p <= 3:
-        sigmas = Permutation.all(x.p)
-    else:
-        sigmas = [Permutation([*range(1, i), i + 1, i, *range(i + 2, x.p + 1)])
-                  for i in range(1, x.p)]
     negated = -ker
-    for sigma in sigmas:
-        if perm_kernel(ker, sigma) != (ker if sigma.sign == 1 else negated):
+    for sigma, sign in _perm_table(x.p, x.m).checks:
+        if perm_kernel(ker, sigma) != (ker if sign == 1 else negated):
             return False
     return True
 
@@ -590,25 +613,41 @@ def prod_over(x: FormElem, y: FormElem) -> FormElem:
 
 
 def antisymmetrize(x: FormElem, factor=ONE) -> FormElem:
-    """Signed sum over all axis permutations of the principal kernel.
+    """Signed sum over all axis permutations of the principal kernel, times factor.
 
-    Permuting variables keeps each component's denominator, so the signed
-    integer numerators of every permuted component add up in one accumulator
-    and factor scales the sum once.  The base projection is symmetric, so it
-    is carried unchanged rather than picking up a factor p!.
+    The sum is taken once per orbit of monomials under the axis
+    permutations.  With g_s the exponent gather of the permutation s and P
+    the kernel's coefficients, the sum has coefficient R(f) = sum_s sign(s) *
+    P[g_s(f)] at a monomial f, and sign(s) * R(f) at g_s(f).  So each orbit
+    that meets the kernel's support is gathered, read and written once, and
+    an orbit that an odd permutation fixes comes out zero.  This is the full
+    sum for every kernel, alternating or not, at a cost of p! gathers per
+    orbit rather than p! per term.  Permuting variables keeps a component's
+    denominator, so the orbit sums are integer sums of its numerators and
+    factor scales them once.  The base projection is symmetric, so it is
+    carried unchanged rather than picking up a factor p!.
     """
     ker = x.principal()
-    sums = [{} for _ in range(x.m)]
-    for sigma in Permutation.all(x.p):
-        sign = sigma.sign
-        for acc, comp in zip(sums, perm_kernel(ker, sigma).body.comps):
-            for e, v in comp.numerators.items():
-                acc[e] = acc.get(e, 0) + sign * v
-    n = ker.body.in_dim
+    _checks, even, odd = _perm_table(x.p, x.m)
     p, q = factor.numerator, factor.denominator
-    comps = [Poly.from_numerators(n, {e: s * p for e, s in acc.items()},
-                                  comp.denominator * q)
-             for acc, comp in zip(sums, ker.body.comps)]
+    n = ker.body.in_dim
+    comps = []
+    for comp in ker.body.comps:
+        num = comp.numerators
+        get = num.get
+        out = {}
+        for f in num:
+            if f in out:
+                continue
+            up = [g(f) for g in even]
+            down = [g(f) for g in odd]
+            r = p * (sum([get(e, 0) for e in up]) - sum([get(e, 0) for e in down]))
+            # the whole orbit is covered, zeros included; from_numerators
+            # drops them.  For r != 0 no monomial is both an even and an odd
+            # image of f, so each is written once.
+            out.update(dict.fromkeys(up, r))
+            out.update(dict.fromkeys(down, -r))
+        comps.append(Poly.from_numerators(n, out, comp.denominator * q))
     total = Kernel(x.p, x.m, PolyMap(n, comps))
     return FormElem(x.p, 1, x.m,
                     {frozenset(): x.coeff(()), frozenset({1}): total},

@@ -142,7 +142,10 @@ class Poly(FractionFree):
             raise ValidationError("polynomials in different variable counts")
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
+        """Sum with a polynomial, or with an int or rational as a constant."""
+        if isinstance(other, (int, Q)):
+            other = Poly.const(self.n, other)
+        elif not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
         if not other._num:
@@ -151,6 +154,8 @@ class Poly(FractionFree):
             return other
         num, den = add_numerators(self._num, self._den, other._num, other._den)
         return _poly(self.n, num, den)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return _poly(self.n, {e: -c for e, c in self._num.items()}, self._den)

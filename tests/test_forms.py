@@ -392,6 +392,204 @@ def test_antisymmetrizer_perm_equivariance():
         assert perm_act(ax, sigma) == expected
 
 
+# The antisymmetrizer sums once per orbit of monomials under the axis
+# permutations; these compare it with the full S_p sum of naive_antisymmetrize.
+
+
+def monomial_images(p, m, e):
+    """The exponent tuples g_sigma(e) of one monomial, one per permutation."""
+    n = cube_dim(p, m)
+    ker = Kernel(p, m, PolyMap(n, [Poly(n, {e: Q(1)})] * m))
+    return [next(iter(naive_perm_kernel(ker, s).body.comps[0].numerators))
+            for s in Permutation.all(p)]
+
+
+def orbit_kernel(rng, p, m, terms=3):
+    """A kernel whose support meets some orbits more than once.
+
+    Exponents up to 3 and denominators up to 7; some monomials come with a
+    random image, some with every image at one coefficient (a symmetric
+    orbit, whose sum cancels).
+    """
+    n = cube_dim(p, m)
+    comps = []
+    for _ in range(m):
+        pairs = []
+        for _ in range(terms):
+            e = tuple(rng.choice((0, 0, 0, 1, 2, 3)) if rng.random() < 3 / n else 0
+                      for _ in range(n))
+            c = Q(rng.randint(-9, 9), rng.randint(1, 7))
+            pairs.append((c, e))
+            shape = rng.random()
+            if shape < 0.4:
+                pairs.append((Q(rng.randint(-9, 9), rng.randint(1, 7)),
+                              rng.choice(monomial_images(p, m, e))))
+            elif shape < 0.6:
+                pairs += [(c, g) for g in set(monomial_images(p, m, e))]
+        comps.append(Poly.from_terms(n, pairs))
+    return Kernel(p, m, PolyMap(n, comps))
+
+
+def assert_matches_full_sum(x, factors=(Q(-3, 4), Q(6), Q(10, 9))):
+    full = naive_antisymmetrize(x)
+    assert_same_form(antisymmetrize(x), full)
+    for factor in factors:
+        scaled = FormElem(x.p, 1, x.m, {frozenset(): x.coeff(()),
+                                        frozenset({1}): full.principal().scale(factor)},
+                          x.class_tag, x.view)
+        assert_same_form(antisymmetrize(x, factor), scaled)
+
+
+@pytest.mark.parametrize("p", range(6))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_orbit_sum_matches_full_sum(p, m):
+    rng = random.Random(f"orbit-{p}-{m}")
+    for _ in range(3 if p < 5 else 1):
+        x = form_from_kernel(orbit_kernel(rng, p, m, terms=3 if p < 5 else 2))
+        assert_matches_full_sum(x)
+        assert_matches_full_sum(transpose_views(x.with_tag(OMEGA12)), (Q(1, 7),))
+
+
+def test_orbit_fixed_by_an_odd_permutation_vanishes():
+    # gamma_1 * gamma_2 is fixed by (1 2); gamma_12 * gamma_3 by (1 2) of three
+    # axes.  At p = 3 a monomial fixed by the 3-cycle takes the same exponent
+    # on every subset of one size, so the whole of S_3 fixes it.
+    for p, m, subsets in ((2, 1, ({1}, {2})), (2, 2, ({1}, {2})),
+                          (3, 1, ({1, 2}, {3})), (3, 1, ({1}, {2}, {3})),
+                          (3, 2, ({1}, {2}, {3}, {1, 2}, {2, 3}, {1, 3}))):
+        n = cube_dim(p, m)
+        fixed = Poly.one(n)
+        for subset in subsets:
+            fixed = fixed * axis_var(p, m, subset)
+        e = next(iter(fixed.numerators))
+        assert any(g == e for g, s in zip(monomial_images(p, m, e), Permutation.all(p))
+                   if s.sign == -1)
+        other = axis_var(p, m, {1}) * axis_var(p, m, (), m - 1) ** 3
+        x = form_from_kernel(Kernel(p, m, PolyMap(n, [
+            fixed.scale(Q(5, 3)) + other.scale(Q(2, 7))] * m)))
+        assert_matches_full_sum(x)
+        out = antisymmetrize(x, Q(5)).principal().body.comps[0].numerators
+        assert not set(monomial_images(p, m, e)) & set(out)
+
+
+def test_orbit_fixed_only_by_even_permutations():
+    """gamma_13 gamma_24 gamma_12^2 gamma_34^2: its stabilizer is the Klein group.
+
+    A permutation fixing it keeps both pairings {13, 24} and {12, 34}, and
+    only the double transpositions do; so the sum at the monomial is 4 times
+    its coefficient, and the orbit has 6 monomials.
+    """
+    p = 4
+    for m in (1, 2):
+        n = cube_dim(p, m)
+        f = (axis_var(p, m, {1, 3}) * axis_var(p, m, {2, 4})
+             * axis_var(p, m, {1, 2}) ** 2 * axis_var(p, m, {3, 4}) ** 2)
+        e = next(iter(f.numerators))
+        images = monomial_images(p, m, e)
+        stabilizer = [s for g, s in zip(images, Permutation.all(p)) if g == e]
+        assert sorted(s.images for s in stabilizer) == [
+            (1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
+        assert len(set(images)) == 6
+        x = form_from_kernel(Kernel(p, m, PolyMap(n, [f.scale(Q(3, 7))] * m)))
+        assert_matches_full_sum(x)
+        comp = antisymmetrize(x, Q(-5, 2)).principal().body.comps[0]
+        assert comp.terms[e] == Q(3, 7) * 4 * Q(-5, 2)
+        assert len(comp.numerators) == 6
+
+
+def alternating_form(rng, p, m, multilinear):
+    """An alternating input of FN13, or of FN123 when multilinear.
+
+    Each term has a slot on every single axis, so that no transposition fixes
+    it and the alternating sum keeps it.  A multilinear term takes axis i at
+    coordinate j_i, the j_i distinct, for the same reason.
+    """
+    n = cube_dim(p, m)
+    comps = []
+    for _ in range(m):
+        pairs = []
+        for _ in range(3):
+            e = [0] * n
+            if multilinear:
+                for i, j in enumerate(rng.sample(range(m), p), 1):
+                    e[cube_var(p, m, {i}, j)] += 1
+            else:
+                for i in range(1, p + 1):
+                    e[cube_var(p, m, {i}, rng.randrange(m))] += rng.randint(1, 2)
+                e[rng.randrange(n)] += 1
+            e[cube_var(p, m, (), rng.randrange(m))] += rng.randint(0, 2)
+            pairs.append((Q(rng.randint(-9, 9), rng.randint(1, 7)), e))
+        comps.append(Poly.from_terms(n, pairs))
+    tag = OMEGA123 if multilinear else "omega13"
+    return antisymmetrize(form_from_kernel(Kernel(p, m, PolyMap(n, comps)))).with_tag(tag)
+
+
+@pytest.mark.parametrize("multilinear, p, q, m", [
+    (False, 0, 2, 2), (False, 1, 1, 2), (False, 2, 1, 2), (False, 1, 2, 2),
+    (False, 2, 2, 2), (False, 3, 1, 2),
+    # alternating multilinear forms of arity above m vanish
+    (True, 0, 2, 2), (True, 1, 1, 2), (True, 2, 1, 3), (True, 1, 2, 3),
+    (True, 2, 2, 4), (True, 3, 1, 4)])
+def test_orbit_sum_on_raw_bracket_kernels(multilinear, p, q, m):
+    """The kernels that `_bracket_core` hands to FN13 and FN123.
+
+    They alternate within x's axes and within y's axes, so each orbit meets
+    the support in up to C(p+q, p) shuffled copies.
+    """
+    rng = random.Random(f"raw-{multilinear}-{p}-{q}-{m}")
+    bracket = bracket_fn123 if multilinear else bracket_fn13
+    x, y = alternating_form(rng, p, m, multilinear), alternating_form(rng, q, m, multilinear)
+    raw = forms._bracket_core(x, y)
+    full = naive_antisymmetrize(raw, Q(1, factorial(p) * factorial(q)))
+    assert_same_form(antisymmetrize_scaled(raw, (p, q)), full)
+    assert bracket(x, y).principal() == full.principal()
+    assert x.principal() and y.principal() and full.principal()
+
+
+def test_orbit_sum_builds_no_permuted_kernel(monkeypatch):
+    """Each orbit meeting the support costs p! gathers, and nothing else.
+
+    `_alternating` still checks alternation through `perm_kernel`.
+    """
+    calls = {"perm_kernel": 0, "remap": 0, "gather": 0}
+    perm_kernel_real, remap_real = forms.perm_kernel, Poly.remap_variables
+    table_real = forms._perm_table
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def counting_table(p, m):
+        t = table_real(p, m)
+        return t._replace(even=tuple(counting("gather", g) for g in t.even),
+                          odd=tuple(counting("gather", g) for g in t.odd))
+
+    monkeypatch.setattr(forms, "perm_kernel", counting("perm_kernel", perm_kernel_real))
+    monkeypatch.setattr(Poly, "remap_variables", counting("remap", remap_real))
+    monkeypatch.setattr(forms, "_perm_table", counting_table)
+
+    rng = random.Random(77)
+    for p, m in ((0, 2), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
+        n = cube_dim(p, m)
+        ker = orbit_kernel(rng, p, m)
+        sym = sum((axis_var(p, m, {i}) for i in range(1, p + 1)), Poly.zero(n))
+        ker = Kernel(p, m, PolyMap(n, [c + sym for c in ker.body.comps]))
+        orbits = sum(len({frozenset(monomial_images(p, m, e)) for e in comp.numerators})
+                     for comp in ker.body.comps)
+        x = form_from_kernel(ker)
+        for key in calls:
+            calls[key] = 0
+        ax = antisymmetrize(x, Q(2, 3))
+        assert calls == {"perm_kernel": 0, "remap": 0,
+                         "gather": factorial(p) * orbits}, (p, m)
+        assert is_omega13(ax)
+        checks = factorial(p) if p <= 3 else p - 1
+        assert calls["perm_kernel"] == checks == calls["remap"] / m
+        assert calls["gather"] == factorial(p) * orbits
+
+
 # --- brackets ---------------------------------------------------------------
 
 

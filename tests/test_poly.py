@@ -219,6 +219,20 @@ def test_sum_difference_negation_match_reference(a, b):
 
 @settings(max_examples=80, deadline=None)
 @given(ref_polys(), fractions_1_7, st.integers(-6, 6))
+def test_rationals_and_ints_add_as_constants(a, c, n):
+    x, zero = poly_of(a), (0,) * N
+    q = Q(c.numerator, c.denominator)
+    for const, ref in ((q, {zero: c}), (n, {zero: Fraction(n)}),
+                       # cancels the constant term, if any
+                       (-x.constant_term(), {zero: -a.get(zero, Fraction(0))})):
+        ref = {e: v for e, v in ref.items() if v}
+        check(x + const, ref_add(a, ref))
+        check(const + x, ref_add(a, ref))
+        check(x - const, ref_add(a, ref_scale(Fraction(-1), ref)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_polys(), fractions_1_7, st.integers(-6, 6))
 def test_scaling_matches_reference(a, c, n):
     x = poly_of(a)
     check(x.scale(Q(c.numerator, c.denominator)), ref_scale(c, a))

@@ -589,6 +589,35 @@ def test_polynomial_elements_stay_ring_valued():
     assert x.coeff((1, 0)) == Poly.one(1) and x.coeff((0, 1)) == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rational_and_polynomial_elements_add_at_a_shared_index(n):
+    """A rational coefficient adds to a polynomial one as its constant."""
+    alg = make_algebra(d_cube(n))
+    k = n + 1  # polynomial variables
+    top = alg.dim - 1
+    x = WeilElement(alg, {0: Poly.const(k, Q(-3, 2)), top: Poly.var(k, k - 1) + 1})
+    r = from_dense(alg, [Q(3, 2)] + [Q(0)] * (alg.dim - 2) + [Q(-1)])
+    poly_r = WeilElement(alg, {0: Poly.const(k, Q(3, 2)), top: Poly.const(k, Q(-1))})
+    # index 0 cancels and is dropped; the top index keeps a polynomial
+    expected = WeilElement(alg, {top: Poly.var(k, k - 1)})
+    for total in (x + r, r + x, x + poly_r, poly_r + x):
+        assert total == expected
+        assert 0 not in total.coeffs
+    assert x - r == x - poly_r and r - x == poly_r - x
+
+    # a polynomial with a constant term, evaluated with the rational unit or
+    # the polynomial-valued one
+    poly_one = WeilElement(alg, {0: Poly.one(k)})
+    y = WeilElement(alg, {0: Poly.var(k, 0), 1: Poly.one(k)})
+    for f in (Poly.from_terms(1, [(Q(1), (1,)), (Q(2), (0,))]),
+              Poly.from_terms(1, [(Q(1, 3), (2,)), (Q(-1), (1,)), (Q(5, 7), (0,))])):
+        assert f.eval([y], alg.one()) == f.eval([y], poly_one)
+    # the constant term cancels the argument's constant coefficient
+    g = Poly.from_terms(1, [(Q(1), (1,)), (Q(3, 2), (0,))])
+    assert g.eval([x], alg.one()) == g.eval([x], poly_one) \
+        == WeilElement(alg, {top: Poly.var(k, k - 1) + 1})
+
+
 # multiplication by a unit basis monomial, as re-indexing --------------------
 
 
