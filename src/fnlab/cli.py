@@ -12,8 +12,8 @@ from .errors import PreconditionError, ValidationError
 from .forms import BRACKETS
 from .micro import jacobi3_defect, tangent_principal, triangle_from_vector_fields
 from .rationals import Q, rat_str
-from .serialize import form_from_json, form_to_json, obj_from_json, \
-    polymap_from_json, to_json
+from .serialize import MAX_KERNEL_VARS, form_from_json, form_to_json, \
+    obj_from_json, polymap_from_json, to_json
 from .verify import Sampler, SuiteConfig, run_verification
 from .weil import make_algebra
 
@@ -31,7 +31,7 @@ def _load_json_arg(text: str):
             raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ValidationError(f"invalid JSON: {exc}") from exc
 
 
@@ -57,6 +57,10 @@ def cmd_bracket(args) -> int:
         raise ValidationError(f"model dimensions differ: {x.m} vs {y.m}")
     if x.k != 1 or y.k != 1:
         raise ValidationError("bracket inputs must have expansion arity 1")
+    # the bracket is a form of arity p + q, bounded as a decoded form is
+    if max(x.m, 1) << (x.p + y.p) > MAX_KERNEL_VARS:
+        raise ValidationError(f"bracket of arities {x.p} and {y.p} on R^{x.m} is too "
+                              f"large: max(m, 1)*2^(p+q) exceeds {MAX_KERNEL_VARS}")
     out = BRACKETS[args.level](x, y)
     print(json.dumps(form_to_json(out), indent=None, sort_keys=True))
     return 0
@@ -102,7 +106,10 @@ def cmd_jacobi3(args) -> int:
             raise ValidationError(f"vector fields on mismatched dimensions {sorted(dims)}")
         m = dims.pop()
         if args.point:
-            at = [Q(v) for v in args.point.split(",")]
+            try:
+                at = [Q(v) for v in args.point.split(",")]
+            except ZeroDivisionError as exc:
+                raise ValidationError(f"bad point coordinate: {exc}") from exc
             if len(at) != m:
                 raise ValidationError(f"point needs {m} coordinates")
         else:

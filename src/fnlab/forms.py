@@ -21,8 +21,8 @@ because none of them ever changes:
 - one variable map per permutation (an LRU cache of at most 1024 maps of
   m * 2^p indices each), which `Poly.remap_variables` applies as a gather;
 - one permutation table per arity p and dimension m (an LRU cache of at
-  most 64): every axis permutation's sign and exponent gather, and the
-  signed permutations that the alternation check applies;
+  most 64): every axis permutation's exponent gather, split by sign, and
+  the adjacent transpositions that the alternation check applies;
 - one convolution layout per shape (an LRU cache of at most 128): the two
   algebras and their units, the inner arguments, the scalar split table and
   the expansion positions, held in tuples and read-only mappings of
@@ -37,13 +37,15 @@ writes the result at every monomial of the orbit with the permutation's sign.
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import permutations as iter_permutations
+from math import factorial
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InternalError, PreconditionError, ValidationError
-from .micro import case_compat_errors, case_solve, get_case, restrict_coeffs
+from .micro import case_compat_errors, case_solve, get_case
+from .morphisms import apply_columns
 from .poly import Poly, PolyMap, _permutation_gather
-from .rationals import ONE, Q, factorial
+from .rationals import ONE, Q
 from .simplicial import d_cube
 from .weil import WeilAlgebra, WeilElement, make_algebra
 
@@ -235,26 +237,21 @@ def _perm_map(p: int, m: int, images: tuple) -> tuple:
 
 
 class _PermTable(NamedTuple):
-    """The axis permutations of arity p on R^m with their signs, built once."""
+    """The axis permutations of arity p on R^m, built once."""
 
-    checks: tuple   # (Permutation, sign) pairs that decide alternation
+    checks: tuple   # the adjacent transpositions, which generate S_p
     even: tuple     # exponent gathers of the even permutations of S_p
     odd: tuple      # exponent gathers of the odd permutations of S_p
 
 
 @lru_cache(maxsize=64)
 def _perm_table(p: int, m: int) -> _PermTable:
-    signed = [(sigma, sigma.sign) for sigma in Permutation.all(p)]
     even, odd = [], []
-    for sigma, sign in signed:
+    for sigma in Permutation.all(p):
         gather = _permutation_gather(_perm_map(p, m, sigma.images))
-        (even if sign == 1 else odd).append(gather)
-    if p <= 3:
-        checks = signed
-    else:
-        # the adjacent transpositions generate S_p
-        checks = [(Permutation([*range(1, i), i + 1, i, *range(i + 2, p + 1)]), -1)
-                  for i in range(1, p)]
+        (even if sigma.sign == 1 else odd).append(gather)
+    checks = [Permutation([*range(1, i), i + 1, i, *range(i + 2, p + 1)])
+              for i in range(1, p)]
     return _PermTable(tuple(checks), tuple(even), tuple(odd))
 
 
@@ -412,13 +409,14 @@ def _multilinear(x: FormElem) -> bool:
 
 
 def _alternating(x: FormElem) -> bool:
-    """Permuting cube axes multiplies the principal kernel by the sign."""
+    """Permuting cube axes multiplies the principal kernel by the sign.
+
+    The adjacent transpositions generate S_p, and the sign is multiplicative,
+    so the kernel alternates iff each transposition negates it.
+    """
     ker = x.principal()
     negated = -ker
-    for sigma, sign in _perm_table(x.p, x.m).checks:
-        if perm_kernel(ker, sigma) != (ker if sign == 1 else negated):
-            return False
-    return True
+    return all(perm_kernel(ker, tau) == negated for tau in _perm_table(x.p, x.m).checks)
 
 
 def is_omega12(x: FormElem) -> bool:
@@ -559,26 +557,22 @@ def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
     return result
 
 
-def conv_under(f: Kernel, g: Kernel) -> Kernel:
-    """g evaluated with scalars expanded along f's axes, then f applied."""
+def _kernel_conv(f: Kernel, g: Kernel, under: bool) -> Kernel:
+    """The expansion-free case of `_prod`: both kernels as forms with k = 0."""
     if f.m != g.m:
         raise ValidationError("kernels on different model dimensions")
-    total = f.p + g.p
-    out = _conv_core({frozenset(): f}, {frozenset(): g},
-                     tuple(range(1, f.p + 1)),
-                     tuple(range(f.p + 1, total + 1)), total, f.m, 0)
-    return out.get(frozenset(), zero_kernel(total, f.m))
+    return _prod(FormElem(f.p, 0, f.m, {(): f}), FormElem(g.p, 0, g.m, {(): g}),
+                 under).coeff(())
+
+
+def conv_under(f: Kernel, g: Kernel) -> Kernel:
+    """g evaluated with scalars expanded along f's axes, then f applied."""
+    return _kernel_conv(f, g, True)
 
 
 def conv_over(f: Kernel, g: Kernel) -> Kernel:
     """f evaluated with scalars expanded along g's axes, then g applied."""
-    if f.m != g.m:
-        raise ValidationError("kernels on different model dimensions")
-    total = f.p + g.p
-    out = _conv_core({frozenset(): g}, {frozenset(): f},
-                     tuple(range(f.p + 1, total + 1)),
-                     tuple(range(1, f.p + 1)), total, f.m, 0)
-    return out.get(frozenset(), zero_kernel(total, f.m))
+    return _kernel_conv(f, g, False)
 
 
 def _prod(x: FormElem, y: FormElem, under: bool) -> FormElem:
@@ -679,13 +673,14 @@ def _bracket_core(x: FormElem, y: FormElem) -> FormElem:
         raise InternalError(
             f"expanded products disagree below the corner at {bad[0]}")
     apex = case_solve(case, ca, cb)
-    tangent = restrict_coeffs(apex, case.extract)
+    # the extracted tangent: base at basis index 0, principal part at 1
+    tangent = apply_columns(case.extract.columns(), dict(enumerate(apex)))
     total = x.p + y.p
-    if tangent[0] != pi_kernel(total, x.m):
+    zero = zero_kernel(total, x.m)
+    base, principal = tangent.get(0, zero), tangent.get(1, zero)
+    if base != pi_kernel(total, x.m):
         raise InternalError("bracket base is not the projection")
-    return FormElem(total, 1, x.m,
-                    {frozenset(): tangent[0], frozenset({1}): tangent[1]},
-                    OMEGA1)
+    return FormElem(total, 1, x.m, {frozenset(): base, frozenset({1}): principal}, OMEGA1)
 
 
 def _require(pred, name: str, x: FormElem, y: FormElem):

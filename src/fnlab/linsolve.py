@@ -3,8 +3,8 @@
 The amalgamation inverses reduce to rational linear systems A x = y whose
 unknowns and right-hand entries live in any vector space over the rationals
 (rational tuples, polynomial maps, ...).  Values only need +, -, rational
-scaling via v.scale(c) or c*v, and truth-testing for zero.  Row operations
-use rational pivots, so everything stays exact.
+scaling c * v (skipped for c = 1), and truth-testing for zero.  Row
+operations use rational pivots, so everything stays exact.
 
 The matrices are constant pullback matrices while the right-hand sides vary,
 so the elimination is split in two: ReducedMatrix row-reduces A once, in a
@@ -16,14 +16,6 @@ solution does not depend on the order.
 
 from .errors import InternalError, PreconditionError
 from .rationals import Q
-
-
-def scale_value(v, c):
-    """c * v for a vector-space value v; scaling by 1 returns v itself."""
-    if c == 1:
-        return v
-    scale = getattr(v, "scale", None)
-    return scale(c) if scale is not None else c * v
 
 
 class ReducedMatrix:
@@ -92,10 +84,10 @@ def solve_exact(system: ReducedMatrix, rhs, row_labels=None):
         raise InternalError("rhs length mismatch")
     y = list(rhs)
     for pivot, inv, eliminations in system.steps:
-        yp = scale_value(y[pivot], inv)
+        yp = y[pivot] if inv == 1 else inv * y[pivot]
         y[pivot] = yp
         for r, f in eliminations:
-            y[r] = y[r] - scale_value(yp, f)
+            y[r] = y[r] - (yp if f == 1 else f * yp)
     for r in system.free_rows:
         if y[r]:
             label = row_labels[r] if row_labels else f"row {r}"

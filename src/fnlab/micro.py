@@ -29,8 +29,8 @@ from math import lcm
 from types import MappingProxyType
 
 from .errors import InternalError, PreconditionError, ValidationError
-from .linsolve import ReducedMatrix, scale_value, solve_exact
-from .morphisms import InfMorphism, axis_map, inclusion
+from .linsolve import ReducedMatrix, solve_exact
+from .morphisms import InfMorphism, apply_columns, axis_map, inclusion
 from .poly import Poly, PolyMap
 from .rationals import Q
 from .simplicial import SimplicialObject, d_cube, d_paren
@@ -202,28 +202,19 @@ def get_case(case) -> AmalgamationCase:
 # generic coefficient-level solver (V-valued)
 
 
-def restrict_coeffs(coeffs, mor: InfMorphism):
-    """Apply a restriction matrix to a dense list of vector-space values."""
-    columns = mor.columns()
-    zero = coeffs[0] - coeffs[0]
-    acc = [None] * len(mor.matrix())
-    for j, v in enumerate(coeffs):
-        for i, c in columns[j]:
-            t = scale_value(v, c)
-            acc[i] = t if acc[i] is None else acc[i] + t
-    return [zero if a is None else a for a in acc]
-
-
 def case_compat_errors(case: AmalgamationCase, c1, c2) -> list:
-    """Shared-restriction mismatches between two dense leg coefficient lists."""
+    """Shared-restriction mismatches between two dense leg coefficient lists.
+
+    The shared monomials whose restrictions differ are named in basis order.
+    """
     shared_alg = make_algebra(case.shared)
-    r1 = restrict_coeffs(c1, case.shared_incl)
-    r2 = restrict_coeffs(c2, case.shared_incl)
-    bad = []
-    for i in range(shared_alg.dim):
-        if not (r1[i] == r2[i]):
-            bad.append(shared_alg.monomial_str(i))
-    return bad
+    columns = case.shared_incl.columns()
+    r1 = apply_columns(columns, dict(enumerate(c1)))
+    r2 = apply_columns(columns, dict(enumerate(c2)))
+    if r1 == r2:
+        return []
+    return [shared_alg.monomial_str(i) for i in sorted(r1.keys() | r2.keys())
+            if not (r1.get(i) == r2.get(i))]
 
 
 def case_solve(case: AmalgamationCase, c1, c2):
@@ -258,8 +249,10 @@ def amalgamate(g1: MicroPoint, g2: MicroPoint, case) -> MicroPoint:
             raise PreconditionError(f"legs disagree on the shared restriction: "
                                     f"coordinate {j}, monomial {bad[0]}")
     apex_alg = make_algebra(case.apex)
-    out = [from_numerators(apex_alg, case_solve(case, c1, c2), den)
-           for den, c1, c2 in dense]
+    out = []
+    for den, c1, c2 in dense:
+        num = case_solve(case, c1, c2)
+        out.append(from_numerators(apex_alg, {k: n for k, n in enumerate(num) if n}, den))
     return MicroPoint(apex_alg, g1.m, out)
 
 

@@ -5,6 +5,9 @@ with zero constant term, subject to well-definedness: every ideal generator
 of T (each vanishing product and each power-bound monomial) must reduce to
 zero in S's algebra after substitution.  Dually it is an algebra map from
 T's algebra to S's; on points it restricts T-expansions to S-expansions.
+`apply_columns`, the one walk over a map's sparse column entries, serves the
+pullback of points, the gluing's compatibility check and the bracket's
+extraction.
 """
 
 from .errors import ValidationError
@@ -40,12 +43,8 @@ class InfMorphism:
         alg = make_algebra(self.source)
         out = []
         for p in self.subst:
-            values = [0] * alg.dim
-            for e, n in p.numerators.items():
-                k = alg.index.get(e)
-                if k is not None:
-                    values[k] = n
-            out.append(from_numerators(alg, values, p.denominator))
+            num = {alg.index[e]: n for e, n in p.numerators.items() if e in alg.index}
+            out.append(from_numerators(alg, num, p.denominator))
         return out
 
     def _validate(self):
@@ -106,15 +105,17 @@ class InfMorphism:
     def pullback_element(self, w: WeilElement) -> WeilElement:
         """Apply the dual algebra map to an element of the target algebra.
 
-        Walks only the nonzero matrix entries of w's columns; the result's
-        coefficients are in sorted basis order, with zero sums dropped.  Every
-        entry of an inclusion or axis map is an integer, so a rational w maps
-        by adding its numerators under the same denominator.
+        Walks only the nonzero matrix entries of w's columns (`apply_columns`).
+        Every entry of an inclusion or axis map is an integer, so a rational
+        w maps by walking its numerators, reduced once over its denominator.
         """
         if w.algebra is not make_algebra(self.target):
             raise ValidationError("element does not live on the target algebra")
         columns = self.columns()
-        return w.apply_columns(columns, make_algebra(self.source), self._integral)
+        src = make_algebra(self.source)
+        if self._integral and w._den is not None:
+            return from_numerators(src, apply_columns(columns, w._num), w._den)
+        return WeilElement(src, apply_columns(columns, w.coeffs))
 
     def then(self, other: "InfMorphism") -> "InfMorphism":
         """Composite applying self first; requires self.target == other.source."""
@@ -137,6 +138,22 @@ class InfMorphism:
         return f"InfMorphism({self.source!r} -> {self.target!r}: {list(self.subst)})"
 
 
+def apply_columns(columns, values) -> dict:
+    """Image of a sparse {column: value} under a map's column entries.
+
+    columns[j] lists the nonzero (row, entry) pairs of column j, as
+    `InfMorphism.columns` gives them.  The image is a sparse {row: value} in
+    sorted row order, with zero sums dropped.  A unit entry moves a value
+    without scaling it; values need only + and c * v.
+    """
+    acc = {}
+    for j, v in values.items():
+        for i, e in columns[j]:
+            t = v if e == 1 else e * v
+            acc[i] = acc[i] + t if i in acc else t
+    return {i: s for i, s in sorted(acc.items()) if s}
+
+
 def compose_morphisms(f: InfMorphism, g: InfMorphism) -> InfMorphism:
     """g after f; precondition f.target == g.source."""
     return f.then(g)
@@ -156,7 +173,6 @@ def inclusion(sub: SimplicialObject, ambient: SimplicialObject) -> InfMorphism:
 def axis_map(source: SimplicialObject, target: SimplicialObject, images) -> InfMorphism:
     """d_i of the source goes to the target generator images[i] (1-indexed, 0 drops it)."""
     comps = [Poly.zero(source.n)] * target.n
-    comps = list(comps)
     for i, tgt_axis in enumerate(images):
         if tgt_axis:
             comps[tgt_axis - 1] = comps[tgt_axis - 1] + Poly.var(source.n, i)

@@ -4,15 +4,17 @@ A Poly is held fraction-free, in the format of `rationals` (FLINT's fmpq_poly
 representation): a dict from dense exponent tuples to nonzero integer
 numerators over one positive denominator, reduced so that no factor divides
 the denominator and every numerator.  The reduced form is canonical, so two
-polynomials are equal iff their numerators and denominators are.  Ring
-operations work on the integers and reduce once, by one gcd pass; rationals
-are built only for readers, by the read-only `terms` view, `constant_term`
-and the single 1/denominator scaling that ends an evaluation in a ring
-outside the format.  Degree is never truncated here: nilpotency of Weil
-scalars performs all truncation during evaluation.
+polynomials are equal iff their numerators and denominators are; an int or
+rational equals, and adds as, the constant polynomial.  `FractionFree` owns
+negation, difference, rational scaling and powers by repeated squaring; Poly
+keeps its sum, product, equality, evaluation and variable maps.  All work on
+the integers and reduce once, by one gcd pass; rationals are built only for
+readers, by the read-only `terms` view, `constant_term` and the 1/denominator
+scaling that ends an evaluation in a ring outside the format.  Nilpotency of
+Weil scalars performs all truncation of degree during evaluation.
 
-Evaluation builds each power of an argument once, by repeated squaring, so
-an exponent k costs about 2 log2(k) products.  At fraction-free arguments
+Evaluation builds each power of an argument once, so an exponent k costs
+about 2 log2(k) products.  At fraction-free arguments
 (polynomials, as in `PolyMap.compose`, and rational Weil elements) the terms
 combine as one integer linear combination, reduced once.
 
@@ -120,6 +122,9 @@ class Poly(FractionFree):
     def _from_reduced(self, num, den):
         return _poly(self.n, num, den)
 
+    def _unit(self):
+        return Poly.one(self.n)
+
     @property
     def terms(self):
         """Read-only mapping from exponent tuple to nonzero rational coefficient."""
@@ -129,11 +134,6 @@ class Poly(FractionFree):
     def numerators(self):
         """Read-only mapping from exponent tuple to nonzero integer numerator."""
         return MappingProxyType(self._num)
-
-    @property
-    def denominator(self):
-        """The positive common denominator; 1 for the zero polynomial."""
-        return self._den
 
     # ring operations ------------------------------------------------------
 
@@ -157,12 +157,6 @@ class Poly(FractionFree):
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _poly(self.n, {e: -c for e, c in self._num.items()}, self._den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
@@ -180,38 +174,14 @@ class Poly(FractionFree):
                     del out[e]
         return _reduced(self.n, out, self._den * other._den)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "Poly":
-        """c times self, for a rational or an int c."""
-        if not c:
-            return Poly.zero(self.n)
-        p = c.numerator
-        return _reduced(self.n, {e: x * p for e, x in self._num.items()},
-                        self._den * c.denominator)
-
-    def __pow__(self, k: int):
-        """self ** k by repeated squaring: about 2 log2(k) products."""
-        if k < 0:
-            raise ValidationError("negative power")
-        if k == 0:
-            return Poly.one(self.n)
-        out, base = None, self
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
-
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.n == other.n
-                and self._den == other._den and self._num == other._num)
-
-    def __bool__(self):
-        return bool(self._num)
+        """Equality with a polynomial, or with an int or rational as a constant."""
+        if isinstance(other, (int, Q)):
+            other = Poly.const(self.n, other)
+        elif not isinstance(other, Poly):
+            return False
+        return (self.n == other.n and self._den == other._den
+                and self._num == other._num)
 
     # queries ----------------------------------------------------------------
 

@@ -14,13 +14,17 @@ rationals for readers.
 
 `FractionFree` is the base of the types held in the format (`Poly` and
 `WeilElement`): `_num` holds the numerators, `_den` the denominator (None for
-a `WeilElement` with ring-valued coefficients).  Each type supplies only its
-constructor from reduced parts, `_from_reduced`; `combine` works on the parts
-of any of them.
+a `WeilElement` with ring-valued coefficients).  It owns the arithmetic the
+types share: `denominator`, truth, negation, difference, left scaling,
+rational `scale` and powers by repeated squaring.  Each type supplies its
+`_from_reduced` constructor and its `_unit`, and keeps its own sum, product,
+equality and evaluation; `combine` works on the parts of any of them.
 """
 
 from collections.abc import Mapping
 from math import gcd, lcm
+
+from .errors import ValidationError
 
 try:
     from gmpy2 import mpq as Q
@@ -33,13 +37,6 @@ ONE = Q(1)
 def rat_str(value) -> str:
     """Serialize a rational as a decimal string, "num/den" or "num"."""
     return str(value)
-
-
-def factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # fraction-free coefficient dicts ---------------------------------------------
@@ -98,9 +95,55 @@ class FractionFree:
 
     __slots__ = ()
 
+    _NEGATIVE_POWER = "negative power"
+
     def _from_reduced(self, num: dict, den):
         """An element of this one's ring from reduced numerators over den."""
         raise NotImplementedError
+
+    def _unit(self):
+        """The unit of this one's ring."""
+        raise NotImplementedError
+
+    @property
+    def denominator(self):
+        """The positive common denominator (1 for zero); None for ring values."""
+        return self._den
+
+    def __bool__(self):
+        return bool(self._num)
+
+    def __neg__(self):
+        return self._from_reduced({k: -c for k, c in self._num.items()}, self._den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c):
+        """c times self, for a rational or an int c."""
+        if not c:
+            return self._from_reduced({}, 1)
+        p = c.numerator
+        return self._from_reduced(*reduce_numerators(
+            {k: n * p for k, n in self._num.items()}, self._den * c.denominator))
+
+    def __pow__(self, k: int):
+        """self ** k by repeated squaring: about 2 log2(k) products."""
+        if k < 0:
+            raise ValidationError(self._NEGATIVE_POWER)
+        if k == 0:
+            return self._unit()
+        out, base = None, self
+        while True:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if not k:
+                return out
+            base = base * base
 
 
 def fraction_free(values) -> bool:

@@ -187,6 +187,9 @@ def micropoint_from_json(data) -> MicroPoint:
         raise ValidationError("point JSON needs object and m")
     obj = obj_from_json(data["object"])
     m = _json_int(data["m"], "point m")
+    # a coordinate per dimension is built first; m is bounded as a form's is
+    if m > MAX_KERNEL_VARS:
+        raise ValidationError(f"point with m={m} is too large: m exceeds {MAX_KERNEL_VARS}")
     coeffs = data.get("coeffs", {})
     if not isinstance(coeffs, dict):
         raise ValidationError("point coeffs must be an object")

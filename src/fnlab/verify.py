@@ -47,14 +47,20 @@ class SuiteConfig:
     suites: tuple = SUITES
 
     def __post_init__(self):
+        for name in ("m_max", "p_max", "q_max", "r_max", "deg_max", "cases_per_property"):
+            if type(getattr(self, name)) is not int:
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.cases_per_property < 1:
             raise ValidationError("cases_per_property must be >= 1")
         if self.m_max < 1 or self.deg_max < 0:
             raise ValidationError("bad scale limits")
-        suites = tuple(self.suites)
-        unknown = set(suites) - set(SUITES)
+        try:
+            suites = tuple(self.suites)
+            unknown = set(suites) - set(SUITES)
+        except TypeError as exc:
+            raise ValidationError(f"suites must be a list of names, got {self.suites!r}") from exc
         if unknown:
-            raise ValidationError(f"unknown suites: {sorted(unknown)}")
+            raise ValidationError(f"unknown suites: {sorted(unknown, key=str)}")
         object.__setattr__(self, "suites", suites)
 
     def heavy(self) -> "SuiteConfig":
@@ -74,10 +80,7 @@ class SuiteConfig:
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "suites" in kwargs:
-            kwargs["suites"] = tuple(kwargs["suites"])
-        return SuiteConfig(**kwargs)
+        return SuiteConfig(**data)
 
 
 class Sampler:

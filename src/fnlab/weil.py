@@ -25,12 +25,14 @@ A rational element is held in the fraction-free format of `rationals`
 (FLINT's fmpq_poly representation): integer numerators over one positive
 denominator, reduced so that no factor divides the denominator and every
 numerator.  The reduced form is canonical, so equality and hashing compare
-integers.  Sums, scaling, products and linear maps such as pullbacks work
-on the integers and reduce once, by one gcd pass.  Powers are built by
-repeated squaring, for rational and ring-valued elements alike.  Rationals are built
-only for readers: `coeffs` is a read-only view that builds each one on
-lookup, and `coeff` and `dense` build theirs.  Elements with ring-valued
-coefficients keep a plain dict and the generic loops.
+integers.  Sums, scaling and products work on the integers and reduce once,
+by one gcd pass.  `rationals.FractionFree` owns negation, difference,
+rational scaling and powers by repeated squaring, for rational and
+ring-valued elements alike; WeilElement keeps its sum, product, ring-valued
+scaling, equality and `times_basis`.  Rationals are built only for readers:
+`coeffs` is a read-only view that builds each one on lookup, and `coeff`
+and `dense` build theirs.  Elements with ring-valued coefficients keep a
+plain dict and the generic loops.
 
 Multiplying by a basis monomial with coefficient 1 needs no arithmetic:
 `times_basis` moves each coefficient along that monomial's surviving pairs,
@@ -159,13 +161,6 @@ def _element(algebra, num, den):
     return w
 
 
-def _reduced(algebra, num, den):
-    """A rational element from nonzero integer numerators over den > 0."""
-    if den != 1:
-        num, den = reduce_numerators(num, den)
-    return _element(algebra, num, den)
-
-
 def _ring(algebra, coeffs):
     """An element from ring values; with no terms left it is the zero."""
     return _element(algebra, coeffs, None) if coeffs else _element(algebra, {}, 1)
@@ -183,6 +178,8 @@ class WeilElement(FractionFree):
 
     __slots__ = ("algebra", "_num", "_den")
 
+    _NEGATIVE_POWER = "nilpotent elements have no negative powers"
+
     def __init__(self, algebra: WeilAlgebra, coeffs: dict):
         self.algebra = algebra
         for c in coeffs.values():
@@ -194,17 +191,15 @@ class WeilElement(FractionFree):
     def _from_reduced(self, num, den):
         return _element(self.algebra, num, den)
 
+    def _unit(self):
+        return self.algebra.one()
+
     @property
     def coeffs(self):
         """Read-only mapping from basis index to nonzero coefficient."""
         if self._den is None:
             return MappingProxyType(self._num)
         return RationalCoeffs(self._num, self._den)
-
-    @property
-    def denominator(self):
-        """Common denominator of a rational element; None for ring values."""
-        return self._den
 
     def numerators(self, den) -> list:
         """Dense integer numerators over den, a multiple of the denominator."""
@@ -245,12 +240,6 @@ class WeilElement(FractionFree):
         num, den = add_numerators(self._num, da, other._num, db)
         return _element(self.algebra, num, den)
 
-    def __neg__(self):
-        return _element(self.algebra, {k: -c for k, c in self._num.items()}, self._den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, WeilElement):
             return self.scale(other)
@@ -266,8 +255,8 @@ class WeilElement(FractionFree):
             for i, x in self._num.items():
                 for j, k in pairs[i]:
                     acc[k] += x * b[j]
-            return _reduced(self.algebra, {k: s for k, s in enumerate(acc) if s},
-                            self._den * other._den)
+            return from_numerators(self.algebra, {k: s for k, s in enumerate(acc) if s},
+                                   self._den * other._den)
         out = {}
         pairs = self.algebra._pairs
         b = other._values()
@@ -287,9 +276,6 @@ class WeilElement(FractionFree):
                     del out[k]
         return _ring(self.algebra, out)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def times_basis(self, pos: int) -> "WeilElement":
         """self times the basis monomial at index pos, with coefficient 1.
 
@@ -304,36 +290,18 @@ class WeilElement(FractionFree):
         out = {k: num[j] for j, k in self.algebra._pairs[pos] if j in num}
         if self._den is None:
             return _ring(self.algebra, out)
-        return _reduced(self.algebra, out, self._den)
+        return from_numerators(self.algebra, out, self._den)
 
     def scale(self, c) -> "WeilElement":
-        if not c:
-            return self.algebra.zero()
-        if self._den is None or type(c) not in _RATIONAL:
-            out = {}
-            for k, v in self._values().items():
-                s = c * v
-                if s:
-                    out[k] = s
-            return _ring(self.algebra, out)
-        p = c.numerator
-        return _reduced(self.algebra, {k: n * p for k, n in self._num.items()},
-                        self._den * c.denominator)
-
-    def __pow__(self, e: int):
-        """self ** e by repeated squaring: about 2 log2(e) products."""
-        if e < 0:
-            raise ValidationError("nilpotent elements have no negative powers")
-        if e == 0:
-            return self.algebra.one()
-        out, base = None, self
-        while True:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if not e:
-                return out
-            base = base * base
+        """c times self; a ring-valued element or c scales each coefficient."""
+        if self._den is not None and type(c) in _RATIONAL:
+            return FractionFree.scale(self, c)
+        out = {}
+        for k, v in self._values().items():
+            s = c * v
+            if s:
+                out[k] = s
+        return _ring(self.algebra, out)
 
     def __eq__(self, other):
         if not isinstance(other, WeilElement) or self.algebra is not other.algebra:
@@ -341,9 +309,6 @@ class WeilElement(FractionFree):
         if self._den is None or other._den is None:
             return self._values() == other._values()
         return self._den == other._den and self._num == other._num
-
-    def __bool__(self):
-        return bool(self._num)
 
     def __hash__(self):
         return hash((id(self.algebra), self._den, frozenset(self._num.items())))
@@ -358,26 +323,6 @@ class WeilElement(FractionFree):
     def dense(self):
         values, zero = self._values(), Q(0)
         return [values.get(k, zero) for k in range(self.algebra.dim)]
-
-    def apply_columns(self, columns, algebra, integral=False) -> "WeilElement":
-        """Image under a linear map onto algebra's basis, in sorted basis order.
-
-        columns[j] lists the nonzero (row, entry) pairs of basis index j.
-        With integer entries (integral=True) a rational element maps
-        fraction-free: its numerators combine under the same denominator.
-        """
-        acc = {}
-        if integral and self._den is not None:
-            for j, n in self._num.items():
-                for i, e in columns[j]:
-                    acc[i] = acc.get(i, 0) + e * n
-            return _reduced(algebra, {i: acc[i] for i in sorted(acc) if acc[i]}, self._den)
-        for j, v in self._values().items():
-            for i, e in columns[j]:
-                t = e * v
-                s = acc.get(i)
-                acc[i] = t if s is None else s + t
-        return WeilElement(algebra, {i: acc[i] for i in sorted(acc) if acc[i]})
 
     def __repr__(self):
         if not self._num:
@@ -395,6 +340,8 @@ def from_dense(algebra: WeilAlgebra, values) -> WeilElement:
     return WeilElement(algebra, {k: v for k, v in enumerate(values) if v})
 
 
-def from_numerators(algebra: WeilAlgebra, values, den) -> WeilElement:
-    """Element from dense integer numerators over a positive denominator."""
-    return _reduced(algebra, {k: v for k, v in enumerate(values) if v}, den)
+def from_numerators(algebra: WeilAlgebra, num, den) -> WeilElement:
+    """Element from nonzero integer numerators by basis index over den > 0."""
+    if den != 1:
+        num, den = reduce_numerators(num, den)
+    return _element(algebra, num, den)

@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from fnlab.forms import (FormElem, Kernel, OMEGA1, OMEGA12, OMEGA123,
                          shuffle_sigma, subset_position, transpose_views,
                          vector_field_form, verify_class)
 from fnlab.poly import Poly, PolyMap
-from fnlab.rationals import Q, factorial
+from fnlab.rationals import Q
 from fnlab.simplicial import d_cube
 from fnlab.weil import make_algebra
 
@@ -316,6 +317,22 @@ def test_cached_conv_layout_is_read_only():
             container[key] = None
 
 
+@pytest.mark.parametrize("p, q", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)])
+def test_conv_with_a_zero_kernel(p, q):
+    """A zero outer kernel gives zero; a zero inner one, the outer constant term."""
+    for m in (1, 2):
+        f = rkernel(p, m)
+        n = cube_dim(p, m)
+        f = Kernel(p, m, PolyMap(n, [c + Q(j + 1, 3) for j, c in enumerate(f.body.comps)]))
+        g = rkernel(q, m)
+        zero_f, zero_g = forms.zero_kernel(p, m), forms.zero_kernel(q, m)
+        total = cube_dim(p + q, m)
+        const = Kernel(p + q, m, PolyMap(total, [Poly.const(total, c.constant_term())
+                                                 for c in f.body.comps]))
+        assert conv_under(f, zero_g) == const == conv_over(zero_g, f)
+        assert conv_under(zero_f, g) == forms.zero_kernel(p + q, m) == conv_over(g, zero_f)
+
+
 def test_conv_dimension_mismatch():
     with pytest.raises(ValidationError):
         conv_under(rkernel(1, 1), rkernel(1, 2))
@@ -585,9 +602,32 @@ def test_orbit_sum_builds_no_permuted_kernel(monkeypatch):
         assert calls == {"perm_kernel": 0, "remap": 0,
                          "gather": factorial(p) * orbits}, (p, m)
         assert is_omega13(ax)
-        checks = factorial(p) if p <= 3 else p - 1
+        checks = max(p - 1, 0)
         assert calls["perm_kernel"] == checks == calls["remap"] / m
         assert calls["gather"] == factorial(p) * orbits
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_alternation_needs_every_adjacent_transposition(p):
+    """A kernel negated by every adjacent transposition but one is rejected.
+
+    Summing a monomial with a free orbit over the Young subgroup S_i x S_(p-i)
+    with signs gives a kernel that each transposition (j, j+1), j != i,
+    negates and that (i, i+1) does not.
+    """
+    n = cube_dim(p, 1)
+    f = Poly.one(n)
+    for j in range(1, p + 1):
+        f = f * axis_var(p, 1, {j}) ** j
+    ker = Kernel(p, 1, PolyMap(n, [f]))
+    for i in range(1, p):
+        young = [s for s in Permutation.all(p)
+                 if all((s(j) <= i) == (j <= i) for j in range(1, p + 1))]
+        total = Kernel(p, 1, PolyMap.zero(n, 1))
+        for s in young:
+            total = total + naive_perm_kernel(ker, s).scale(s.sign)
+        assert not forms._alternating(form_from_kernel(total)), (p, i)
+    assert forms._alternating(antisymmetrize(form_from_kernel(ker)))
 
 
 # --- brackets ---------------------------------------------------------------

@@ -4,13 +4,14 @@ import pytest
 
 import fnlab.micro
 from fnlab.errors import PreconditionError, ValidationError
+from fnlab.forms import Kernel, cube_dim
 from fnlab.linsolve import ReducedMatrix, solve_exact
 from fnlab.micro import (MicroPoint, TRIANGLE_LABELS, TriangleConfig,
                          amalgamate, amalgamation_cases, flow_field, get_case,
-                         jacobi3_defect, restrict, restrict_coeffs, strong_diff,
+                         jacobi3_defect, restrict, strong_diff,
                          strong_diff_i, tangent_principal, triangle_from_slots,
                          triangle_from_vector_fields)
-from fnlab.morphisms import InfMorphism, axis_map, inclusion
+from fnlab.morphisms import InfMorphism, apply_columns, axis_map, inclusion
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 from fnlab.simplicial import SimplicialObject, d_cube, d_order, d_paren
@@ -146,6 +147,10 @@ def canonical_morphisms():
         out += [case.twisted, case.flat, case.shared_incl, case.extract]
     out.append(InfMorphism(d_cube(1), d_cube(2), [Poly.var(1, 0), Poly.var(1, 0)]))
     out.append(InfMorphism(d_order(2), d_cube(1), [Poly.var(1, 0) * Poly.var(1, 0)]))
+    # entries other than 1: integers, then rationals
+    for c1, c2 in ((Q(2), Q(3)), (Q(-1, 2), Q(1, 3))):
+        out.append(InfMorphism(d_cube(2), d_order(2),
+                               [Poly.from_terms(2, [(c1, (1, 0)), (c2, (0, 1))])]))
     return out
 
 
@@ -167,10 +172,19 @@ def test_sparse_restriction_matches_dense_reference():
             assert got == MicroPoint(src, m, expected)
             assert [sorted(c.coeffs) for c in got.coords] == \
                 [list(c.coeffs) for c in got.coords]
-            assert restrict_coeffs(rows[0], mor) == dense_restrict_coeffs(rows[0], mor)
             polys = [Poly.from_terms(2, [(rv(), (rng.randint(0, 2), rng.randint(0, 2)))])
                      for _ in range(tgt.dim)]
-            assert restrict_coeffs(polys, mor) == dense_restrict_coeffs(polys, mor)
+            kernels = [Kernel(1, 1, PolyMap(cube_dim(1, 1), [
+                Poly.from_terms(2, [(rv(), (rng.randint(0, 2), rng.randint(0, 1)))])]))
+                for _ in range(tgt.dim)]
+            ints = [rng.choice([0, 0, 1, -2, 3]) for _ in range(tgt.dim)]
+            for values in (ints, rows[0], polys, kernels):
+                dense = dense_restrict_coeffs(values, mor)
+                # the walk reads its input in any order and sorts its rows
+                sparse = dict(reversed(list(enumerate(values))))
+                got = apply_columns(mor.columns(), sparse)
+                assert got == {i: v for i, v in enumerate(dense) if v}
+                assert list(got) == sorted(got)
             for w in point.coords:
                 pulled = mor.pullback_element(w)
                 assert pulled == products_of_images_pullback(mor, w)

@@ -233,6 +233,18 @@ def test_rationals_and_ints_add_as_constants(a, c, n):
 
 @settings(max_examples=80, deadline=None)
 @given(ref_polys(), fractions_1_7, st.integers(-6, 6))
+def test_rationals_and_ints_compare_as_constants(a, c, n):
+    x, zero = poly_of(a), (0,) * N
+    q = Q(c.numerator, c.denominator)
+    for const, ref in ((q, c), (n, Fraction(n)), (x.constant_term(), a.get(zero, 0))):
+        expected = a == ({zero: ref} if ref else {})
+        assert (x == const) is (const == x) is expected
+        assert (x != const) is (const != x) is not expected
+        assert Poly.const(N, const) == const and const == Poly.const(N, const)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_polys(), fractions_1_7, st.integers(-6, 6))
 def test_scaling_matches_reference(a, c, n):
     x = poly_of(a)
     check(x.scale(Q(c.numerator, c.denominator)), ref_scale(c, a))

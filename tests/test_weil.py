@@ -618,6 +618,25 @@ def test_rational_and_polynomial_elements_add_at_a_shared_index(n):
         == WeilElement(alg, {top: Poly.var(k, k - 1) + 1})
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rational_coefficients_equal_constant_polynomials(n):
+    """Equality does not depend on the unit an evaluation was given."""
+    alg = make_algebra(d_cube(n))
+    x = WeilElement(alg, {1: Poly.var(1, 0)})
+    poly_one = WeilElement(alg, {0: Poly.one(1)})
+    f = Poly.from_terms(1, [(Q(1), (1,)), (Q(2), (0,))])
+    a, b = f.eval([x], alg.one()), f.eval([x], poly_one)
+    assert a.coeffs[0] == Q(2) and b.coeffs[0] == Poly.const(1, Q(2))
+    assert a == b and b == a
+    assert alg.one() == poly_one and poly_one == alg.one()
+    half = from_dense(alg, [Q(0), Q(1, 2)] + [Q(0)] * (alg.dim - 2))
+    assert half == WeilElement(alg, {1: Poly.const(1, Q(1, 2))})
+    for other in (WeilElement(alg, {0: Poly.const(1, Q(2))}),
+                  WeilElement(alg, {0: Poly.var(1, 0)}),
+                  WeilElement(alg, {0: Poly.one(1), 1: Poly.one(1)})):
+        assert alg.one() != other and other != alg.one()
+
+
 # multiplication by a unit basis monomial, as re-indexing --------------------
 
 
