@@ -11,7 +11,7 @@ import sys
 from .errors import PreconditionError, ValidationError
 from .forms import BRACKETS
 from .micro import jacobi3_defect, tangent_principal, triangle_from_vector_fields
-from .rationals import Q, rat_str
+from .rationals import Q, parse_rational, rat_str
 from .serialize import MAX_KERNEL_VARS, form_from_json, form_to_json, \
     obj_from_json, polymap_from_json, to_json
 from .verify import Sampler, SuiteConfig, run_verification
@@ -107,7 +107,7 @@ def cmd_jacobi3(args) -> int:
         m = dims.pop()
         if args.point:
             try:
-                at = [Q(v) for v in args.point.split(",")]
+                at = [parse_rational(v) for v in args.point.split(",")]
             except ZeroDivisionError as exc:
                 raise ValidationError(f"bad point coordinate: {exc}") from exc
             if len(at) != m:

@@ -283,9 +283,9 @@ VIEW_POINTWISE = "pointwise"  # map sending each cube to a tangent vector
 class FormElem:
     """Expansion-indexed family of kernels.
 
-    coeffs maps subsets of {1..k} to kernels of arity p on R^m.  Zero
-    kernels are dropped; equality compares the surviving coefficient data
-    and ignores the view marker.
+    coeffs maps subsets of {1..k} to kernels of arity p on R^m, as a
+    read-only view.  Zero kernels are dropped; equality compares the
+    surviving coefficient data and ignores the view marker.
     """
 
     __slots__ = ("p", "k", "m", "coeffs", "class_tag", "view")
@@ -308,7 +308,7 @@ class FormElem:
         self.p = p
         self.k = k
         self.m = m
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)
         self.class_tag = class_tag
         self.view = view
 

@@ -4,7 +4,9 @@ The amalgamation inverses reduce to rational linear systems A x = y whose
 unknowns and right-hand entries live in any vector space over the rationals
 (rational tuples, polynomial maps, ...).  Values only need +, -, rational
 scaling c * v (skipped for c = 1), and truth-testing for zero.  Row
-operations use rational pivots, so everything stays exact.
+operations use rational pivots, so everything stays exact.  An integral
+pivot inverse or factor is recorded as an int (every one is 1 in the gluing
+systems), so the replay's unit tests compare ints.
 
 The matrices are constant pullback matrices while the right-hand sides vary,
 so the elimination is split in two: ReducedMatrix row-reduces A once, in a
@@ -15,7 +17,12 @@ solution does not depend on the order.
 """
 
 from .errors import InternalError, PreconditionError
-from .rationals import Q
+from .rationals import ONE, Q
+
+
+def _exact(v):
+    """v as an int when integral, else as a rational."""
+    return int(v.numerator) if v.denominator == 1 else Q(v)
 
 
 class ReducedMatrix:
@@ -23,9 +30,10 @@ class ReducedMatrix:
 
     Reduces in column_order (default: left to right).  Each step records the
     pivot row, the inverse of the pivot entry and the (row, factor)
-    eliminations it made.  Rank deficiency raises InternalError here, because
-    every system solved here is a pullback inverse that the mathematics
-    guarantees solvable uniquely.  Iterating yields the rows of the original
+    eliminations it made, each an int when integral and a rational otherwise.
+    Rank deficiency raises InternalError here, because every system solved
+    here is a pullback inverse that the mathematics guarantees solvable
+    uniquely.  Iterating yields the rows of the original
     matrix.
     """
 
@@ -50,7 +58,7 @@ class ReducedMatrix:
                 raise InternalError(f"rank-deficient system at column {col}")
             used_rows.add(pivot)
             pivot_row_of_col[col] = pivot
-            inv = 1 / a[pivot][col]
+            inv = ONE / a[pivot][col]
             if inv != 1:
                 a[pivot] = [v * inv for v in a[pivot]]
             eliminations = []
@@ -60,8 +68,8 @@ class ReducedMatrix:
                 f = a[r][col]
                 if f:
                     a[r] = [v - f * w for v, w in zip(a[r], a[pivot])]
-                    eliminations.append((r, Q(f)))
-            steps.append((pivot, Q(inv), tuple(eliminations)))
+                    eliminations.append((r, _exact(f)))
+            steps.append((pivot, _exact(inv), tuple(eliminations)))
         free_rows = tuple(r for r in range(rows) if r not in used_rows)
         for r in free_rows:
             if any(a[r]):

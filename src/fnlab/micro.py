@@ -13,9 +13,12 @@ solver serves them all, and it works unchanged for any coefficient space over
 the rationals, which is how the bracket machinery on kernel-valued forms
 reuses it.  A case's gluing system is a constant matrix, so each case reduces
 it once when it is created and every gluing replays the row operations.
-Every row operation is a unit, so rational points glue fraction-free: each
+Every row operation is the int 1, so rational points glue fraction-free: each
 coordinate pair goes through the check and the replay as integer numerators
-over one common denominator.
+over one common denominator.  A case holds its leg, apex and shared
+algebras, and a morphism its source and target algebras, so gluing and
+restricting look no algebra up.  Tangents at one base point add
+fraction-free too.
 
 Restricting a point maps each coordinate through the morphism's dual algebra
 map, InfMorphism.pullback_element.  A six-cube configuration checks its
@@ -32,9 +35,9 @@ from .errors import InternalError, PreconditionError, ValidationError
 from .linsolve import ReducedMatrix, solve_exact
 from .morphisms import InfMorphism, apply_columns, axis_map, inclusion
 from .poly import Poly, PolyMap
-from .rationals import Q
+from .rationals import RATIONAL_TYPES, Q
 from .simplicial import SimplicialObject, d_cube, d_paren
-from .weil import WeilElement, from_dense, from_numerators, make_algebra
+from .weil import WeilAlgebra, WeilElement, from_dense, from_numerators, make_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +81,9 @@ class MicroPoint:
             pos = alg.index.get(tuple(_key_exponents(obj.n, key)))
             if pos is None:
                 raise ValidationError(f"monomial {key} is not in the basis")
-            vec = [Q(v) for v in (vec if isinstance(vec, (list, tuple)) else [vec])]
+            # ints and rationals pass as they are; anything else converts
+            vec = [v if type(v) in RATIONAL_TYPES else Q(v)
+                   for v in (vec if isinstance(vec, (list, tuple)) else [vec])]
             if len(vec) != m:
                 raise ValidationError("coefficient vector length != m")
             # a later key naming the same monomial overwrites, zero included
@@ -104,11 +109,11 @@ class MicroPoint:
 
 def restrict(p: MicroPoint, f: InfMorphism) -> MicroPoint:
     """Restrict a point along a map of infinitesimal objects."""
-    if f.target != p.algebra.source:
+    src, tgt = f.algebras()
+    if p.algebra is not tgt:
         raise ValidationError(
             f"point lives on {p.algebra.source!r}, morphism targets {f.target!r}")
-    return MicroPoint(make_algebra(f.source), p.m,
-                      [f.pullback_element(c) for c in p.coords])
+    return MicroPoint(src, p.m, [f.pullback_element(c) for c in p.coords])
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,9 @@ class AmalgamationCase:
     system stacks the twisted rows over the flat rows, so the apex point
     restricting to (first leg, second leg) solves system x = (c1, c2).  The
     matrix never changes, so it is reduced here, once; row_labels name its
-    rows for error messages.
+    rows for error messages.  The leg, apex and shared algebras are held
+    from here on: make_algebra keeps every algebra it builds, so each is the
+    one make_algebra would return.
     """
 
     name: str
@@ -136,6 +143,9 @@ class AmalgamationCase:
     result: SimplicialObject
     system: ReducedMatrix = field(init=False, repr=False, compare=False)
     row_labels: tuple = field(init=False, repr=False, compare=False)
+    leg_alg: WeilAlgebra = field(init=False, repr=False, compare=False)
+    apex_alg: WeilAlgebra = field(init=False, repr=False, compare=False)
+    shared_alg: WeilAlgebra = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         leg_alg = make_algebra(self.leg)
@@ -148,6 +158,9 @@ class AmalgamationCase:
             raise InternalError(f"{self.name}: gluing needs unit row operations")
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "row_labels", labels)
+        object.__setattr__(self, "leg_alg", leg_alg)
+        object.__setattr__(self, "apex_alg", make_algebra(self.apex))
+        object.__setattr__(self, "shared_alg", make_algebra(self.shared))
 
 
 def _square_case() -> AmalgamationCase:
@@ -207,13 +220,12 @@ def case_compat_errors(case: AmalgamationCase, c1, c2) -> list:
 
     The shared monomials whose restrictions differ are named in basis order.
     """
-    shared_alg = make_algebra(case.shared)
     columns = case.shared_incl.columns()
     r1 = apply_columns(columns, dict(enumerate(c1)))
     r2 = apply_columns(columns, dict(enumerate(c2)))
     if r1 == r2:
         return []
-    return [shared_alg.monomial_str(i) for i in sorted(r1.keys() | r2.keys())
+    return [case.shared_alg.monomial_str(i) for i in sorted(r1.keys() | r2.keys())
             if not (r1.get(i) == r2.get(i))]
 
 
@@ -232,9 +244,8 @@ def case_solve(case: AmalgamationCase, c1, c2):
 def amalgamate(g1: MicroPoint, g2: MicroPoint, case) -> MicroPoint:
     """Glue two leg points into the unique apex point over their shared restriction."""
     case = get_case(case)
-    leg_alg = make_algebra(case.leg)
     for g in (g1, g2):
-        if g.algebra is not leg_alg:
+        if g.algebra is not case.leg_alg:
             raise ValidationError(f"point does not live on {case.leg!r}")
     if g1.m != g2.m:
         raise ValidationError("points of different model dimension")
@@ -248,7 +259,7 @@ def amalgamate(g1: MicroPoint, g2: MicroPoint, case) -> MicroPoint:
         if bad:
             raise PreconditionError(f"legs disagree on the shared restriction: "
                                     f"coordinate {j}, monomial {bad[0]}")
-    apex_alg = make_algebra(case.apex)
+    apex_alg = case.apex_alg
     out = []
     for den, c1, c2 in dense:
         num = case_solve(case, c1, c2)
@@ -273,16 +284,27 @@ def tangent_principal(t: MicroPoint):
     return t.coeff((1,))
 
 
+def _same_base(x: WeilElement, y: WeilElement) -> bool:
+    """Whether two coordinates share their unit-slot coefficient."""
+    if x._den is None or y._den is None:
+        return x.coeffs.get(0, Q(0)) == y.coeffs.get(0, Q(0))
+    return x._num.get(0, 0) * y._den == y._num.get(0, 0) * x._den
+
+
+def _off_base(w: WeilElement) -> WeilElement:
+    """w with its unit-slot coefficient dropped."""
+    rest = {k: c for k, c in w._num.items() if k}
+    if w._den is None:
+        return WeilElement(w.algebra, rest)
+    return from_numerators(w.algebra, rest, w._den)
+
+
 def add_tangents(a: MicroPoint, b: MicroPoint) -> MicroPoint:
-    if a.base() != b.base():
+    """Sum of two tangents at one base point: a plus b's off-base part."""
+    if a.m != b.m or not all(map(_same_base, a.coords, b.coords)):
         raise PreconditionError("tangent vectors at different base points")
-    alg = a.algebra
-    coords = []
-    for j in range(a.m):
-        da = a.coords[j].dense()
-        db = b.coords[j].dense()
-        coords.append(from_dense(alg, [da[0]] + [x + y for x, y in zip(da[1:], db[1:])]))
-    return MicroPoint(alg, a.m, coords)
+    return MicroPoint(a.algebra, a.m,
+                      [x + _off_base(y) for x, y in zip(a.coords, b.coords)])
 
 
 # ---------------------------------------------------------------------------

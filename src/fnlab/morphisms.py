@@ -7,7 +7,8 @@ zero in S's algebra after substitution.  Dually it is an algebra map from
 T's algebra to S's; on points it restricts T-expansions to S-expansions.
 `apply_columns`, the one walk over a map's sparse column entries, serves the
 pullback of points, the gluing's compatibility check and the bracket's
-extraction.
+extraction.  A map holds its source and target algebras from the first
+`columns()` call, so pulling points back looks no algebra up.
 """
 
 from .errors import ValidationError
@@ -17,7 +18,8 @@ from .weil import WeilElement, from_numerators, make_algebra
 
 
 class InfMorphism:
-    __slots__ = ("source", "target", "subst", "_matrix", "_columns", "_integral")
+    __slots__ = ("source", "target", "subst", "_matrix", "_columns", "_integral",
+                 "_algebras")
 
     def __init__(self, source: SimplicialObject, target: SimplicialObject, subst):
         """subst: one Poly in source.n variables per target generator."""
@@ -36,6 +38,7 @@ class InfMorphism:
         self._matrix = None
         self._columns = None
         self._integral = False
+        self._algebras = None
         self._validate()
 
     def _images(self):
@@ -100,7 +103,13 @@ class InfMorphism:
                       for i, row in enumerate(matrix) if row[j])
                 for j in range(len(matrix[0])))
             self._integral = all(type(v) is int for col in self._columns for _i, v in col)
+            self._algebras = make_algebra(self.source), make_algebra(self.target)
         return self._columns
+
+    def algebras(self):
+        """(source algebra, target algebra), held from the first columns() call."""
+        self.columns()
+        return self._algebras
 
     def pullback_element(self, w: WeilElement) -> WeilElement:
         """Apply the dual algebra map to an element of the target algebra.
@@ -109,10 +118,10 @@ class InfMorphism:
         Every entry of an inclusion or axis map is an integer, so a rational
         w maps by walking its numerators, reduced once over its denominator.
         """
-        if w.algebra is not make_algebra(self.target):
-            raise ValidationError("element does not live on the target algebra")
         columns = self.columns()
-        src = make_algebra(self.source)
+        src, tgt = self._algebras
+        if w.algebra is not tgt:
+            raise ValidationError("element does not live on the target algebra")
         if self._integral and w._den is not None:
             return from_numerators(src, apply_columns(columns, w._num), w._den)
         return WeilElement(src, apply_columns(columns, w.coeffs))

@@ -21,6 +21,7 @@ rational `scale` and powers by repeated squaring.  Each type supplies its
 equality and evaluation; `combine` works on the parts of any of them.
 """
 
+import re
 from collections.abc import Mapping
 from math import gcd, lcm
 
@@ -33,10 +34,29 @@ except ImportError:  # pragma: no cover
 
 ONE = Q(1)
 
+# the exact types of values held as rationals as they are, with no conversion
+RATIONAL_TYPES = frozenset({Q, int})
+
 
 def rat_str(value) -> str:
     """Serialize a rational as a decimal string, "num/den" or "num"."""
     return str(value)
+
+
+_EXPONENT = re.compile(r"[eE][-+]?\d")
+
+
+def parse_rational(text: str):
+    """The rational a string spells, as Q(text) reads it, exponents refused.
+
+    "3/4", "-2", "1.5" and " 7 " read as Q reads them.  An exponent part
+    ("1e9") raises ValidationError: Q builds the power of ten in full, so a
+    ten-byte string could ask for a numerator of hundreds of megabytes.
+    Other malformed text raises Q's own ValueError or ZeroDivisionError.
+    """
+    if _EXPONENT.search(text):
+        raise ValidationError(f"exponent notation is not accepted: {text!r}")
+    return Q(text)
 
 
 # fraction-free coefficient dicts ---------------------------------------------

@@ -15,7 +15,7 @@ from .forms import OMEGA0, FormElem, Kernel, cube_dim, pi_kernel
 from .micro import MicroPoint
 from .morphisms import InfMorphism
 from .poly import Poly, PolyMap
-from .rationals import Q, rat_str
+from .rationals import Q, parse_rational, rat_str
 from .simplicial import SimplicialObject
 
 
@@ -45,7 +45,7 @@ def _rat(value) -> Q:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValidationError(f"rational expected, got {value!r}")
     try:
-        return Q(value if isinstance(value, int) else str(value))
+        return Q(value) if isinstance(value, int) else parse_rational(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational {value!r}") from exc
 

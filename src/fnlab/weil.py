@@ -43,8 +43,8 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import ValidationError
-from .rationals import (ONE, Q, FractionFree, RationalCoeffs, add_numerators,
-                        rational, reduce_numerators, to_numerators)
+from .rationals import (ONE, RATIONAL_TYPES, Q, FractionFree, RationalCoeffs,
+                        add_numerators, rational, reduce_numerators, to_numerators)
 from .simplicial import SimplicialObject
 
 
@@ -144,11 +144,14 @@ class WeilAlgebra:
 
 @lru_cache(maxsize=None)
 def make_algebra(obj: SimplicialObject) -> WeilAlgebra:
-    """Cached constructor; identical objects share one algebra instance."""
+    """Cached constructor; identical objects share one algebra instance.
+
+    Nothing clears the cache, so an algebra held from an earlier call (a
+    gluing case's, a morphism's) is the one a new call returns.
+    """
     return WeilAlgebra(obj)
 
 
-_RATIONAL = frozenset({Q, int})
 _new = object.__new__
 
 
@@ -183,7 +186,7 @@ class WeilElement(FractionFree):
     def __init__(self, algebra: WeilAlgebra, coeffs: dict):
         self.algebra = algebra
         for c in coeffs.values():
-            if type(c) not in _RATIONAL:
+            if type(c) not in RATIONAL_TYPES:
                 self._num, self._den = coeffs, None
                 return
         self._num, self._den = to_numerators(coeffs)
@@ -294,7 +297,7 @@ class WeilElement(FractionFree):
 
     def scale(self, c) -> "WeilElement":
         """c times self; a ring-valued element or c scales each coefficient."""
-        if self._den is not None and type(c) in _RATIONAL:
+        if self._den is not None and type(c) in RATIONAL_TYPES:
             return FractionFree.scale(self, c)
         out = {}
         for k, v in self._values().items():

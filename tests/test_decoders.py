@@ -292,6 +292,13 @@ def test_jacobi3_point_with_a_zero_denominator_is_invalid_input(capsys):
     assert run(["jacobi3", "--fields", field, field, field, "--point", "1/0"], capsys) == 2
 
 
+@pytest.mark.parametrize("point", ["1e9", "1E999999999", "1/2,2e3"])
+def test_jacobi3_point_with_an_exponent_is_invalid_input(point, capsys):
+    field = json.dumps({"in_dim": 1, "components": [[]]})
+    assert main(["jacobi3", "--fields", field, field, field, "--point", point]) == 2
+    assert "exponent notation is not accepted" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("level", sorted(BRACKETS))
 def test_bracket_of_forms_on_r0_succeeds(level, capsys):
     """With m = 0 every kernel is empty: the base is the (empty) projection."""

@@ -14,7 +14,7 @@ from fnlab.forms import (FormElem, Kernel, OMEGA1, OMEGA12, OMEGA123,
                          is_omega12, is_omega13, is_omega123, perm_act,
                          perm_kernel, pi_kernel, prod_over, prod_under,
                          shuffle_sigma, subset_position, transpose_views,
-                         vector_field_form, verify_class)
+                         vector_field_form, verify_class, zero_kernel)
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 from fnlab.simplicial import d_cube
@@ -94,6 +94,27 @@ def test_transpose_views_round_trip():
     assert t.view != x.view
     assert transpose_views(t) == x and transpose_views(t).view == x.view
     assert t == x  # coefficient data is identical
+
+
+def test_form_coeffs_are_read_only():
+    x = rform(2, 2)
+    subset = next(iter(x.coeffs))
+    with pytest.raises(TypeError):
+        x.coeffs[subset] = x.coeffs[subset]
+    with pytest.raises(TypeError):
+        x.coeffs[frozenset({1, 2})] = zero_kernel(2, x.m)
+    with pytest.raises(TypeError):
+        del x.coeffs[subset]
+    # the forms built from another's coefficients equal it, kernel by kernel
+    for y in (x.with_tag(OMEGA12), transpose_views(x),
+              perm_act(x, Permutation.identity(2))):
+        assert y == x and dict(y.coeffs) == dict(x.coeffs)
+    # the view is of the form's own copy: changing the dict it came from
+    # changes nothing
+    source = {frozenset({1}): rkernel(1, 1)}
+    y = FormElem(1, 1, 1, source)
+    source[frozenset()] = rkernel(1, 1)
+    assert set(y.coeffs) == {frozenset({1})}
 
 
 # --- permutations -----------------------------------------------------------

@@ -106,3 +106,58 @@ def test_wrong_rhs_length_raises_internal_error():
         solve_exact(case.system, rhs)
     with pytest.raises(InternalError, match="rhs length"):
         solve_exact(case.system, rhs + [Q(0), Q(0)])
+
+
+def fraction_replay(matrix, rhs):
+    """Reduce and solve in one pass with every step a rational, no unit skips."""
+    a = [[Q(v) for v in row] for row in matrix]
+    y = [Q(v) for v in rhs]
+    used = set()
+    pivot_of = []
+    for col in range(len(a[0])):
+        p = next(r for r in range(len(a)) if r not in used and a[r][col])
+        used.add(p)
+        pivot_of.append(p)
+        inv = Q(1) / a[p][col]
+        a[p] = [v * inv for v in a[p]]
+        y[p] = y[p] * inv
+        for r in range(len(a)):
+            if r != p and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[p])]
+                y[r] = y[r] - f * y[p]
+    assert not any(y[r] for r in range(len(a)) if r not in used)
+    return [y[p] for p in pivot_of]
+
+
+def test_integral_steps_are_ints_and_others_rationals():
+    for case in amalgamation_cases().values():
+        for _pivot, inv, elims in case.system.steps:
+            assert type(inv) is int and inv == 1
+            assert all(type(f) is int and f == 1 for _r, f in elims)
+    seen_int = seen_frac = 0
+    for _ in range(40):
+        n = RNG.randint(1, 4)
+        matrix = [[RNG.choice([0, Q(RNG.randint(-4, 4)), rq()]) for _ in range(n)]
+                  for _ in range(n + RNG.randint(0, 2))]
+        x = [rq() for _ in range(n)]
+        try:
+            system = ReducedMatrix(matrix)
+        except InternalError:
+            continue
+        for _pivot, inv, elims in system.steps:
+            for v in (inv, *(f for _r, f in elims)):
+                assert type(v) is (int if v.denominator == 1 else Q)
+                seen_int += type(v) is int
+                seen_frac += type(v) is Q
+        rhs = apply_rows(matrix, x)
+        assert solve_exact(system, rhs) == fraction_replay(matrix, rhs) == x
+        assert all(type(v) is Q for v in solve_exact(system, rhs))
+    assert seen_int and seen_frac
+
+
+def test_integer_matrix_reduces_exactly():
+    # 1/3 as a pivot inverse stays a rational, never a float
+    system = ReducedMatrix([[3, 0], [0, 2]])
+    assert [inv for _p, inv, _e in system.steps] == [Q(1, 3), Q(1, 2)]
+    assert solve_exact(system, [Q(1), Q(1)]) == [Q(1, 3), Q(1, 2)]

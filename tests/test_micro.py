@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from fnlab.errors import PreconditionError, ValidationError
 from fnlab.forms import Kernel, cube_dim
 from fnlab.linsolve import ReducedMatrix, solve_exact
 from fnlab.micro import (MicroPoint, TRIANGLE_LABELS, TriangleConfig,
-                         amalgamate, amalgamation_cases, flow_field, get_case,
+                         add_tangents, amalgamate, amalgamation_cases, flow_field, get_case,
                          jacobi3_defect, restrict, strong_diff,
                          strong_diff_i, tangent_principal, triangle_from_slots,
                          triangle_from_vector_fields)
@@ -15,7 +16,7 @@ from fnlab.morphisms import InfMorphism, apply_columns, axis_map, inclusion
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 from fnlab.simplicial import SimplicialObject, d_cube, d_order, d_paren
-from fnlab.weil import from_dense, make_algebra
+from fnlab.weil import WeilElement, from_dense, make_algebra
 
 
 def square(m, base, e1, e2, corner):
@@ -49,6 +50,9 @@ def from_table_reference(obj, m, table):
     return MicroPoint(alg, m, [from_dense(alg, row) for row in dense])
 
 
+SPELLINGS = ("3/4", "-2", "1.5", " 7 ", "0", "-5/10")
+
+
 def test_from_table_matches_dense_reference():
     rng = random.Random(11)
     objects = [d_cube(2), d_cube(3), d_order(2), d_paren(2)]
@@ -62,7 +66,8 @@ def test_from_table_matches_dense_reference():
             exps = alg.basis[rng.randrange(alg.dim)]
             key = [i + 1 for i, e in enumerate(exps) for _ in range(e)]
             rng.shuffle(key)  # an unsorted key names the same monomial
-            vec = [rng.choice([0, Q(0), rng.randint(-5, 5),
+            # ints and rationals are held as given, strings go through Q
+            vec = [rng.choice([0, Q(0), rng.randint(-5, 5), rng.choice(SPELLINGS),
                                Q(rng.randint(-5, 5), rng.randint(1, 4))])
                    for _ in range(m)]
             seen_alias += tuple(key) in table or tuple(sorted(key)) in table
@@ -87,6 +92,12 @@ def test_from_table_errors():
         MicroPoint.from_table(d_cube(2), 2, {(1,): [1]})
     with pytest.raises(ValidationError, match="coefficient vector length != m"):
         MicroPoint.from_table(d_cube(2), 2, {(): 3})
+    # what is not a rational meets Q's own errors
+    for bad in ("abc", "1/0", [1]):
+        with pytest.raises(Exception) as direct:
+            Q(bad)
+        with pytest.raises(type(direct.value), match=re.escape(str(direct.value))):
+            MicroPoint.from_table(d_cube(2), 2, {(): [1, bad]})
 
 
 def test_restrict_kills_corner():
@@ -106,8 +117,27 @@ def test_restrict_diagonal():
 
 
 def test_restrict_object_mismatch():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=re.escape(
+            "point lives on D^2, morphism targets D^3")):
         restrict(GAMMA, axis_map(d_cube(1), d_cube(3), (1,)))
+    # a target with the same generators but other relations is another object
+    with pytest.raises(ValidationError, match=re.escape(
+            "point lives on D^2, morphism targets D^2{(1, 2)}")):
+        restrict(GAMMA, inclusion(d_paren(2), d_paren(2)))
+
+
+def test_held_algebras_are_the_cached_ones():
+    for case in amalgamation_cases().values():
+        assert case.leg_alg is make_algebra(case.leg)
+        assert case.apex_alg is make_algebra(case.apex)
+        assert case.shared_alg is make_algebra(case.shared)
+        for mor in (case.twisted, case.flat, case.shared_incl, case.extract):
+            src, tgt = mor.algebras()
+            assert src is make_algebra(mor.source) and tgt is make_algebra(mor.target)
+    fresh = InfMorphism(d_cube(1), d_cube(2), [Poly.var(1, 0), Poly.var(1, 0)])
+    src, tgt = fresh.algebras()
+    assert src is make_algebra(d_cube(1)) and tgt is make_algebra(d_cube(2))
+    assert fresh.algebras()[0] is src
 
 
 def dense_restrict_coeffs(coeffs, mor):
@@ -286,6 +316,69 @@ def test_pullback_roundtrip_all_cases():
             assert restrict(glued, case.flat) == g2
             for a, b, c in zip(g1.coords, g2.coords, glued.coords):
                 assert solve_exact(reordered, a.dense() + b.dense()) == c.dense()
+
+
+def dense_add_tangents(a, b):
+    """The dense sum: a's unit slot, then a + b slot by slot."""
+    if a.base() != b.base():
+        raise PreconditionError("tangent vectors at different base points")
+    coords = []
+    for x, y in zip(a.coords, b.coords):
+        dx, dy = x.dense(), y.dense()
+        coords.append(from_dense(a.algebra, [dx[0]] + [u + v for u, v in zip(dx[1:], dy[1:])]))
+    return MicroPoint(a.algebra, a.m, coords)
+
+
+def test_add_tangents_matches_dense_sum():
+    rng = random.Random(9)
+    rv = lambda: Q(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6]))
+    alg = make_algebra(d_cube(1))
+    seen_den = seen_zero = 0
+    for _ in range(200):
+        m = rng.randint(1, 3)
+        base = [rng.choice([rv(), Q(0)]) for _ in range(m)]
+        a = MicroPoint.from_table(d_cube(1), m, {(): base, (1,): [rv() for _ in range(m)]})
+        b = MicroPoint.from_table(d_cube(1), m, {(): base, (1,): [rv() for _ in range(m)]})
+        seen_den += any(x.denominator != y.denominator for x, y in zip(a.coords, b.coords))
+        seen_zero += any(v == 0 for v in base)
+        got, want = add_tangents(a, b), dense_add_tangents(a, b)
+        assert got == want
+        assert got.base() == want.base() == tuple(base)
+        assert all(type(v) is type(w) for v, w in zip(got.base(), want.base()))
+        for x, y in zip(got.coords, want.coords):
+            assert x.denominator == y.denominator and dict(x.coeffs) == dict(y.coeffs)
+        # the base check compares values, not their spelling over a denominator
+        other = list(base)
+        k = rng.randrange(m)
+        other[k] += Q(1, rng.choice([1, 2, 3]))
+        c = MicroPoint.from_table(d_cube(1), m, {(): other, (1,): [rv() for _ in range(m)]})
+        for x, y in ((a, c), (c, a)):
+            with pytest.raises(PreconditionError,
+                               match="^tangent vectors at different base points$"):
+                add_tangents(x, y)
+    assert seen_den and seen_zero
+    # a zero tangent adds as nothing, and b's off-base part comes out reduced
+    zero = MicroPoint(alg, 1, [alg.zero()])
+    b = MicroPoint(alg, 1, [WeilElement(alg, {1: Q(2, 3)})])
+    for x, y in ((zero, b), (b, zero), (zero, zero)):
+        got = add_tangents(x, y)
+        assert got == dense_add_tangents(x, y)
+        assert [c.denominator for c in got.coords] == [
+            c.denominator for c in dense_add_tangents(x, y).coords]
+    # equal bases spelled over different denominators
+    half = MicroPoint(alg, 1, [WeilElement(alg, {0: Q(1, 2), 1: Q(1, 3)})])
+    other = MicroPoint(alg, 1, [WeilElement(alg, {0: Q(1, 2), 1: Q(1, 5)})])
+    assert add_tangents(half, other) == dense_add_tangents(half, other)
+    assert add_tangents(half, other).coeff((1,)) == (Q(8, 15),)
+    with pytest.raises(PreconditionError):
+        add_tangents(half, MicroPoint(alg, 2, half.coords * 2))
+    # coordinates with polynomial coefficients take the generic sum
+    x0 = Poly.var(1, 0)
+    ring_a = MicroPoint(alg, 1, [WeilElement(alg, {0: x0, 1: x0 * x0})])
+    ring_b = MicroPoint(alg, 1, [WeilElement(alg, {0: x0, 1: Poly.one(1)})])
+    assert add_tangents(ring_a, ring_b) == dense_add_tangents(ring_a, ring_b)
+    with pytest.raises(PreconditionError):
+        add_tangents(ring_a, MicroPoint(alg, 1, [WeilElement(alg, {1: x0})]))
 
 
 def test_zero_fields_triangle():

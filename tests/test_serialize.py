@@ -1,5 +1,8 @@
 import json
 import random
+import re
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +12,7 @@ from fnlab.forms import Kernel, cube_dim, form_from_kernel, identity_one_form, \
 from fnlab.micro import TRIANGLE_LABELS, MicroPoint, triangle_from_slots
 from fnlab.morphisms import InfMorphism
 from fnlab.poly import Poly, PolyMap
-from fnlab.rationals import Q
+from fnlab.rationals import Q, parse_rational
 from fnlab.serialize import (MAX_KERNEL_VARS, MAX_MONOMIALS, form_from_json, form_to_json,
                              micropoint_from_json,
                              micropoint_to_json, morphism_from_json,
@@ -267,3 +270,35 @@ def test_triangle_cubes_serialize_as_micropoints():
                             {label: v for label in TRIANGLE_LABELS})
     assert to_json(t.cubes) == to_json(dict(t.cubes))
     assert to_json(t.cubes)["123"] == micropoint_to_json(t.cubes["123"])
+
+
+def _point_with(value):
+    return {"object": obj_to_json(d_cube(1)), "m": 1, "coeffs": {"[]": [value]}}
+
+
+@pytest.mark.parametrize("text", ["3/4", "-2", "1.5", " 7 ", "+6/4", "0.125", "1_000", "-0"])
+def test_rational_spellings_decode_as_fraction_does(text):
+    want = Q(Fraction(text))
+    assert micropoint_from_json(_point_with(text)).coeff(()) == (want,)
+    assert parse_rational(text) == want
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "1E5", "2.5e-3", "-3e+2", " 1e1 "])
+def test_rational_with_an_exponent_is_refused_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="bad rational"):
+        micropoint_from_json(_point_with(text))
+    with pytest.raises(ValidationError, match="exponent notation is not accepted"):
+        parse_rational(text)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text", ["x", "", "1/0", "e", "1e", "one"])
+def test_malformed_rationals_keep_their_errors(text):
+    with pytest.raises(ValidationError, match=re.escape(f"bad rational {text!r}")):
+        micropoint_from_json(_point_with(text))
+    with pytest.raises((ValueError, ZeroDivisionError)) as direct:
+        Q(text)
+    with pytest.raises(type(direct.value)) as parsed:
+        parse_rational(text)
+    assert type(parsed.value) is type(direct.value) and str(parsed.value) == str(direct.value)
