@@ -42,8 +42,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InternalError, PreconditionError, ValidationError
+from .linsolve import apply_columns
 from .micro import case_compat_errors, case_solve, get_case
-from .morphisms import apply_columns
 from .poly import Poly, PolyMap, _permutation_gather
 from .rationals import ONE, Q
 from .simplicial import d_cube
@@ -666,15 +666,15 @@ def _bracket_core(x: FormElem, y: FormElem) -> FormElem:
     b = prod_over(x, y)
     case = get_case("square")
     order = [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
-    ca = [a.coeff(s) for s in order]
-    cb = [b.coeff(s) for s in order]
+    ca = {i: k for i, k in enumerate(map(a.coeffs.get, order)) if k}
+    cb = {i: k for i, k in enumerate(map(b.coeffs.get, order)) if k}
     bad = case_compat_errors(case, ca, cb)
     if bad:
         raise InternalError(
             f"expanded products disagree below the corner at {bad[0]}")
     apex = case_solve(case, ca, cb)
     # the extracted tangent: base at basis index 0, principal part at 1
-    tangent = apply_columns(case.extract.columns(), dict(enumerate(apex)))
+    tangent = apply_columns(case.extract.columns(), apex)
     total = x.p + y.p
     zero = zero_kernel(total, x.m)
     base, principal = tangent.get(0, zero), tangent.get(1, zero)

@@ -1,23 +1,36 @@
-"""Exact linear solving with vector-valued right-hand sides.
+"""Exact linear solving as one compiled sparse map, and the one column walk.
 
 The amalgamation inverses reduce to rational linear systems A x = y whose
 unknowns and right-hand entries live in any vector space over the rationals
-(rational tuples, polynomial maps, ...).  Values only need +, -, rational
-scaling c * v (skipped for c = 1), and truth-testing for zero.  Row
-operations use rational pivots, so everything stays exact.  An integral
-pivot inverse or factor is recorded as an int (every one is 1 in the gluing
-systems), so the replay's unit tests compare ints.
-
-The matrices are constant pullback matrices while the right-hand sides vary,
-so the elimination is split in two: ReducedMatrix row-reduces A once, in a
-given column order, and records the row operations; solve_exact replays them
-on each right-hand side.  Reducing the same matrix in another column order
-gives a second, independent elimination, which is how callers check that the
-solution does not depend on the order.
+(rational tuples, polynomial maps, ...).  The matrices are constant while
+the right-hand sides vary, so ReducedMatrix row-reduces A once, in a given
+column order, carrying the identity along the row operations; what the
+identity becomes is the solution map, with the residue map of the rows left
+without a pivot stacked after it.  solve_exact applies both in one
+apply_columns walk, the walk that also serves restriction, the gluing's
+compatibility check and the bracket's extraction.  Reducing in another
+column order is a second, independent elimination, which is how callers
+check that the solution does not depend on the order.
 """
 
 from .errors import InternalError, PreconditionError
 from .rationals import ONE, Q
+
+
+def apply_columns(columns, values) -> dict:
+    """Image of a sparse {column: value} under a map's column entries.
+
+    columns[j] lists the nonzero (row, entry) pairs of column j, as
+    `InfMorphism.columns` gives them.  The image is a sparse {row: value} in
+    sorted row order, with zero sums dropped.  A unit entry moves a value
+    without scaling it; values need only + and c * v.
+    """
+    acc = {}
+    for j, v in values.items():
+        for i, e in columns[j]:
+            t = v if e == 1 else e * v
+            acc[i] = acc[i] + t if i in acc else t
+    return {i: acc[i] for i in sorted(acc) if acc[i]}
 
 
 def _exact(v):
@@ -26,78 +39,70 @@ def _exact(v):
 
 
 class ReducedMatrix:
-    """A rational matrix of full column rank with its recorded row reduction.
+    """A rational matrix of full column rank, compiled to one sparse map.
 
-    Reduces in column_order (default: left to right).  Each step records the
-    pivot row, the inverse of the pivot entry and the (row, factor)
-    eliminations it made, each an int when integral and a rational otherwise.
-    Rank deficiency raises InternalError here, because every system solved
-    here is a pullback inverse that the mathematics guarantees solvable
-    uniquely.  Iterating yields the rows of the original
-    matrix.
+    Reduces in column_order (default: left to right).  columns[r] lists the
+    (output, entry) pairs of right-hand-side row r: output c < unknowns is
+    unknown c, and output unknowns + k the residue of free_rows[k], the k-th
+    row left without a pivot.  An entry is an int when integral, else a
+    rational.  Rank deficiency raises InternalError: every system here is a
+    pullback inverse, solvable uniquely.  Iterating yields the matrix rows.
     """
 
-    __slots__ = ("rows", "steps", "free_rows", "pivot_row_of_col")
+    __slots__ = ("rows", "columns", "unknowns", "free_rows")
 
     def __init__(self, matrix, column_order=None):
         self.rows = [list(r) for r in matrix]
         rows = len(self.rows)
         cols = len(self.rows[0]) if rows else 0
         order = range(cols) if column_order is None else column_order
-        a = [list(r) for r in self.rows]
-        steps = []
+        # each row carries its row of the identity, which collects the row
+        # operations applied to it; integral entries reduce as ints
+        a = [[_exact(v) for v in row] + [int(i == r) for i in range(rows)]
+             for r, row in enumerate(self.rows)]
         pivot_row_of_col = {}
         used_rows = set()
         for col in order:
-            pivot = None
-            for r in range(rows):
-                if r not in used_rows and a[r][col]:
-                    pivot = r
-                    break
+            pivot = next((r for r in range(rows) if r not in used_rows and a[r][col]), None)
             if pivot is None:
                 raise InternalError(f"rank-deficient system at column {col}")
             used_rows.add(pivot)
             pivot_row_of_col[col] = pivot
-            inv = ONE / a[pivot][col]
+            inv = _exact(ONE / a[pivot][col])
             if inv != 1:
                 a[pivot] = [v * inv for v in a[pivot]]
-            eliminations = []
             for r in range(rows):
-                if r == pivot:
-                    continue
                 f = a[r][col]
-                if f:
+                if r != pivot and f:
                     a[r] = [v - f * w for v, w in zip(a[r], a[pivot])]
-                    eliminations.append((r, _exact(f)))
-            steps.append((pivot, _exact(inv), tuple(eliminations)))
         free_rows = tuple(r for r in range(rows) if r not in used_rows)
         for r in free_rows:
-            if any(a[r]):
+            if any(a[r][:cols]):
                 raise InternalError("unreduced row after elimination")
-        self.steps = tuple(steps)
+        outputs = {col: a[p][cols:] for col, p in pivot_row_of_col.items()}
+        outputs.update((cols + k, a[r][cols:]) for k, r in enumerate(free_rows))
+        self.columns = tuple(
+            tuple((i, _exact(outputs[i][j])) for i in sorted(outputs) if outputs[i][j])
+            for j in range(rows))
+        self.unknowns = cols
         self.free_rows = free_rows
-        self.pivot_row_of_col = tuple(pivot_row_of_col[col] for col in range(cols))
 
     def __iter__(self):
         return iter(self.rows)
 
 
-def solve_exact(system: ReducedMatrix, rhs, row_labels=None):
-    """Solve A x = rhs by replaying the row operations recorded in system.
+def solve_exact(system: ReducedMatrix, rhs: dict, row_labels=None) -> dict:
+    """Sparse {unknown: value} solving A x = rhs, a sparse {row: value}.
 
-    An inconsistent rhs raises PreconditionError naming the first unused row
-    left with a residue (row_labels[r], or "row r").
+    The walk drops zero residues and sorts the others last, so a residue left
+    raises PreconditionError naming its row (row_labels[r], or "row r").
     """
-    if len(rhs) != len(system.rows):
-        raise InternalError("rhs length mismatch")
-    y = list(rhs)
-    for pivot, inv, eliminations in system.steps:
-        yp = y[pivot] if inv == 1 else inv * y[pivot]
-        y[pivot] = yp
-        for r, f in eliminations:
-            y[r] = y[r] - (yp if f == 1 else f * yp)
-    for r in system.free_rows:
-        if y[r]:
-            label = row_labels[r] if row_labels else f"row {r}"
-            raise PreconditionError(f"inconsistent system: residue at {label}")
-    return [y[r] for r in system.pivot_row_of_col]
+    if rhs and not (0 <= min(rhs) and max(rhs) < len(system.rows)):
+        raise InternalError("rhs row out of range")
+    out = apply_columns(system.columns, rhs)
+    n = system.unknowns
+    if out and next(reversed(out)) >= n:
+        r = system.free_rows[next(i for i in out if i >= n) - n]
+        label = row_labels[r] if row_labels else f"row {r}"
+        raise PreconditionError(f"inconsistent system: residue at {label}")
+    return out

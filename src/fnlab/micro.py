@@ -11,14 +11,14 @@ carries the apex object, the two leg substitutions (one twisted by a product
 term, one zero-padded), the shared restriction and the extraction map.  One
 solver serves them all, and it works unchanged for any coefficient space over
 the rationals, which is how the bracket machinery on kernel-valued forms
-reuses it.  A case's gluing system is a constant matrix, so each case reduces
-it once when it is created and every gluing replays the row operations.
-Every row operation is the int 1, so rational points glue fraction-free: each
-coordinate pair goes through the check and the replay as integer numerators
-over one common denominator.  A case holds its leg, apex and shared
-algebras, and a morphism its source and target algebras, so gluing and
-restricting look no algebra up.  Tangents at one base point add
-fraction-free too.
+reuses it.  A case's gluing system is a constant matrix, so each case compiles
+it once, when it is created, into one sparse integer map, and gluing walks
+it as restriction walks a morphism's columns.  So rational points glue
+fraction-free: each coordinate pair goes through the check and the solve as
+sparse integer numerators over one common denominator.  A case holds its
+leg, apex and shared algebras, and a morphism its source and target
+algebras, so gluing and restricting look no algebra up.  Tangents at one
+base point add fraction-free too.
 
 Restricting a point maps each coordinate through the morphism's dual algebra
 map, InfMorphism.pullback_element.  A six-cube configuration checks its
@@ -32,8 +32,8 @@ from math import lcm
 from types import MappingProxyType
 
 from .errors import InternalError, PreconditionError, ValidationError
-from .linsolve import ReducedMatrix, solve_exact
-from .morphisms import InfMorphism, apply_columns, axis_map, inclusion
+from .linsolve import ReducedMatrix, apply_columns, solve_exact
+from .morphisms import InfMorphism, axis_map, inclusion
 from .poly import Poly, PolyMap
 from .rationals import RATIONAL_TYPES, Q
 from .simplicial import SimplicialObject, d_cube, d_paren
@@ -126,7 +126,7 @@ class AmalgamationCase:
 
     system stacks the twisted rows over the flat rows, so the apex point
     restricting to (first leg, second leg) solves system x = (c1, c2).  The
-    matrix never changes, so it is reduced here, once; row_labels name its
+    matrix never changes, so it is compiled here, once; row_labels name its
     rows for error messages.  The leg, apex and shared algebras are held
     from here on: make_algebra keeps every algebra it builds, so each is the
     one make_algebra would return.
@@ -152,10 +152,9 @@ class AmalgamationCase:
         system = ReducedMatrix(self.twisted.matrix() + self.flat.matrix())
         labels = tuple(f"{leg_alg.monomial_str(i)} ({which} leg)"
                        for which in ("first", "second") for i in range(leg_alg.dim))
-        # integer numerators replay to integers only under unit row operations
-        if any(inv != 1 or any(f != 1 for _r, f in elims)
-               for _p, inv, elims in system.steps):
-            raise InternalError(f"{self.name}: gluing needs unit row operations")
+        # integer numerators map to integers only under integer entries
+        if any(type(e) is not int for col in system.columns for _i, e in col):
+            raise InternalError(f"{self.name}: gluing needs an integer solution map")
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "row_labels", labels)
         object.__setattr__(self, "leg_alg", leg_alg)
@@ -216,25 +215,27 @@ def get_case(case) -> AmalgamationCase:
 
 
 def case_compat_errors(case: AmalgamationCase, c1, c2) -> list:
-    """Shared-restriction mismatches between two dense leg coefficient lists.
+    """Shared-restriction mismatches between two legs' sparse coefficients.
 
-    The shared monomials whose restrictions differ are named in basis order.
+    c1 and c2 map leg basis indices to values; the shared monomials whose
+    restrictions differ are named in basis order.
     """
     columns = case.shared_incl.columns()
-    r1 = apply_columns(columns, dict(enumerate(c1)))
-    r2 = apply_columns(columns, dict(enumerate(c2)))
+    r1 = apply_columns(columns, c1)
+    r2 = apply_columns(columns, c2)
     if r1 == r2:
         return []
     return [case.shared_alg.monomial_str(i) for i in sorted(r1.keys() | r2.keys())
             if not (r1.get(i) == r2.get(i))]
 
 
-def case_solve(case: AmalgamationCase, c1, c2):
-    """Unique apex coefficients restricting to c1 (twisted leg) and c2 (flat leg).
-
-    Replays the case's stored reduction.
-    """
-    return solve_exact(case.system, list(c1) + list(c2), row_labels=case.row_labels)
+def case_solve(case: AmalgamationCase, c1, c2) -> dict:
+    """Sparse apex coefficients restricting to c1 (twisted leg) and c2 (flat leg)."""
+    rhs = dict(c1)
+    offset = case.leg_alg.dim
+    for k, v in c2.items():
+        rhs[offset + k] = v
+    return solve_exact(case.system, rhs, row_labels=case.row_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +251,22 @@ def amalgamate(g1: MicroPoint, g2: MicroPoint, case) -> MicroPoint:
     if g1.m != g2.m:
         raise ValidationError("points of different model dimension")
     # each coordinate pair glues as integer numerators over one denominator
-    dense = []
+    legs = []
     for a, b in zip(g1.coords, g2.coords):
-        den = lcm(a.denominator, b.denominator)
-        dense.append((den, a.numerators(den), b.numerators(den)))
-    for j, (_den, c1, c2) in enumerate(dense):
+        if a._den is None or b._den is None:
+            raise ValidationError("gluing needs rational coordinates")
+        den = lcm(a._den, b._den)
+        fa, fb = den // a._den, den // b._den
+        legs.append((den, a._num if fa == 1 else {k: n * fa for k, n in a._num.items()},
+                     b._num if fb == 1 else {k: n * fb for k, n in b._num.items()}))
+    for j, (_den, c1, c2) in enumerate(legs):
         bad = case_compat_errors(case, c1, c2)
         if bad:
             raise PreconditionError(f"legs disagree on the shared restriction: "
                                     f"coordinate {j}, monomial {bad[0]}")
     apex_alg = case.apex_alg
-    out = []
-    for den, c1, c2 in dense:
-        num = case_solve(case, c1, c2)
-        out.append(from_numerators(apex_alg, {k: n for k, n in enumerate(num) if n}, den))
+    out = [from_numerators(apex_alg, case_solve(case, c1, c2), den)
+           for den, c1, c2 in legs]
     return MicroPoint(apex_alg, g1.m, out)
 
 

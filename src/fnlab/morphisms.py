@@ -5,13 +5,14 @@ with zero constant term, subject to well-definedness: every ideal generator
 of T (each vanishing product and each power-bound monomial) must reduce to
 zero in S's algebra after substitution.  Dually it is an algebra map from
 T's algebra to S's; on points it restricts T-expansions to S-expansions.
-`apply_columns`, the one walk over a map's sparse column entries, serves the
-pullback of points, the gluing's compatibility check and the bracket's
-extraction.  A map holds its source and target algebras from the first
-`columns()` call, so pulling points back looks no algebra up.
+Pulling points back walks the matrix's sparse columns with
+`linsolve.apply_columns`, as gluing walks its compiled map.  A map holds its
+source and target algebras from the first `columns()` call, so pulling
+points back looks no algebra up.
 """
 
 from .errors import ValidationError
+from .linsolve import apply_columns
 from .poly import Poly
 from .simplicial import SimplicialObject
 from .weil import WeilElement, from_numerators, make_algebra
@@ -145,22 +146,6 @@ class InfMorphism:
 
     def __repr__(self):
         return f"InfMorphism({self.source!r} -> {self.target!r}: {list(self.subst)})"
-
-
-def apply_columns(columns, values) -> dict:
-    """Image of a sparse {column: value} under a map's column entries.
-
-    columns[j] lists the nonzero (row, entry) pairs of column j, as
-    `InfMorphism.columns` gives them.  The image is a sparse {row: value} in
-    sorted row order, with zero sums dropped.  A unit entry moves a value
-    without scaling it; values need only + and c * v.
-    """
-    acc = {}
-    for j, v in values.items():
-        for i, e in columns[j]:
-            t = v if e == 1 else e * v
-            acc[i] = acc[i] + t if i in acc else t
-    return {i: s for i, s in sorted(acc.items()) if s}
 
 
 def compose_morphisms(f: InfMorphism, g: InfMorphism) -> InfMorphism:

@@ -204,12 +204,6 @@ class WeilElement(FractionFree):
             return MappingProxyType(self._num)
         return RationalCoeffs(self._num, self._den)
 
-    def numerators(self, den) -> list:
-        """Dense integer numerators over den, a multiple of the denominator."""
-        f = den // self._den
-        num = self._num
-        return [num.get(k, 0) * f for k in range(self.algebra.dim)]
-
     def _values(self) -> dict:
         """Coefficient dict for the generic ring loops."""
         if self._den is None:

@@ -5,10 +5,10 @@ import pytest
 from fnlab.errors import InternalError, PreconditionError
 from fnlab.forms import Kernel, cube_dim
 from fnlab.linsolve import ReducedMatrix, solve_exact
-from fnlab.micro import amalgamation_cases, case_solve
+from fnlab.micro import AmalgamationCase, amalgamation_cases, case_solve
+from fnlab.morphisms import InfMorphism
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
-from fnlab.weil import make_algebra
 
 RNG = random.Random(7)
 CASES = ("square", "cube-1", "cube-2", "cube-3")
@@ -47,48 +47,111 @@ def apply_rows(rows, x):
     return out
 
 
+def sparse(values) -> dict:
+    return {i: v for i, v in enumerate(values) if v}
+
+
+def outcome(solve, *args):
+    """The solution, or the message of the PreconditionError raised."""
+    try:
+        return solve(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def fraction_replay(matrix, rhs, column_order=None):
+    """Reduce and solve in one dense pass with every step a rational.
+
+    Pivots as ReducedMatrix does and scales every row, unit factors
+    included; an inconsistent rhs raises PreconditionError naming the first
+    pivot-free row left nonzero, as "row r".
+    """
+    a = [[Q(v) for v in row] for row in matrix]
+    y = [Q(v) if isinstance(v, (int, Q)) else v for v in rhs]
+    used = set()
+    pivot_of = {}
+    for col in range(len(a[0])) if column_order is None else column_order:
+        p = next(r for r in range(len(a)) if r not in used and a[r][col])
+        used.add(p)
+        pivot_of[col] = p
+        inv = Q(1) / a[p][col]
+        a[p] = [v * inv for v in a[p]]
+        y[p] = inv * y[p]
+        for r in range(len(a)):
+            if r != p and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[p])]
+                y[r] = y[r] - f * y[p]
+    for r in range(len(a)):
+        if r not in used and y[r]:
+            raise PreconditionError(f"inconsistent system: residue at row {r}")
+    return [y[pivot_of[col]] for col in range(len(a[0]))]
+
+
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("values", ["rational", "kernel"])
 def test_stored_reduction_matches_fresh_solve(name, values):
     case = amalgamation_cases()[name]
     rows = plain_rows(case)
     assert [list(r) for r in case.system] == rows
-    apex_dim = make_algebra(case.apex).dim
-    leg_dim = make_algebra(case.leg).dim
+    apex_dim, leg_dim = case.apex_alg.dim, case.leg_alg.dim
     draw = rq if values == "rational" else rkernel
     fresh = ReducedMatrix(rows)
-    reordered = ReducedMatrix(rows, reversed(range(apex_dim)))
-    assert fresh.steps == case.system.steps
-    assert reordered.steps != case.system.steps
+    right_to_left = list(reversed(range(apex_dim)))
+    reordered = ReducedMatrix(rows, right_to_left)
+    assert (fresh.columns, fresh.free_rows) == (case.system.columns, case.system.free_rows)
     for _ in range(3):
         x = [draw() for _ in range(apex_dim)]
         rhs = apply_rows(rows, x)
-        c1, c2 = rhs[:leg_dim], rhs[leg_dim:]
-        assert case_solve(case, c1, c2) == x
+        assert fraction_replay(rows, rhs) == fraction_replay(rows, rhs, right_to_left) == x
+        c1, c2 = sparse(rhs[:leg_dim]), sparse(rhs[leg_dim:])
+        assert case_solve(case, c1, c2) == sparse(x)
         for system in (case.system, fresh, reordered):
-            assert solve_exact(system, rhs) == x
+            got = solve_exact(system, dict(reversed(list(sparse(rhs).items()))))
+            assert got == sparse(x) and list(got) == sorted(got)
+
+
+def test_gluing_maps_are_integers():
+    for case in amalgamation_cases().values():
+        entries = [e for col in case.system.columns for _i, e in col]
+        assert entries and all(type(e) is int for e in entries)
+
+
+def test_non_integral_gluing_case_raises_internal_error():
+    # a twist by 2*d1*d2 puts 1/2 in the compiled map
+    sq = amalgamation_cases()["square"]
+    d1, d2 = Poly.var(2, 0), Poly.var(2, 1)
+    doubled = InfMorphism(sq.leg, sq.apex, [d1, d2, (d1 * d2).scale(2)])
+    with pytest.raises(InternalError, match="square-doubled: gluing needs an integer solution map"):
+        AmalgamationCase("square-doubled", sq.leg, sq.apex, doubled, sq.flat, sq.shared,
+                         sq.shared_incl, sq.extract, sq.result)
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_inconsistent_rhs_names_the_leg_row(name):
-    # the first leg carries d1 where the second leg is zero; the residue is
-    # left on the second leg's d1 row, for the stored and a reversed reduction
+    # the first leg carries d1 and d2 where the second leg is zero; residues
+    # are left on the second leg's d1 and d2 rows, and the first is named,
+    # for the stored and a reversed reduction, whatever order the rhs has
     case = amalgamation_cases()[name]
-    apex_dim = make_algebra(case.apex).dim
-    leg = make_algebra(case.leg)
-    c1 = [Q(0)] * leg.dim
-    c1[leg.index[(1,) + (0,) * (case.leg.n - 1)]] = Q(1)
-    c2 = [Q(0)] * leg.dim
+    leg = case.leg_alg
+    zeros = (0,) * (case.leg.n - 2)
+    d1, d2 = leg.index[(1, 0) + zeros], leg.index[(0, 1) + zeros]
+    c1 = {d2: Q(1), d1: Q(1)}
+    reordered = ReducedMatrix(plain_rows(case), reversed(range(case.apex_alg.dim)))
     with pytest.raises(PreconditionError, match=r"residue at d1 \(second leg\)$"):
-        case_solve(case, c1, c2)
-    with pytest.raises(PreconditionError, match=r"residue at d1 \(second leg\)$"):
-        solve_exact(ReducedMatrix(plain_rows(case), reversed(range(apex_dim))), c1 + c2,
-                    row_labels=case.row_labels)
+        case_solve(case, c1, {})
+    for system in (case.system, reordered):
+        with pytest.raises(PreconditionError, match=r"residue at d1 \(second leg\)$"):
+            solve_exact(system, c1, row_labels=case.row_labels)
+    with pytest.raises(PreconditionError, match=rf"residue at row {leg.dim + d1}$"):
+        fraction_replay(plain_rows(case), [c1.get(i, Q(0)) for i in range(2 * leg.dim)])
 
 
 def test_inconsistent_rhs_without_labels_names_the_row_number():
     with pytest.raises(PreconditionError, match=r"residue at row 1$"):
-        solve_exact(ReducedMatrix([[Q(1)], [Q(2)]]), [Q(1), Q(1)])
+        solve_exact(ReducedMatrix([[Q(1)], [Q(2)]]), {0: Q(1), 1: Q(1)})
+    with pytest.raises(PreconditionError, match=r"residue at row 1$"):
+        fraction_replay([[Q(1)], [Q(2)]], [Q(1), Q(1)])
 
 
 def test_rank_deficient_matrix_raises_internal_error():
@@ -99,65 +162,49 @@ def test_rank_deficient_matrix_raises_internal_error():
         ReducedMatrix(singular, [1, 0])
 
 
-def test_wrong_rhs_length_raises_internal_error():
+def test_rhs_row_out_of_range_raises_internal_error():
     case = amalgamation_cases()["square"]
-    rhs = [Q(0)] * (len(case.row_labels) - 1)
-    with pytest.raises(InternalError, match="rhs length"):
-        solve_exact(case.system, rhs)
-    with pytest.raises(InternalError, match="rhs length"):
-        solve_exact(case.system, rhs + [Q(0), Q(0)])
+    rows = len(case.row_labels)
+    assert solve_exact(case.system, {rows - 1: Q(0)}) == {}
+    for bad in (rows, -1):
+        with pytest.raises(InternalError, match="rhs row out of range"):
+            solve_exact(case.system, {0: Q(1), bad: Q(1)})
 
 
-def fraction_replay(matrix, rhs):
-    """Reduce and solve in one pass with every step a rational, no unit skips."""
-    a = [[Q(v) for v in row] for row in matrix]
-    y = [Q(v) for v in rhs]
-    used = set()
-    pivot_of = []
-    for col in range(len(a[0])):
-        p = next(r for r in range(len(a)) if r not in used and a[r][col])
-        used.add(p)
-        pivot_of.append(p)
-        inv = Q(1) / a[p][col]
-        a[p] = [v * inv for v in a[p]]
-        y[p] = y[p] * inv
-        for r in range(len(a)):
-            if r != p and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[p])]
-                y[r] = y[r] - f * y[p]
-    assert not any(y[r] for r in range(len(a)) if r not in used)
-    return [y[p] for p in pivot_of]
-
-
-def test_integral_steps_are_ints_and_others_rationals():
-    for case in amalgamation_cases().values():
-        for _pivot, inv, elims in case.system.steps:
-            assert type(inv) is int and inv == 1
-            assert all(type(f) is int and f == 1 for _r, f in elims)
+def test_random_systems_match_the_fraction_replay():
     seen_int = seen_frac = 0
     for _ in range(40):
         n = RNG.randint(1, 4)
-        matrix = [[RNG.choice([0, Q(RNG.randint(-4, 4)), rq()]) for _ in range(n)]
-                  for _ in range(n + RNG.randint(0, 2))]
-        x = [rq() for _ in range(n)]
+        matrix = [[RNG.choice([0, RNG.randint(-4, 4), Q(RNG.randint(-4, 4)), rq()])
+                   for _ in range(n)] for _ in range(n + RNG.randint(0, 2))]
         try:
             system = ReducedMatrix(matrix)
         except InternalError:
             continue
-        for _pivot, inv, elims in system.steps:
-            for v in (inv, *(f for _r, f in elims)):
-                assert type(v) is (int if v.denominator == 1 else Q)
-                seen_int += type(v) is int
-                seen_frac += type(v) is Q
-        rhs = apply_rows(matrix, x)
-        assert solve_exact(system, rhs) == fraction_replay(matrix, rhs) == x
-        assert all(type(v) is Q for v in solve_exact(system, rhs))
+        for col in system.columns:
+            for _i, e in col:
+                assert type(e) is (int if e.denominator == 1 else Q)
+                seen_int += type(e) is int
+                seen_frac += type(e) is Q
+        for draw in (rq, rkernel):
+            x = [draw() for _ in range(n)]
+            rhs = apply_rows(matrix, x)
+            got = solve_exact(system, sparse(rhs))
+            assert got == sparse(fraction_replay(matrix, rhs)) == sparse(x)
+            if draw is rq:
+                assert all(type(v) is Q for v in got.values())
+            # a bumped row may leave residues: both name the same first row
+            bumped = list(rhs)
+            k = RNG.randrange(len(bumped))
+            bumped[k] = bumped[k] + bumped[k] + (x[0] if x[0] else draw())
+            assert outcome(solve_exact, system, sparse(bumped)) == \
+                outcome(lambda *a: sparse(fraction_replay(*a)), matrix, bumped)
     assert seen_int and seen_frac
 
 
 def test_integer_matrix_reduces_exactly():
     # 1/3 as a pivot inverse stays a rational, never a float
     system = ReducedMatrix([[3, 0], [0, 2]])
-    assert [inv for _p, inv, _e in system.steps] == [Q(1, 3), Q(1, 2)]
-    assert solve_exact(system, [Q(1), Q(1)]) == [Q(1, 3), Q(1, 2)]
+    assert system.columns == (((0, Q(1, 3)),), ((1, Q(1, 2)),))
+    assert all(type(e) is Q for col in system.columns for _i, e in col)
+    assert solve_exact(system, {0: Q(1), 1: Q(1)}) == {0: Q(1, 3), 1: Q(1, 2)}

@@ -6,13 +6,13 @@ import pytest
 import fnlab.micro
 from fnlab.errors import PreconditionError, ValidationError
 from fnlab.forms import Kernel, cube_dim
-from fnlab.linsolve import ReducedMatrix, solve_exact
+from fnlab.linsolve import ReducedMatrix, apply_columns, solve_exact
 from fnlab.micro import (MicroPoint, TRIANGLE_LABELS, TriangleConfig,
                          add_tangents, amalgamate, amalgamation_cases, flow_field, get_case,
                          jacobi3_defect, restrict, strong_diff,
                          strong_diff_i, tangent_principal, triangle_from_slots,
                          triangle_from_vector_fields)
-from fnlab.morphisms import InfMorphism, apply_columns, axis_map, inclusion
+from fnlab.morphisms import InfMorphism, axis_map, inclusion
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 from fnlab.simplicial import SimplicialObject, d_cube, d_order, d_paren
@@ -255,6 +255,32 @@ def test_strong_diff_requires_agreement():
         strong_diff(g1, bad)
 
 
+def test_gluing_needs_rational_coordinates():
+    # a polynomial coefficient has no integer numerators to glue
+    def pair(obj):
+        alg = make_algebra(obj)
+        return (MicroPoint(alg, 1, [WeilElement(alg, {0: Poly.var(1, 0)})]),
+                MicroPoint(alg, 1, [alg.one()]))
+
+    def invalid():
+        return pytest.raises(ValidationError, match="^gluing needs rational coordinates$")
+
+    sq_ring, sq = pair(d_cube(2))
+    cube_ring, cube3 = pair(d_cube(3))
+    for g1, g2 in ((sq_ring, sq), (sq, sq_ring), (sq_ring, sq_ring)):
+        with invalid():
+            strong_diff(g1, g2)
+    for axis in (1, 2, 3):
+        for g1, g2 in ((cube_ring, cube3), (cube3, cube_ring)):
+            with invalid():
+                strong_diff_i(g1, g2, axis)
+    for ring_labels in (TRIANGLE_LABELS, ("231",)):
+        cubes = {label: cube_ring if label in ring_labels else cube3
+                 for label in TRIANGLE_LABELS}
+        with invalid():
+            TriangleConfig(cubes)
+
+
 def cube(m, table):
     keys = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
     full = {k: table.get(k, [0] * m) for k in keys}
@@ -294,6 +320,7 @@ def test_pullback_roundtrip_all_cases():
     for name in ("square", "cube-1", "cube-2", "cube-3"):
         case = get_case(name)
         reordered = ReducedMatrix(case.system, reversed(range(make_algebra(case.apex).dim)))
+        offset = make_algebra(case.leg).dim
         for _ in range(10):
             m = rng.randint(1, 3)
             if name == "square":
@@ -315,7 +342,8 @@ def test_pullback_roundtrip_all_cases():
             assert restrict(glued, case.twisted) == g1
             assert restrict(glued, case.flat) == g2
             for a, b, c in zip(g1.coords, g2.coords, glued.coords):
-                assert solve_exact(reordered, a.dense() + b.dense()) == c.dense()
+                rhs = {**a.coeffs, **{offset + k: v for k, v in b.coeffs.items()}}
+                assert solve_exact(reordered, rhs) == dict(c.coeffs)
 
 
 def dense_add_tangents(a, b):

@@ -389,7 +389,7 @@ def check(w, ref):
     assert ref_of(w) == ref
     assert all(type(c) is Q for c in w.coeffs.values())
     den = w.denominator
-    assert den >= 1 and gcd(den, *w.numerators(den)) == 1
+    assert den >= 1 and gcd(den, *w._num.values()) == 1
     if not ref:
         assert den == 1
 
