@@ -1,7 +1,12 @@
 """Weil-valued points of coordinate spaces and the strong-difference calculus.
 
 A MicroPoint is an m-tuple of Weil-algebra elements: the multi-expansion of a
-point along nilpotent directions.  Squares (two directions) and cubes (three)
+point along nilpotent directions.  Points are built fraction-free by one
+constructor: each m-vector of a table, or of a six-cube configuration's free
+data, is read once into numerators and denominators, and each coordinate is
+its numerators over their lcm, a form that is already reduced.  The six cubes
+of a configuration share their 16 distinct vectors, so each of those is read
+once for all six.  Squares (two directions) and cubes (three)
 are glued along common restrictions by an exact linear solve that inverts the
 relevant pullback square; the strong difference of a compatible pair is the
 restriction of that unique gluing along a fresh direction.
@@ -27,6 +32,7 @@ restriction exactly when their inner strong difference glues, and the glued
 differences are kept for the threefold difference.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import lcm
 from types import MappingProxyType
@@ -37,7 +43,8 @@ from .morphisms import InfMorphism, axis_map, inclusion
 from .poly import Poly, PolyMap
 from .rationals import RATIONAL_TYPES, Q
 from .simplicial import SimplicialObject, d_cube, d_paren
-from .weil import WeilAlgebra, WeilElement, from_dense, from_numerators, make_algebra
+from .weil import (WeilAlgebra, WeilElement, from_dense, from_numerators, from_reduced,
+                   make_algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +59,36 @@ def _key_exponents(n: int, key) -> list:
             raise ValidationError(f"monomial {key} names a generator outside 1..{n}")
         exps[i - 1] += 1
     return exps
+
+
+def _vector_parts(vec, m: int) -> list:
+    """An m-vector read once, as each entry's (numerator, denominator).
+
+    A bare scalar is a one-entry vector.  Ints and rationals pass as they
+    are; anything else converts with Q, before the length is checked.
+    """
+    vec = [v if type(v) in RATIONAL_TYPES else Q(v)
+           for v in (vec if isinstance(vec, (list, tuple)) else [vec])]
+    if len(vec) != m:
+        raise ValidationError("coefficient vector length != m")
+    return [(v.numerator, v.denominator) for v in vec]
+
+
+def _point(alg: WeilAlgebra, m: int, entries: dict) -> "MicroPoint":
+    """The point with the vector parts entries[pos] at each basis position.
+
+    Each coordinate is its nonzero numerators over the lcm L of its entries'
+    denominators.  Those are reduced, so each prime power dividing L also
+    divides some entry's denominator and not its numerator: the form is
+    already reduced and needs no gcd pass.
+    """
+    coords = []
+    for j in range(m):
+        den = lcm(*[parts[j][1] for parts in entries.values()])
+        coords.append(from_reduced(alg, {pos: parts[j][0] * (den // parts[j][1])
+                                         for pos, parts in entries.items() if parts[j][0]},
+                                   den))
+    return MicroPoint(alg, m, coords)
 
 
 class MicroPoint:
@@ -72,24 +109,21 @@ class MicroPoint:
     def from_table(obj: SimplicialObject, m: int, table: dict) -> "MicroPoint":
         """Build from {axis-index-tuple: m rationals}.
 
-        Keys are sorted 1-based index tuples: () the unit slot, (1, 3) the
-        d1*d3 slot, (1, 1) the d1^2 slot for higher-order generators.
+        Keys are 1-based index tuples naming the monomial with those factors,
+        in any order: () the unit slot, (1, 3) or (3, 1) the d1*d3 slot,
+        (1, 1) the d1^2 slot for higher-order generators.  A bare scalar
+        stands for a one-entry vector.  Each vector is read once, in table
+        order, and a later key naming the same monomial overwrites an earlier
+        one, zero included.
         """
         alg = make_algebra(obj)
-        coords = [{} for _ in range(m)]
+        entries = {}
         for key, vec in table.items():
             pos = alg.index.get(tuple(_key_exponents(obj.n, key)))
             if pos is None:
                 raise ValidationError(f"monomial {key} is not in the basis")
-            # ints and rationals pass as they are; anything else converts
-            vec = [v if type(v) in RATIONAL_TYPES else Q(v)
-                   for v in (vec if isinstance(vec, (list, tuple)) else [vec])]
-            if len(vec) != m:
-                raise ValidationError("coefficient vector length != m")
-            # a later key naming the same monomial overwrites, zero included
-            for coord, v in zip(coords, vec):
-                coord[pos] = v
-        return MicroPoint(alg, m, [WeilElement(alg, coord) for coord in coords])
+            entries[pos] = _vector_parts(vec, m)
+        return _point(alg, m, entries)
 
     def coeff(self, key):
         """m-vector at an axis-index tuple such as (1, 2) for d1*d2."""
@@ -395,6 +429,26 @@ _TRIANGLE_GROUPS = (
     (3, (1, 2), (("312", "321"), ("123", "213"))),
 )
 
+# per off-diagonal slot d_j*d_k: the two agreement classes of cubes, found by
+# chasing which restriction agreements preserve that slot
+_TRIANGLE_CLASSES = {
+    (1, 2): ({"123", "132", "312"}, {"321", "231", "213"}),
+    (1, 3): ({"213", "123", "132"}, {"312", "321", "231"}),
+    (2, 3): ({"132", "312", "321"}, {"123", "213", "231"}),
+}
+
+# A configuration's free data as one list of 16 vectors: base4 (0-3), each
+# slot's two class vectors in _TRIANGLE_CLASSES order (4-9) and the corners
+# in TRIANGLE_LABELS order (10-15).  Each cube reads the vectors at
+# _TRIANGLE_READS[label] into the monomials _TRIANGLE_KEYS, in that order.
+_TRIANGLE_KEYS = ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
+_TRIANGLE_READS = {
+    label: (0, 1, 2, 3,
+            *(4 + 2 * s + (label not in cls_a)
+              for s, (cls_a, _cls_b) in enumerate(_TRIANGLE_CLASSES.values())),
+            10 + c)
+    for c, label in enumerate(TRIANGLE_LABELS)}
+
 
 class TriangleConfig:
     """Six cubes labelled by the orders of three directions.
@@ -489,18 +543,33 @@ def triangle_from_slots(m: int, base4, slots: dict, corners: dict) -> TriangleCo
     d_j*d_k slot.  corners[label]: the free d1*d2*d3 vector per cube.
     The two classes per off-diagonal slot come from chasing which restriction
     agreements preserve that slot; corners are unconstrained.
+
+    The shape of the data is checked before any value is read.  The six
+    cubes share 16 distinct vectors, and each is read once, the first time a
+    cube needs it.  The cubes are built label by label, each from its unit
+    slot to its corner, so the first bad value met is the one that a table
+    per cube, read in that order, would meet first.
     """
-    classes = {
-        (1, 2): ({"123", "132", "312"}, {"321", "231", "213"}),
-        (1, 3): ({"213", "123", "132"}, {"312", "321", "231"}),
-        (2, 3): ({"132", "312", "321"}, {"123", "213", "231"}),
-    }
+    if not isinstance(base4, (list, tuple)) or len(base4) != 4:
+        raise ValidationError("need exactly four base vectors (unit, d1, d2, d3)")
+    if not isinstance(slots, Mapping) or set(slots) != set(_TRIANGLE_CLASSES):
+        raise ValidationError(f"need exactly the slot pairs {tuple(_TRIANGLE_CLASSES)}")
+    for pair in _TRIANGLE_CLASSES:
+        if not isinstance(slots[pair], (list, tuple)) or len(slots[pair]) != 2:
+            raise ValidationError(f"need exactly two vectors for slot {pair}, one per class")
+    if not isinstance(corners, Mapping) or set(corners) != set(TRIANGLE_LABELS):
+        raise ValidationError(f"need exactly the six labels {TRIANGLE_LABELS} as corners")
+    vectors = [*base4, *(v for pair in _TRIANGLE_CLASSES for v in slots[pair]),
+               *(corners[label] for label in TRIANGLE_LABELS)]
+    alg = make_algebra(d_cube(3))
+    positions = [alg.index[tuple(_key_exponents(3, key))] for key in _TRIANGLE_KEYS]
+    parts = [None] * len(vectors)
     cubes = {}
     for label in TRIANGLE_LABELS:
-        table = {(): base4[0], (1,): base4[1], (2,): base4[2], (3,): base4[3]}
-        for pair, (cls_a, _cls_b) in classes.items():
-            which = 0 if label in cls_a else 1
-            table[pair] = slots[pair][which]
-        table[(1, 2, 3)] = corners[label]
-        cubes[label] = MicroPoint.from_table(d_cube(3), m, table)
+        entries = {}
+        for pos, r in zip(positions, _TRIANGLE_READS[label]):
+            if parts[r] is None:
+                parts[r] = _vector_parts(vectors[r], m)
+            entries[pos] = parts[r]
+        cubes[label] = _point(alg, m, entries)
     return TriangleConfig(cubes)

@@ -342,3 +342,8 @@ def from_numerators(algebra: WeilAlgebra, num, den) -> WeilElement:
     if den != 1:
         num, den = reduce_numerators(num, den)
     return _element(algebra, num, den)
+
+
+def from_reduced(algebra: WeilAlgebra, num, den) -> WeilElement:
+    """Element from numerators already reduced over den > 0: no gcd pass."""
+    return _element(algebra, num, den)

@@ -467,6 +467,108 @@ def test_random_slot_triangles():
         assert tangent_principal(jacobi3_defect(t)) == (0,)
 
 
+SLOT_FIRST_CLASS = {(1, 2): {"123", "132", "312"}, (1, 3): {"213", "123", "132"},
+                    (2, 3): {"132", "312", "321"}}
+
+
+def slot_tables(base4, slots, corners):
+    """Each cube's table in the order the cubes were always read: label by
+    label, the unit slot first and the corner last."""
+    tables = {}
+    for label in TRIANGLE_LABELS:
+        table = {(): base4[0], (1,): base4[1], (2,): base4[2], (3,): base4[3]}
+        for pair, first in SLOT_FIRST_CLASS.items():
+            table[pair] = slots[pair][0 if label in first else 1]
+        table[(1, 2, 3)] = corners[label]
+        tables[label] = table
+    return tables
+
+
+def read_each_vector(m, tables):
+    """Every vector of every table read in turn, each check as from_table makes it."""
+    for table in tables.values():
+        for vec in table.values():
+            vec = [Q(v) for v in (vec if isinstance(vec, (list, tuple)) else [vec])]
+            if len(vec) != m:
+                raise ValidationError("coefficient vector length != m")
+
+
+def test_triangle_from_slots_matches_reference():
+    rng = random.Random(16)
+
+    def value():
+        return rng.choice([0, Q(0), "0", rng.randint(-5, 5), rng.choice(SPELLINGS),
+                           Q(rng.randint(-5, 5), rng.randint(1, 4))])
+
+    def vector(m):
+        vec = [value() for _ in range(m)]
+        return vec[0] if m == 1 and rng.random() < 0.3 else vec
+
+    seen = set()
+    for _ in range(40):
+        m = rng.randint(1, 3)
+        base4 = [vector(m) for _ in range(4)]
+        slots = {pair: (vector(m), vector(m)) for pair in SLOT_FIRST_CLASS}
+        corners = {label: vector(m) for label in TRIANGLE_LABELS}
+        t = triangle_from_slots(m, base4, slots, corners)
+        for label, table in slot_tables(base4, slots, corners).items():
+            want = from_table_reference(d_cube(3), m, table)
+            for a, b in zip(t.cubes[label].coords, want.coords):
+                assert a._num == b._num and a._den == b._den
+            for vec in table.values():
+                seen.add("vector" if isinstance(vec, list) else "scalar")
+                vec = vec if isinstance(vec, list) else [vec]
+                seen.update(type(v) for v in vec)
+                seen.add("zero" if any(Q(v) == 0 for v in vec) else "nonzero")
+    assert seen == {"scalar", "vector", int, str, Q, "zero", "nonzero"}
+
+    # with two bad values, the first one the old traversal reads raises
+    base4 = [[1, 2] for _ in range(4)]
+    slots = {pair: ([1, 2], [3, 4]) for pair in SLOT_FIRST_CLASS}
+    corners = {label: [5, 6] for label in TRIANGLE_LABELS}
+    cases = 0
+    for pair in SLOT_FIRST_CLASS:
+        for which in (0, 1):
+            for label in TRIANGLE_LABELS:
+                bad_slots = dict(slots)
+                bad_slots[pair] = tuple(["x/y", 1] if k == which else slots[pair][k]
+                                        for k in (0, 1))
+                bad_corners = {**corners, label: [5, 6, 7]}
+                with pytest.raises(Exception) as want:
+                    read_each_vector(2, slot_tables(base4, bad_slots, bad_corners))
+                with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                    triangle_from_slots(2, base4, bad_slots, bad_corners)
+                cases += isinstance(want.value, ValidationError)
+    # the corner comes first in some placements and the slot in others
+    assert 0 < cases < 36
+
+
+def test_triangle_from_slots_rejects_wrong_shapes():
+    v = [1]
+    base4 = [v, v, v, v]
+    slots = {pair: (v, v) for pair in SLOT_FIRST_CLASS}
+    corners = {label: v for label in TRIANGLE_LABELS}
+    triangle_from_slots(1, base4, slots, corners)
+    bad_value = ["not a number"]
+    wrong = [
+        ((base4[:3], slots, corners), "four base vectors"),
+        ((base4 + [v], slots, corners), "four base vectors"),
+        ((bad_value * 4 + [v], slots, corners), "four base vectors"),
+        ((base4, {k: s for k, s in slots.items() if k != (2, 3)}, corners), "slot pairs"),
+        ((base4, {**slots, (1, 1): (v, v)}, corners), "slot pairs"),
+        ((base4, list(slots.items()), corners), "slot pairs"),
+        ((base4, {**slots, (1, 3): (v,)}, corners), r"two vectors for slot \(1, 3\)"),
+        ((base4, {**slots, (1, 3): (bad_value, v, v)}, corners),
+         r"two vectors for slot \(1, 3\)"),
+        ((base4, slots, {k: c for k, c in corners.items() if k != "321"}), "six labels"),
+        ((base4, slots, {**corners, "111": v}), "six labels"),
+        ((base4, slots, list(corners.values())), "six labels"),
+    ]
+    for args, message in wrong:
+        with pytest.raises(ValidationError, match=f"need exactly .*{message}"):
+            triangle_from_slots(1, *args)
+
+
 def test_triangle_rejects_wrong_labels():
     g = cube(1, {})
     with pytest.raises(ValidationError):
