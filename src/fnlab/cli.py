@@ -121,6 +121,8 @@ def cmd_jacobi3(args) -> int:
                         "membership_violations": bad,
                         "defect_principal": [rat_str(v) for v in tangent_principal(defect)]})
     else:
+        if args.random < 1:
+            raise ValidationError("--random must be >= 1")
         sampler = Sampler(f"{args.seed}/jacobi3")
         for i in range(args.random):
             m = sampler.rng.randint(1, 2)

@@ -5,15 +5,17 @@ unknowns and right-hand entries live in any vector space over the rationals
 (rational tuples, polynomial maps, ...).  The matrices are constant while
 the right-hand sides vary, so ReducedMatrix row-reduces A once, in a given
 column order, carrying the identity along the row operations; what the
-identity becomes is the solution map, with the residue map of the rows left
-without a pivot stacked after it.  solve_exact applies both in one
-apply_columns walk, the walk that also serves restriction, the gluing's
-compatibility check and the bracket's extraction.  Reducing in another
-column order is a second, independent elimination, which is how callers
-check that the solution does not depend on the order.
+identity becomes on the pivot rows is the solution map.  solve_exact applies
+it in one apply_columns walk, the walk that also serves restriction, the
+gluing's compatibility check and the bracket's extraction.  The map reads
+only the pivot rows, so a right-hand side outside the column space still
+maps to some x: consistency is the caller's precondition.  A gluing checks
+it once, as the legs' agreement on their shared restriction.  Reducing in
+another column order is a second, independent elimination, which is how
+callers check that the solution does not depend on the order.
 """
 
-from .errors import InternalError, PreconditionError
+from .errors import InternalError
 from .rationals import ONE, Q
 
 
@@ -42,14 +44,13 @@ class ReducedMatrix:
     """A rational matrix of full column rank, compiled to one sparse map.
 
     Reduces in column_order (default: left to right).  columns[r] lists the
-    (output, entry) pairs of right-hand-side row r: output c < unknowns is
-    unknown c, and output unknowns + k the residue of free_rows[k], the k-th
-    row left without a pivot.  An entry is an int when integral, else a
-    rational.  Rank deficiency raises InternalError: every system here is a
-    pullback inverse, solvable uniquely.  Iterating yields the matrix rows.
+    (unknown, entry) pairs of right-hand-side row r, the solution map alone.
+    An entry is an int when integral, else a rational.  Rank deficiency
+    raises InternalError: every system here is a pullback inverse, solvable
+    uniquely.  Iterating yields the matrix rows.
     """
 
-    __slots__ = ("rows", "columns", "unknowns", "free_rows")
+    __slots__ = ("rows", "columns")
 
     def __init__(self, matrix, column_order=None):
         self.rows = [list(r) for r in matrix]
@@ -75,34 +76,24 @@ class ReducedMatrix:
                 f = a[r][col]
                 if r != pivot and f:
                     a[r] = [v - f * w for v, w in zip(a[r], a[pivot])]
-        free_rows = tuple(r for r in range(rows) if r not in used_rows)
-        for r in free_rows:
-            if any(a[r][:cols]):
+        for r in range(rows):
+            if r not in used_rows and any(a[r][:cols]):
                 raise InternalError("unreduced row after elimination")
-        outputs = {col: a[p][cols:] for col, p in pivot_row_of_col.items()}
-        outputs.update((cols + k, a[r][cols:]) for k, r in enumerate(free_rows))
+        outputs = [a[pivot_row_of_col[col]][cols:] for col in range(cols)]
         self.columns = tuple(
-            tuple((i, _exact(outputs[i][j])) for i in sorted(outputs) if outputs[i][j])
+            tuple((i, _exact(out[j])) for i, out in enumerate(outputs) if out[j])
             for j in range(rows))
-        self.unknowns = cols
-        self.free_rows = free_rows
 
     def __iter__(self):
         return iter(self.rows)
 
 
-def solve_exact(system: ReducedMatrix, rhs: dict, row_labels=None) -> dict:
+def solve_exact(system: ReducedMatrix, rhs: dict) -> dict:
     """Sparse {unknown: value} solving A x = rhs, a sparse {row: value}.
 
-    The walk drops zero residues and sorts the others last, so a residue left
-    raises PreconditionError naming its row (row_labels[r], or "row r").
+    Precondition: rhs lies in A's column space.  The map reads only the
+    pivot rows, so an inconsistent rhs gives a wrong answer, not an error.
     """
     if rhs and not (0 <= min(rhs) and max(rhs) < len(system.rows)):
         raise InternalError("rhs row out of range")
-    out = apply_columns(system.columns, rhs)
-    n = system.unknowns
-    if out and next(reversed(out)) >= n:
-        r = system.free_rows[next(i for i in out if i >= n) - n]
-        label = row_labels[r] if row_labels else f"row {r}"
-        raise PreconditionError(f"inconsistent system: residue at {label}")
-    return out
+    return apply_columns(system.columns, rhs)

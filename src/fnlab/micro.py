@@ -16,14 +16,16 @@ carries the apex object, the two leg substitutions (one twisted by a product
 term, one zero-padded), the shared restriction and the extraction map.  One
 solver serves them all, and it works unchanged for any coefficient space over
 the rationals, which is how the bracket machinery on kernel-valued forms
-reuses it.  A case's gluing system is a constant matrix, so each case compiles
-it once, when it is created, into one sparse integer map, and gluing walks
-it as restriction walks a morphism's columns.  So rational points glue
-fraction-free: each coordinate pair goes through the check and the solve as
-sparse integer numerators over one common denominator.  A case holds its
-leg, apex and shared algebras, and a morphism its source and target
-algebras, so gluing and restricting look no algebra up.  Tangents at one
-base point add fraction-free too.
+reuses it.  Two legs glue exactly when they agree on the shared restriction,
+and that is the one consistency check: it runs on every coordinate before
+any solve.  A case's gluing system is a constant matrix, so each case
+compiles it once, when it is created, into its sparse integer solution map,
+and gluing walks it as restriction walks a morphism's columns.  So rational
+points glue fraction-free: each coordinate pair goes through the check and
+the solve as sparse integer numerators over one common denominator.  A case
+holds its leg, apex and shared algebras, and a morphism its source and
+target algebras, so gluing and restricting look no algebra up.  Tangents at
+one base point add fraction-free too.
 
 Restricting a point maps each coordinate through the morphism's dual algebra
 map, InfMorphism.pullback_element.  A six-cube configuration checks its
@@ -160,10 +162,9 @@ class AmalgamationCase:
 
     system stacks the twisted rows over the flat rows, so the apex point
     restricting to (first leg, second leg) solves system x = (c1, c2).  The
-    matrix never changes, so it is compiled here, once; row_labels name its
-    rows for error messages.  The leg, apex and shared algebras are held
-    from here on: make_algebra keeps every algebra it builds, so each is the
-    one make_algebra would return.
+    matrix never changes, so it is compiled here, once.  The leg, apex and
+    shared algebras are held from here on: make_algebra keeps every algebra
+    it builds, so each is the one make_algebra would return.
     """
 
     name: str
@@ -176,22 +177,17 @@ class AmalgamationCase:
     extract: InfMorphism      # result object -> apex
     result: SimplicialObject
     system: ReducedMatrix = field(init=False, repr=False, compare=False)
-    row_labels: tuple = field(init=False, repr=False, compare=False)
     leg_alg: WeilAlgebra = field(init=False, repr=False, compare=False)
     apex_alg: WeilAlgebra = field(init=False, repr=False, compare=False)
     shared_alg: WeilAlgebra = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        leg_alg = make_algebra(self.leg)
         system = ReducedMatrix(self.twisted.matrix() + self.flat.matrix())
-        labels = tuple(f"{leg_alg.monomial_str(i)} ({which} leg)"
-                       for which in ("first", "second") for i in range(leg_alg.dim))
         # integer numerators map to integers only under integer entries
         if any(type(e) is not int for col in system.columns for _i, e in col):
             raise InternalError(f"{self.name}: gluing needs an integer solution map")
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "row_labels", labels)
-        object.__setattr__(self, "leg_alg", leg_alg)
+        object.__setattr__(self, "leg_alg", make_algebra(self.leg))
         object.__setattr__(self, "apex_alg", make_algebra(self.apex))
         object.__setattr__(self, "shared_alg", make_algebra(self.shared))
 
@@ -264,12 +260,17 @@ def case_compat_errors(case: AmalgamationCase, c1, c2) -> list:
 
 
 def case_solve(case: AmalgamationCase, c1, c2) -> dict:
-    """Sparse apex coefficients restricting to c1 (twisted leg) and c2 (flat leg)."""
+    """Sparse apex coefficients restricting to c1 (twisted leg) and c2 (flat leg).
+
+    Precondition: the legs agree on the shared restriction, that is,
+    case_compat_errors(case, c1, c2) is empty.  The solution map reads no
+    consistency, so legs that disagree give a wrong apex, not an error.
+    """
     rhs = dict(c1)
     offset = case.leg_alg.dim
     for k, v in c2.items():
         rhs[offset + k] = v
-    return solve_exact(case.system, rhs, row_labels=case.row_labels)
+    return solve_exact(case.system, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +465,7 @@ class TriangleConfig:
     def __init__(self, cubes: dict):
         if set(cubes) != set(TRIANGLE_LABELS):
             raise ValidationError(f"need exactly the six labels {TRIANGLE_LABELS}")
-        alg = make_algebra(d_cube(3))
+        alg = get_case("cube-1").leg_alg
         ms = {c.m for c in cubes.values()}
         if len(ms) != 1:
             raise ValidationError("cubes of different model dimension")
@@ -561,7 +562,7 @@ def triangle_from_slots(m: int, base4, slots: dict, corners: dict) -> TriangleCo
         raise ValidationError(f"need exactly the six labels {TRIANGLE_LABELS} as corners")
     vectors = [*base4, *(v for pair in _TRIANGLE_CLASSES for v in slots[pair]),
                *(corners[label] for label in TRIANGLE_LABELS)]
-    alg = make_algebra(d_cube(3))
+    alg = get_case("cube-1").leg_alg
     positions = [alg.index[tuple(_key_exponents(3, key))] for key in _TRIANGLE_KEYS]
     parts = [None] * len(vectors)
     cubes = {}

@@ -6,9 +6,9 @@ of T (each vanishing product and each power-bound monomial) must reduce to
 zero in S's algebra after substitution.  Dually it is an algebra map from
 T's algebra to S's; on points it restricts T-expansions to S-expansions.
 Pulling points back walks the matrix's sparse columns with
-`linsolve.apply_columns`, as gluing walks its compiled map.  A map holds its
-source and target algebras from the first `columns()` call, so pulling
-points back looks no algebra up.
+`linsolve.apply_columns`, as gluing walks its compiled map.  A map looks its
+source and target algebras up once, when it is made, so validating, building
+the matrix and pulling points back look no algebra up.
 """
 
 from .errors import ValidationError
@@ -39,12 +39,12 @@ class InfMorphism:
         self._matrix = None
         self._columns = None
         self._integral = False
-        self._algebras = None
+        self._algebras = make_algebra(source), make_algebra(target)
         self._validate()
 
     def _images(self):
         """Generator images as elements of the source algebra."""
-        alg = make_algebra(self.source)
+        alg = self._algebras[0]
         out = []
         for p in self.subst:
             num = {alg.index[e]: n for e, n in p.numerators.items() if e in alg.index}
@@ -58,7 +58,7 @@ class InfMorphism:
                 raise ValidationError(
                     f"ideal not preserved: image of generator {i + 1} "
                     f"has nonzero power {b}")
-        alg = make_algebra(self.source)
+        alg = self._algebras[0]
         for seq in sorted(self.target.relations):
             prod = alg.one()
             for i in seq:
@@ -76,8 +76,7 @@ class InfMorphism:
         """
         if self._matrix is not None:
             return self._matrix
-        src = make_algebra(self.source)
-        tgt = make_algebra(self.target)
+        src, tgt = self._algebras
         imgs = self._images()
         cols = []
         for beta in tgt.basis:
@@ -104,12 +103,10 @@ class InfMorphism:
                       for i, row in enumerate(matrix) if row[j])
                 for j in range(len(matrix[0])))
             self._integral = all(type(v) is int for col in self._columns for _i, v in col)
-            self._algebras = make_algebra(self.source), make_algebra(self.target)
         return self._columns
 
     def algebras(self):
-        """(source algebra, target algebra), held from the first columns() call."""
-        self.columns()
+        """(source algebra, target algebra), held since the map was made."""
         return self._algebras
 
     def pullback_element(self, w: WeilElement) -> WeilElement:
@@ -133,7 +130,7 @@ class InfMorphism:
             raise ValidationError("object mismatch in composition")
         one = Poly.one(self.source.n)
         comps = [p.eval(list(self.subst), one) for p in other.subst]
-        src_alg = make_algebra(self.source)
+        src_alg = self._algebras[0]
         reduced = []
         for p in comps:
             keep = {e: c for e, c in p.numerators.items() if e in src_alg.index}

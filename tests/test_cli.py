@@ -190,6 +190,17 @@ def test_jacobi3_random(capsys):
     assert data["all_zero"] and len(data["cases"]) == 4
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_jacobi3_random_needs_a_case(capsys, count, as_json):
+    # checking no six-tuple must not report a pass
+    argv = ["jacobi3", "--random", count] + (["--json"] if as_json else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: --random must be >= 1\n"
+
+
 def _form(coeffs):
     return json.dumps({"p": 0, "k": 1, "m": 1, "coeffs": coeffs})
 

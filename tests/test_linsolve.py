@@ -5,7 +5,7 @@ import pytest
 from fnlab.errors import InternalError, PreconditionError
 from fnlab.forms import Kernel, cube_dim
 from fnlab.linsolve import ReducedMatrix, solve_exact
-from fnlab.micro import AmalgamationCase, amalgamation_cases, case_solve
+from fnlab.micro import AmalgamationCase, amalgamation_cases, case_compat_errors, case_solve
 from fnlab.morphisms import InfMorphism
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
@@ -51,14 +51,6 @@ def sparse(values) -> dict:
     return {i: v for i, v in enumerate(values) if v}
 
 
-def outcome(solve, *args):
-    """The solution, or the message of the PreconditionError raised."""
-    try:
-        return solve(*args)
-    except PreconditionError as exc:
-        return str(exc)
-
-
 def fraction_replay(matrix, rhs, column_order=None):
     """Reduce and solve in one dense pass with every step a rational.
 
@@ -99,7 +91,9 @@ def test_stored_reduction_matches_fresh_solve(name, values):
     fresh = ReducedMatrix(rows)
     right_to_left = list(reversed(range(apex_dim)))
     reordered = ReducedMatrix(rows, right_to_left)
-    assert (fresh.columns, fresh.free_rows) == (case.system.columns, case.system.free_rows)
+    assert fresh.columns == case.system.columns
+    # the solution map alone: one entry per unknown's leg row, plus the twist
+    assert sum(map(len, case.system.columns)) == (6 if name == "square" else 12)
     for _ in range(3):
         x = [draw() for _ in range(apex_dim)]
         rhs = apply_rows(rows, x)
@@ -127,33 +121,6 @@ def test_non_integral_gluing_case_raises_internal_error():
                          sq.shared_incl, sq.extract, sq.result)
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_inconsistent_rhs_names_the_leg_row(name):
-    # the first leg carries d1 and d2 where the second leg is zero; residues
-    # are left on the second leg's d1 and d2 rows, and the first is named,
-    # for the stored and a reversed reduction, whatever order the rhs has
-    case = amalgamation_cases()[name]
-    leg = case.leg_alg
-    zeros = (0,) * (case.leg.n - 2)
-    d1, d2 = leg.index[(1, 0) + zeros], leg.index[(0, 1) + zeros]
-    c1 = {d2: Q(1), d1: Q(1)}
-    reordered = ReducedMatrix(plain_rows(case), reversed(range(case.apex_alg.dim)))
-    with pytest.raises(PreconditionError, match=r"residue at d1 \(second leg\)$"):
-        case_solve(case, c1, {})
-    for system in (case.system, reordered):
-        with pytest.raises(PreconditionError, match=r"residue at d1 \(second leg\)$"):
-            solve_exact(system, c1, row_labels=case.row_labels)
-    with pytest.raises(PreconditionError, match=rf"residue at row {leg.dim + d1}$"):
-        fraction_replay(plain_rows(case), [c1.get(i, Q(0)) for i in range(2 * leg.dim)])
-
-
-def test_inconsistent_rhs_without_labels_names_the_row_number():
-    with pytest.raises(PreconditionError, match=r"residue at row 1$"):
-        solve_exact(ReducedMatrix([[Q(1)], [Q(2)]]), {0: Q(1), 1: Q(1)})
-    with pytest.raises(PreconditionError, match=r"residue at row 1$"):
-        fraction_replay([[Q(1)], [Q(2)]], [Q(1), Q(1)])
-
-
 def test_rank_deficient_matrix_raises_internal_error():
     singular = [[Q(1), Q(2)], [Q(2), Q(4)], [Q(3), Q(6)]]
     with pytest.raises(InternalError, match="rank-deficient"):
@@ -164,7 +131,8 @@ def test_rank_deficient_matrix_raises_internal_error():
 
 def test_rhs_row_out_of_range_raises_internal_error():
     case = amalgamation_cases()["square"]
-    rows = len(case.row_labels)
+    rows = len(case.system.rows)
+    assert rows == 2 * case.leg_alg.dim
     assert solve_exact(case.system, {rows - 1: Q(0)}) == {}
     for bad in (rows, -1):
         with pytest.raises(InternalError, match="rhs row out of range"):
@@ -193,12 +161,6 @@ def test_random_systems_match_the_fraction_replay():
             assert got == sparse(fraction_replay(matrix, rhs)) == sparse(x)
             if draw is rq:
                 assert all(type(v) is Q for v in got.values())
-            # a bumped row may leave residues: both name the same first row
-            bumped = list(rhs)
-            k = RNG.randrange(len(bumped))
-            bumped[k] = bumped[k] + bumped[k] + (x[0] if x[0] else draw())
-            assert outcome(solve_exact, system, sparse(bumped)) == \
-                outcome(lambda *a: sparse(fraction_replay(*a)), matrix, bumped)
     assert seen_int and seen_frac
 
 
@@ -208,3 +170,67 @@ def test_integer_matrix_reduces_exactly():
     assert system.columns == (((0, Q(1, 3)),), ((1, Q(1, 2)),))
     assert all(type(e) is Q for col in system.columns for _i, e in col)
     assert solve_exact(system, {0: Q(1), 1: Q(1)}) == {0: Q(1, 3), 1: Q(1, 2)}
+
+
+def _bump(c: dict, j, d) -> dict:
+    """c with d added at j, a zero sum dropped."""
+    out = dict(c)
+    v = out.pop(j, None)
+    v = d if v is None else v + d
+    if v:
+        out[j] = v
+    return out
+
+
+def _replay_solution(case, c1, c2, zero):
+    """The naive sparse solution of the stacked system, or None if inconsistent."""
+    dim = case.leg_alg.dim
+    rhs = [c1.get(i, zero) for i in range(dim)] + [c2.get(i, zero) for i in range(dim)]
+    try:
+        return sparse(fraction_replay(plain_rows(case), rhs))
+    except PreconditionError:
+        return None
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("values", ["rational", "kernel"])
+def test_compat_check_decides_consistency(name, values):
+    # the solution map reads no consistency, so the compat check must accept
+    # exactly the leg pairs whose stacked system the naive replay solves
+    case = amalgamation_cases()[name]
+    rows, dim = plain_rows(case), case.leg_alg.dim
+    draw = rq if values == "rational" else rkernel
+    basis = case.leg_alg.basis
+    shared = [j for j in range(dim) if basis[j] in case.shared_alg.index]
+    corner = [j for j in range(dim) if basis[j] not in case.shared_alg.index]
+    assert len(shared) == (3 if name == "square" else 6) and corner
+
+    def nonzero():
+        d = draw()
+        return d if d else nonzero()
+
+    checked = {True: 0, False: 0}
+    for _ in range(3):
+        x = [draw() for _ in range(case.apex_alg.dim)]
+        zero = x[0] - x[0]
+        rhs = apply_rows(rows, x)
+        legs = (sparse(rhs[:dim]), sparse(rhs[dim:]))
+        pairs = [(legs, True)]
+        for j in shared:
+            for which in (0, 1):
+                bumped = list(legs)
+                bumped[which] = _bump(bumped[which], j, nonzero())
+                pairs.append((bumped, False))
+        for j in corner:
+            for which in (0, 1):
+                bumped = list(legs)
+                bumped[which] = _bump(bumped[which], j, nonzero())
+                pairs.append((bumped, True))
+        for (c1, c2), agree in pairs:
+            solution = _replay_solution(case, c1, c2, zero)
+            assert (solution is not None) == agree
+            assert bool(case_compat_errors(case, c1, c2)) == (not agree)
+            if agree:
+                assert case_solve(case, c1, c2) == solution
+            checked[agree] += 1
+    assert checked[True] and checked[False]

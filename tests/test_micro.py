@@ -255,6 +255,54 @@ def test_strong_diff_requires_agreement():
         strong_diff(g1, bad)
 
 
+def _key(exps) -> tuple:
+    """The 1-based axis-index tuple of an exponent vector."""
+    return tuple(i + 1 for i, e in enumerate(exps) for _ in range(e))
+
+
+def _monomial(key) -> str:
+    return "*".join(f"d{i}" for i in key) or "1"
+
+
+@pytest.mark.parametrize("name", ["square", "cube-1", "cube-2", "cube-3"])
+def test_amalgamate_names_the_first_disagreement(name):
+    # the first coordinate that disagrees, and in it the first shared
+    # monomial in basis order, is named, whichever leg carries the change
+    case = get_case(name)
+    m = 3
+    rng = random.Random(11)
+    keys = [_key(e) for e in case.leg_alg.basis]
+    shared = [_key(e) for e in case.leg_alg.basis if e in case.shared_alg.index]
+    corner = [k for k in keys if k not in shared]
+    table = {k: [Q(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(m)]
+             for k in keys}
+
+    def bumped(changes):
+        t = {k: list(v) for k, v in table.items()}
+        for j, key in changes:
+            t[key][j] += 1
+        return MicroPoint.from_table(case.leg, m, t)
+
+    g = bumped([])
+    # off the shared restriction the legs may differ
+    amalgamate(g, bumped([(j, k) for j in range(m) for k in corner]), case)
+    first, second, last = shared[0], shared[1], shared[-1]
+    expected = [
+        ([(0, first)], 0, first),
+        ([(2, last), (1, last)], 1, last),
+        ([(1, last), (1, first)], 1, first),
+        ([(2, last), (2, second), (2, corner[0])], 2, second),
+    ]
+    for changes, j, key in expected:
+        bad = bumped(changes)
+        message = (f"legs disagree on the shared restriction: "
+                   f"coordinate {j}, monomial {_monomial(key)}")
+        for pair in ((g, bad), (bad, g)):
+            with pytest.raises(PreconditionError) as exc:
+                amalgamate(*pair, case)
+            assert str(exc.value) == message
+
+
 def test_gluing_needs_rational_coordinates():
     # a polynomial coefficient has no integer numerators to glue
     def pair(obj):
