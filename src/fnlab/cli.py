@@ -98,6 +98,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_jacobi3(args) -> int:
+    if args.point is not None and not args.fields:
+        raise ValidationError("--point needs --fields")
     results = []
     if args.fields:
         maps = [polymap_from_json(_load_json_arg(f)) for f in args.fields]
@@ -182,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="three vector-field JSON files")
     group.add_argument("--random", type=int, help="number of random six-tuples")
     p_jac.add_argument("--point", default=None,
-                       help="comma-separated rational coordinates")
+                       help="comma-separated rational coordinates (with --fields)")
     p_jac.add_argument("--seed", type=int, default=0)
     p_jac.add_argument("--json", action="store_true")
     p_jac.set_defaults(func=cmd_jacobi3)

@@ -11,7 +11,9 @@ The two convolutions evaluate one kernel inside the other with Weil-valued
 scalars; their expanded products agree below the corner, and the corner gap,
 extracted by the same amalgamation solver that powers strong differences of
 points, is the bracket.  Antisymmetrizing with 1/(p! q!) yields the graded
-bracket on alternating forms.
+bracket on alternating forms.  A form decides each class condition once and
+holds the verdict (its kernels are read-only); a bracket's output, in its
+class by construction, is checked on its next use.
 
 The constant combinatorics are worked out once and cached, which is safe
 because none of them ever changes:
@@ -288,7 +290,7 @@ class FormElem:
     surviving coefficient data and ignores the view marker.
     """
 
-    __slots__ = ("p", "k", "m", "coeffs", "class_tag", "view")
+    __slots__ = ("p", "k", "m", "coeffs", "class_tag", "view", "_verdicts")
 
     def __init__(self, p: int, k: int, m: int, coeffs: dict,
                  class_tag: str = OMEGA0, view: str = VIEW_EXPANDED):
@@ -311,6 +313,7 @@ class FormElem:
         self.coeffs = MappingProxyType(clean)
         self.class_tag = class_tag
         self.view = view
+        self._verdicts = {}
 
     def coeff(self, subset) -> Kernel:
         ker = self.coeffs.get(frozenset(subset))
@@ -419,6 +422,15 @@ def _alternating(x: FormElem) -> bool:
     return all(perm_kernel(ker, tau) == negated for tau in _perm_table(x.p, x.m).checks)
 
 
+def _holds(x: FormElem, condition) -> bool:
+    """condition(x) (is_omega1, _multilinear or _alternating), evaluated on the
+    form's first ask and read after that; an error (k != 1) is never stored."""
+    verdict = x._verdicts.get(condition)
+    if verdict is None:
+        verdict = x._verdicts[condition] = condition(x)
+    return verdict
+
+
 def is_omega12(x: FormElem) -> bool:
     """Multilinearity: the principal kernel is degree-1 in every axis grading.
 
@@ -426,21 +438,21 @@ def is_omega12(x: FormElem) -> bool:
     with i in S; the kernel must come out scaled exactly once per axis, which
     holds iff each monomial has axis degree one in every direction.
     """
-    return is_omega1(x) and _multilinear(x)
+    return _holds(x, is_omega1) and _holds(x, _multilinear)
 
 
 def is_omega13(x: FormElem) -> bool:
     """Alternation: permuting cube axes multiplies the kernel by the sign."""
-    return is_omega1(x) and _alternating(x)
+    return _holds(x, is_omega1) and _holds(x, _alternating)
 
 
 def is_omega123(x: FormElem) -> bool:
-    return is_omega12(x) and _alternating(x)
+    return is_omega12(x) and _holds(x, _alternating)
 
 
 _PREDICATES = {
     OMEGA0: lambda x: True,
-    OMEGA1: is_omega1,
+    OMEGA1: lambda x: _holds(x, is_omega1),
     OMEGA12: is_omega12,
     OMEGA13: is_omega13,
     OMEGA123: is_omega123,
@@ -660,7 +672,7 @@ def antisymmetrize_scaled(x: FormElem, parts) -> FormElem:
 # the bracket tower
 
 
-def _bracket_core(x: FormElem, y: FormElem) -> FormElem:
+def _bracket_core(x: FormElem, y: FormElem, tag: str = OMEGA1) -> FormElem:
     """Strong difference of the two expanded products, at kernel level."""
     a = prod_under(x, y)
     b = prod_over(x, y)
@@ -680,7 +692,7 @@ def _bracket_core(x: FormElem, y: FormElem) -> FormElem:
     base, principal = tangent.get(0, zero), tangent.get(1, zero)
     if base != pi_kernel(total, x.m):
         raise InternalError("bracket base is not the projection")
-    return FormElem(total, 1, x.m, {frozenset(): base, frozenset({1}): principal}, OMEGA1)
+    return FormElem(total, 1, x.m, {frozenset(): base, frozenset({1}): principal}, tag)
 
 
 def _require(pred, name: str, x: FormElem, y: FormElem):
@@ -692,30 +704,27 @@ def _require(pred, name: str, x: FormElem, y: FormElem):
 
 def bracket_l1(x: FormElem, y: FormElem) -> FormElem:
     """Unnormalized bracket of Dirac-normalized forms."""
-    _require(is_omega1, "is_omega1", x, y)
+    _require(_PREDICATES[OMEGA1], "is_omega1", x, y)
     return _bracket_core(x, y)
 
 
 def bracket_l12(x: FormElem, y: FormElem) -> FormElem:
     """Bracket restricted to multilinear forms; multilinearity is preserved."""
     _require(is_omega12, "is_omega12", x, y)
-    return _bracket_core(x, y).with_tag(OMEGA12)
+    return _bracket_core(x, y, OMEGA12)
 
 
 def bracket_fn13(x: FormElem, y: FormElem) -> FormElem:
     """Graded bracket on alternating forms: antisymmetrized strong difference."""
     _require(is_omega13, "is_omega13", x, y)
-    raw = _bracket_core(x, y)
-    return antisymmetrize_scaled(raw, (x.p, y.p)).with_tag(OMEGA13)
+    return antisymmetrize_scaled(_bracket_core(x, y, OMEGA13), (x.p, y.p))
 
 
 def bracket_fn123(x: FormElem, y: FormElem) -> FormElem:
     """Graded bracket on alternating multilinear forms."""
     _require(is_omega12, "is_omega12", x, y)
-    # is_omega12 has checked the Dirac condition; is_omega13 would again
-    _require(_alternating, "is_omega13", x, y)
-    raw = _bracket_core(x, y)
-    return antisymmetrize_scaled(raw, (x.p, y.p)).with_tag(OMEGA123)
+    _require(is_omega13, "is_omega13", x, y)
+    return antisymmetrize_scaled(_bracket_core(x, y, OMEGA123), (x.p, y.p))
 
 
 BRACKETS = {

@@ -2,14 +2,15 @@
 
 A MicroPoint is an m-tuple of Weil-algebra elements: the multi-expansion of a
 point along nilpotent directions.  Points are built fraction-free by one
-constructor: each m-vector of a table, or of a six-cube configuration's free
-data, is read once into numerators and denominators, and each coordinate is
-its numerators over their lcm, a form that is already reduced.  The six cubes
-of a configuration share their 16 distinct vectors, so each of those is read
-once for all six.  Squares (two directions) and cubes (three)
-are glued along common restrictions by an exact linear solve that inverts the
-relevant pullback square; the strong difference of a compatible pair is the
-restriction of that unique gluing along a fresh direction.
+constructor: each m-vector of a table, of a field's values at a point or of a
+six-cube configuration's free data is read once into numerators and
+denominators, and each coordinate is its numerators over their lcm, a form
+that is already reduced.  The six cubes of a configuration share their 16
+distinct vectors, so each of those is read once for all six.  Squares (two
+directions) and cubes (three) are glued along common restrictions by an
+exact linear solve that inverts the relevant pullback square; the strong
+difference of a compatible pair is the restriction of that unique gluing
+along a fresh direction.
 
 The four gluing configurations are data, not code: each AmalgamationCase
 carries the apex object, the two leg substitutions (one twisted by a product
@@ -45,8 +46,7 @@ from .morphisms import InfMorphism, axis_map, inclusion
 from .poly import Poly, PolyMap
 from .rationals import RATIONAL_TYPES, Q
 from .simplicial import SimplicialObject, d_cube, d_paren
-from .weil import (WeilAlgebra, WeilElement, from_dense, from_numerators, from_reduced,
-                   make_algebra)
+from .weil import WeilAlgebra, WeilElement, from_numerators, from_reduced, make_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ class MicroField:
     point based at x.
     """
 
-    __slots__ = ("obj", "m", "body")
+    __slots__ = ("obj", "algebra", "m", "body")
 
     def __init__(self, obj: SimplicialObject, m: int, body: PolyMap):
         alg = make_algebra(obj)
@@ -368,18 +368,15 @@ class MicroField:
             if body.comps[j] != Poly.var(m, j):
                 raise ValidationError("unit-monomial block of a field must be the identity")
         self.obj = obj
+        self.algebra = alg
         self.m = m
         self.body = body
 
     def at(self, point) -> MicroPoint:
-        alg = make_algebra(self.obj)
-        point = [Q(v) for v in point]
-        vals = self.body.eval(point)
-        coords = []
-        for j in range(self.m):
-            dense = [vals[pos * self.m + j] for pos in range(alg.dim)]
-            coords.append(from_dense(alg, dense))
-        return MicroPoint(alg, self.m, coords)
+        m = self.m
+        vals = self.body.eval([Q(v) for v in point])
+        return _point(self.algebra, m, {pos: _vector_parts(vals[pos * m:(pos + 1) * m], m)
+                                        for pos in range(self.algebra.dim)})
 
 
 def _flow_coords(fields, order, m: int, obj: SimplicialObject):

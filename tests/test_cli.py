@@ -201,6 +201,17 @@ def test_jacobi3_random_needs_a_case(capsys, count, as_json):
     assert captured.err == "invalid input: --random must be >= 1\n"
 
 
+@pytest.mark.parametrize("point", ["1,2", "1/2", ""])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_jacobi3_point_needs_fields(capsys, point, as_json):
+    # a point only places the flow of --fields; random six-tuples would drop it
+    argv = ["jacobi3", "--random", "1", "--point", point, "--seed", "3"]
+    assert main(argv + (["--json"] if as_json else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: --point needs --fields\n"
+
+
 def _form(coeffs):
     return json.dumps({"p": 0, "k": 1, "m": 1, "coeffs": coeffs})
 

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fnlab import forms
 from fnlab.errors import PreconditionError, ValidationError
-from fnlab.forms import (FormElem, Kernel, OMEGA1, OMEGA12, OMEGA123,
+from fnlab.forms import (FormElem, Kernel, OMEGA0, OMEGA1, OMEGA12, OMEGA13, OMEGA123,
                          Permutation, antisymmetrize, antisymmetrize_scaled,
                          bracket_fn13, bracket_fn123, bracket_l1, bracket_l12,
                          conv_over, conv_under, cube_dim, cube_var,
@@ -115,6 +117,139 @@ def test_form_coeffs_are_read_only():
     y = FormElem(1, 1, 1, source)
     source[frozenset()] = rkernel(1, 1)
     assert set(y.coeffs) == {frozenset({1})}
+
+
+# --- class verdicts held on the form ------------------------------------------
+
+PREDICATES = (is_omega1, is_omega12, is_omega13, is_omega123, verify_class)
+TAGS = (OMEGA0, OMEGA1, OMEGA12, OMEGA13, OMEGA123)
+
+
+def naive_predicates(x):
+    """Each predicate's answer, from the conditions evaluated on a fresh form.
+
+    The conditions themselves hold nothing, and the fresh form has been asked
+    nothing, so no held verdict can reach these answers.
+    """
+    fresh = FormElem(x.p, x.k, x.m, dict(x.coeffs), x.class_tag, x.view)
+    dirac = is_omega1(fresh)
+    multilinear = forms._multilinear(fresh)
+    alternating = forms._alternating(fresh)
+    by_tag = {OMEGA0: True, OMEGA1: dirac, OMEGA12: dirac and multilinear,
+              OMEGA13: dirac and alternating,
+              OMEGA123: dirac and multilinear and alternating}
+    return {is_omega1: dirac, is_omega12: by_tag[OMEGA12], is_omega13: by_tag[OMEGA13],
+            is_omega123: by_tag[OMEGA123], verify_class: by_tag[x.class_tag]}
+
+
+def multilinear_kernel(rng, p, m):
+    """Terms with one slot per axis of a random set partition, times a base slot."""
+    n = cube_dim(p, m)
+    comps = []
+    for _ in range(m):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            e = [0] * n
+            blocks = {}
+            for axis in range(1, p + 1):
+                blocks.setdefault(rng.randrange(p), set()).add(axis)
+            for block in blocks.values():
+                e[cube_var(p, m, block, rng.randrange(m))] += 1
+            e[cube_var(p, m, (), rng.randrange(m))] += rng.randint(0, 1)
+            pairs.append((Q(rng.randint(-5, 5), rng.randint(1, 3)), e))
+        comps.append(Poly.from_terms(n, pairs))
+    return Kernel(p, m, PolyMap(n, comps))
+
+
+def verdict_cases(rng):
+    """(p, m, coeffs) on R^1 and R^2, p 0-3, passing and failing each condition."""
+    for p in range(4):
+        for m in (1, 2):
+            unit = pi_kernel(p, m)
+            general = rkernel(p, m)
+            multilinear = multilinear_kernel(rng, p, m)
+            for principal in (general, multilinear, zero_kernel(p, m)):
+                alternating = antisymmetrize(form_from_kernel(principal)).principal()
+                for ker in (principal, alternating):
+                    for base in (unit, unit.scale(Q(2)), unit + rkernel(p, m, 1, 1)):
+                        yield p, m, {frozenset(): base, frozenset({1}): ker}
+
+
+def test_class_verdicts_match_fresh_evaluation():
+    rng = random.Random("verdicts")
+    seen = set()
+    for p, m, coeffs in verdict_cases(rng):
+        for tag in TAGS:
+            for order in (PREDICATES, PREDICATES[::-1]):
+                x = FormElem(p, 1, m, coeffs, tag)
+                want = naive_predicates(x)
+                for pred in order + order:
+                    assert pred(x) == want[pred], (p, m, tag, pred.__name__)
+                seen.update((pred.__name__, answer) for pred, answer in want.items())
+    assert seen == {(pred.__name__, answer) for pred in PREDICATES for answer in (True, False)}
+
+
+def test_predicates_raise_on_every_ask_at_other_expansion_arities():
+    for p in range(4):
+        for m in (1, 2):
+            for k in (0, 2):
+                # at k = 0 the one subset is the empty one
+                coeffs = {frozenset(): pi_kernel(p, m), frozenset(range(1, k + 1)): rkernel(p, m)}
+                for tag in TAGS:
+                    for order in (PREDICATES, PREDICATES[::-1]):
+                        x = FormElem(p, k, m, coeffs, tag)
+                        for pred in order + order:
+                            if pred is verify_class and tag == OMEGA0:
+                                assert verify_class(x)
+                                continue
+                            with pytest.raises(PreconditionError, match="expansion arity 1"):
+                                pred(x)
+
+
+def graded_jacobi_sum(bracket, x, y, z, inner):
+    """The signed sum of the benchmark's bracket_tower op.
+
+    The inner brackets are kept in inner, so that no two forms checked in one
+    sum share an id.
+    """
+    p, q, r = x.p, y.p, z.p
+    outer = []
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        inner.append(bracket(b, c))
+        outer.append(bracket(a, inner[-1]))
+    return (outer[0].principal()
+            + outer[1].principal().scale(Q((-1) ** (p * (q + r))))
+            + outer[2].principal().scale(Q((-1) ** (r * (p + q)))))
+
+
+@pytest.mark.parametrize("bracket, conditions", [
+    (bracket_fn13, ("is_omega1", "_alternating")),
+    (bracket_fn123, ("is_omega1", "_multilinear", "_alternating"))])
+def test_graded_jacobi_sum_decides_each_condition_once_per_form(bracket, conditions):
+    # executions of each condition's code, however it is reached
+    codes = {getattr(forms, name).__code__: name for name in conditions}
+    asked = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in codes:
+            asked.append((codes[frame.f_code], frame.f_locals["x"]))
+
+    rng = random.Random(f"jacobi-{bracket.__name__}")
+    multilinear = bracket is bracket_fn123
+    x, y, z = (alternating_form(rng, p, 2, multilinear) for p in (0, 1, 2))
+    inner = []
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        total = graded_jacobi_sum(bracket, x, y, z, inner)
+    finally:
+        sys.setprofile(previous)
+    assert not total
+    # x, y, z and the inner brackets; asked and inner keep them all alive
+    position = {id(form): i for i, form in enumerate((x, y, z, *inner))}
+    assert len(position) == 6
+    assert Counter((name, position.get(id(form))) for name, form in asked) == \
+        Counter((name, i) for name in conditions for i in range(6))
 
 
 # --- permutations -----------------------------------------------------------

@@ -7,7 +7,7 @@ import fnlab.micro
 from fnlab.errors import PreconditionError, ValidationError
 from fnlab.forms import Kernel, cube_dim
 from fnlab.linsolve import ReducedMatrix, apply_columns, solve_exact
-from fnlab.micro import (MicroPoint, TRIANGLE_LABELS, TriangleConfig,
+from fnlab.micro import (MicroField, MicroPoint, TRIANGLE_LABELS, TriangleConfig,
                          add_tangents, amalgamate, amalgamation_cases, flow_field, get_case,
                          jacobi3_defect, restrict, strong_diff,
                          strong_diff_i, tangent_principal, triangle_from_slots,
@@ -474,6 +474,44 @@ def test_flow_triangle_corner_example():
     assert t.cubes["123"].coeff((1, 2)) == (1,)
     assert t.cubes["213"].coeff((1, 2)) == (0,)
     assert tangent_principal(jacobi3_defect(t)) == (0,)
+
+
+def field_at_reference(fld, point):
+    """The dense path: each coordinate's column of values, then from_dense."""
+    alg = make_algebra(fld.obj)
+    vals = fld.body.eval([Q(v) for v in point])
+    return MicroPoint(alg, fld.m, [from_dense(alg, [vals[pos * fld.m + j] for pos in range(alg.dim)])
+                                   for j in range(fld.m)])
+
+
+def test_field_at_matches_dense_reference(monkeypatch):
+    rng = random.Random(23)
+
+    def rpoly(m):
+        pairs = [(rng.choice([Q(0), Q(rng.randint(-5, 5), rng.randint(1, 4))]),
+                  [rng.randint(0, 2) for _ in range(m)]) for _ in range(rng.randint(0, 3))]
+        return Poly.from_terms(m, pairs)
+
+    fields = []
+    for obj in (d_cube(2), d_cube(3), d_order(2), d_paren(2)):
+        for m in (1, 2):
+            rest = [rpoly(m) for _ in range(m * (make_algebra(obj).dim - 1))]
+            fields.append(MicroField(obj, m, PolyMap(m, [Poly.var(m, j) for j in range(m)] + rest)))
+    fields.append(flow_field([PolyMap(2, [rpoly(2), rpoly(2)]) for _ in range(3)], (2, 3, 1)))
+    calls = []
+    monkeypatch.setattr(fnlab.micro, "make_algebra",
+                        lambda obj: calls.append(obj) or make_algebra(obj))
+    for fld in fields:
+        for _ in range(3):
+            # ints and rationals are read as given, strings go through Q
+            point = [rng.choice([rng.randint(-3, 3), Q(rng.randint(-5, 5), rng.randint(1, 4)),
+                                 rng.choice(SPELLINGS)]) for _ in range(fld.m)]
+            got, want = fld.at(point), field_at_reference(fld, point)
+            assert got == want
+            for a, b in zip(got.coords, want.coords):
+                assert dict(a.coeffs) == dict(b.coeffs) and a.denominator == b.denominator
+    # the field holds its algebra
+    assert calls == []
 
 
 def test_flow_field_base_is_identity():
