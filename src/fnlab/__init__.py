@@ -10,8 +10,8 @@ from .weil import WeilAlgebra, WeilElement, from_dense, make_algebra
 from .morphisms import InfMorphism, axis_map, compose_morphisms, \
     identity_morphism, inclusion
 from .poly import Poly, PolyMap, poly_equal
-from .micro import MicroField, MicroPoint, TriangleConfig, amalgamate, \
-    amalgamation_cases, flow_field, jacobi3_defect, restrict, strong_diff, \
+from .micro import MicroPoint, TriangleConfig, amalgamate, \
+    amalgamation_cases, jacobi3_defect, restrict, strong_diff, \
     strong_diff_i, tangent_principal, triangle_from_slots, \
     triangle_from_vector_fields
 from .forms import FormElem, Kernel, Permutation, antisymmetrize, \
@@ -19,7 +19,7 @@ from .forms import FormElem, Kernel, Permutation, antisymmetrize, \
     bracket_l12, conv_over, conv_under, cube_var, form_from_kernel, \
     identity_one_form, is_omega1, is_omega12, is_omega13, is_omega123, \
     perm_act, perm_kernel, pi_kernel, prod_over, prod_under, shuffle_sigma, \
-    transpose_views, vector_field_form, verify_class
+    vector_field_form, verify_class
 from .verify import Sampler, SuiteConfig, run_verification
 from .errors import FnlabError, InternalError, PreconditionError, ValidationError
 

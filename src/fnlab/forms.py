@@ -278,26 +278,21 @@ OMEGA123 = "omega123"
 
 _CLASS_ORDER = (OMEGA0, OMEGA1, OMEGA12, OMEGA13, OMEGA123)
 
-VIEW_EXPANDED = "expanded"    # nilpotent expansion of kernel maps
-VIEW_POINTWISE = "pointwise"  # map sending each cube to a tangent vector
-
 
 class FormElem:
     """Expansion-indexed family of kernels.
 
     coeffs maps subsets of {1..k} to kernels of arity p on R^m, as a
     read-only view.  Zero kernels are dropped; equality compares the
-    surviving coefficient data and ignores the view marker.
+    surviving coefficient data.
     """
 
-    __slots__ = ("p", "k", "m", "coeffs", "class_tag", "view", "_verdicts")
+    __slots__ = ("p", "k", "m", "coeffs", "class_tag", "_verdicts")
 
     def __init__(self, p: int, k: int, m: int, coeffs: dict,
-                 class_tag: str = OMEGA0, view: str = VIEW_EXPANDED):
+                 class_tag: str = OMEGA0):
         if class_tag not in _CLASS_ORDER:
             raise ValidationError(f"unknown class tag {class_tag!r}")
-        if view not in (VIEW_EXPANDED, VIEW_POINTWISE):
-            raise ValidationError(f"unknown view {view!r}")
         clean = {}
         for subset, ker in coeffs.items():
             subset = frozenset(subset)
@@ -312,7 +307,6 @@ class FormElem:
         self.m = m
         self.coeffs = MappingProxyType(clean)
         self.class_tag = class_tag
-        self.view = view
         self._verdicts = {}
 
     def coeff(self, subset) -> Kernel:
@@ -325,7 +319,7 @@ class FormElem:
         return self.coeff({1})
 
     def with_tag(self, tag: str) -> "FormElem":
-        return FormElem(self.p, self.k, self.m, self.coeffs, tag, self.view)
+        return FormElem(self.p, self.k, self.m, self.coeffs, tag)
 
     def __eq__(self, other):
         return (isinstance(other, FormElem) and self.p == other.p
@@ -365,19 +359,13 @@ def identity_one_form(m: int) -> FormElem:
     return form_from_kernel(Kernel(1, m, body), class_tag=OMEGA123)
 
 
-def transpose_views(x: FormElem) -> FormElem:
-    """Swap the two encodings; pure relabeling in this representation."""
-    view = VIEW_POINTWISE if x.view == VIEW_EXPANDED else VIEW_EXPANDED
-    return FormElem(x.p, x.k, x.m, x.coeffs, x.class_tag, view)
-
-
 def perm_act(x: FormElem, sigma: Permutation) -> FormElem:
     """Axis permutation applied to every kernel coefficient."""
     if sigma.p != x.p:
         raise ValidationError("permutation degree != form arity")
     return FormElem(x.p, x.k, x.m,
                     {s: perm_kernel(ker, sigma) for s, ker in x.coeffs.items()},
-                    x.class_tag, x.view)
+                    x.class_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +645,7 @@ def antisymmetrize(x: FormElem, factor=ONE) -> FormElem:
     total = Kernel(x.p, x.m, PolyMap(n, comps))
     return FormElem(x.p, 1, x.m,
                     {frozenset(): x.coeff(()), frozenset({1}): total},
-                    x.class_tag, x.view)
+                    x.class_tag)
 
 
 def antisymmetrize_scaled(x: FormElem, parts) -> FormElem:

@@ -1,11 +1,13 @@
 """Weil-valued points of coordinate spaces and the strong-difference calculus.
 
-A MicroPoint is an m-tuple of Weil-algebra elements: the multi-expansion of a
-point along nilpotent directions.  Points are built fraction-free by one
-constructor: each m-vector of a table, of a field's values at a point or of a
-six-cube configuration's free data is read once into numerators and
-denominators, and each coordinate is its numerators over their lcm, a form
-that is already reduced.  The six cubes of a configuration share their 16
+A MicroPoint is an m-tuple of Weil-algebra elements with rational
+coefficients: the multi-expansion of a point along nilpotent directions.  A
+coordinate with polynomial coefficients is refused when the point is made, so
+nothing downstream tests for one.  Points are built fraction-free by one
+constructor: each m-vector of a table, of a flow composite evaluated at a
+point or of a six-cube configuration's free data is read once into numerators
+and denominators, and each coordinate is its numerators over their lcm, a
+form that is already reduced.  The six cubes of a configuration share their 16
 distinct vectors, so each of those is read once for all six.  Squares (two
 directions) and cubes (three) are glued along common restrictions by an
 exact linear solve that inverts the relevant pullback square; the strong
@@ -21,9 +23,9 @@ reuses it.  Two legs glue exactly when they agree on the shared restriction,
 and that is the one consistency check: it runs on every coordinate before
 any solve.  A case's gluing system is a constant matrix, so each case
 compiles it once, when it is created, into its sparse integer solution map,
-and gluing walks it as restriction walks a morphism's columns.  So rational
-points glue fraction-free: each coordinate pair goes through the check and
-the solve as sparse integer numerators over one common denominator.  A case
+and gluing walks it as restriction walks a morphism's columns.  So points
+glue fraction-free: each coordinate pair goes through the check and the
+solve as sparse integer numerators over one common denominator.  A case
 holds its leg, apex and shared algebras, and a morphism its source and
 target algebras, so gluing and restricting look no algebra up.  Tangents at
 one base point add fraction-free too.
@@ -103,6 +105,8 @@ class MicroPoint:
         for c in coords:
             if c.algebra is not algebra:
                 raise ValidationError("coordinates on mixed algebras")
+            if c._den is None:
+                raise ValidationError("point coordinates must be rational")
         self.algebra = algebra
         self.m = m
         self.coords = coords
@@ -288,8 +292,6 @@ def amalgamate(g1: MicroPoint, g2: MicroPoint, case) -> MicroPoint:
     # each coordinate pair glues as integer numerators over one denominator
     legs = []
     for a, b in zip(g1.coords, g2.coords):
-        if a._den is None or b._den is None:
-            raise ValidationError("gluing needs rational coordinates")
         den = lcm(a._den, b._den)
         fa, fb = den // a._den, den // b._den
         legs.append((den, a._num if fa == 1 else {k: n * fa for k, n in a._num.items()},
@@ -324,17 +326,12 @@ def tangent_principal(t: MicroPoint):
 
 def _same_base(x: WeilElement, y: WeilElement) -> bool:
     """Whether two coordinates share their unit-slot coefficient."""
-    if x._den is None or y._den is None:
-        return x.coeffs.get(0, Q(0)) == y.coeffs.get(0, Q(0))
     return x._num.get(0, 0) * y._den == y._num.get(0, 0) * x._den
 
 
 def _off_base(w: WeilElement) -> WeilElement:
     """w with its unit-slot coefficient dropped."""
-    rest = {k: c for k, c in w._num.items() if k}
-    if w._den is None:
-        return WeilElement(w.algebra, rest)
-    return from_numerators(w.algebra, rest, w._den)
+    return from_numerators(w.algebra, {k: c for k, c in w._num.items() if k}, w._den)
 
 
 def add_tangents(a: MicroPoint, b: MicroPoint) -> MicroPoint:
@@ -346,71 +343,24 @@ def add_tangents(a: MicroPoint, b: MicroPoint) -> MicroPoint:
 
 
 # ---------------------------------------------------------------------------
-# fields of points
+# flows of vector fields
 
 
-class MicroField:
-    """A point of the expansion space varying polynomially over the base.
-
-    body maps R^m to the coefficient space laid out basis-major: component
-    pos*m + j is coordinate j of the basis monomial at position pos.  The
-    unit-monomial block must be the identity, so evaluating at x returns a
-    point based at x.
-    """
-
-    __slots__ = ("obj", "algebra", "m", "body")
-
-    def __init__(self, obj: SimplicialObject, m: int, body: PolyMap):
-        alg = make_algebra(obj)
-        if body.in_dim != m or body.out_dim != m * alg.dim:
-            raise ValidationError("field body has wrong dimensions")
-        for j in range(m):
-            if body.comps[j] != Poly.var(m, j):
-                raise ValidationError("unit-monomial block of a field must be the identity")
-        self.obj = obj
-        self.algebra = alg
-        self.m = m
-        self.body = body
-
-    def at(self, point) -> MicroPoint:
-        m = self.m
-        vals = self.body.eval([Q(v) for v in point])
-        return _point(self.algebra, m, {pos: _vector_parts(vals[pos * m:(pos + 1) * m], m)
-                                        for pos in range(self.algebra.dim)})
-
-
-def _flow_coords(fields, order, m: int, obj: SimplicialObject):
+def _flow_coords(fields, order, m: int, alg: WeilAlgebra):
     """Symbolic flow composite; returns per-coordinate Weil elements with
-    polynomial coefficients in the base variables."""
-    alg = make_algebra(obj)
-    one = WeilElement(alg, {0: Poly.one(m)})
-    coords = [WeilElement(alg, {0: Poly.var(m, j)}) for j in range(m)]
-    for axis in reversed(order):
-        fld = fields[axis - 1]
-        if fld.in_dim != m or fld.out_dim != m:
-            raise ValidationError("vector field must map R^m to R^m")
-        gen_pos = alg.index[tuple(1 if g == axis - 1 else 0 for g in range(obj.n))]
-        gen = WeilElement(alg, {gen_pos: Poly.one(m)})
-        vals = fld.eval(coords, one)
-        coords = [c + gen * v for c, v in zip(coords, vals)]
-    return coords
-
-
-def flow_field(fields, order) -> MicroField:
-    """Cube-valued field obtained by composing the three first-order flows.
+    polynomial coefficients in the base variables.
 
     order = (i, j, k) applies field k first, then j, then i; field a always
     advances along direction d_a.
     """
-    m = fields[0].in_dim
-    obj = d_cube(3)
-    alg = make_algebra(obj)
-    coords = _flow_coords(fields, order, m, obj)
-    comps = []
-    for pos in range(alg.dim):
-        for j in range(m):
-            comps.append(coords[j].coeffs.get(pos, Poly.zero(m)))
-    return MicroField(obj, m, PolyMap(m, comps))
+    one = WeilElement(alg, {0: Poly.one(m)})
+    coords = [WeilElement(alg, {0: Poly.var(m, j)}) for j in range(m)]
+    for axis in reversed(order):
+        gen_pos = alg.index[tuple(1 if g == axis - 1 else 0 for g in range(alg.source.n))]
+        gen = WeilElement(alg, {gen_pos: Poly.one(m)})
+        vals = fields[axis - 1].eval(coords, one)
+        coords = [c + gen * v for c, v in zip(coords, vals)]
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +465,27 @@ def jacobi3_defect(t: TriangleConfig) -> MicroPoint:
 
 
 def triangle_from_vector_fields(x: PolyMap, y: PolyMap, z: PolyMap, at) -> TriangleConfig:
-    """Evaluate the six flow-composite fields at a point.
+    """The six flow composites of three vector fields, evaluated at a point.
 
-    The construction always satisfies the membership conditions; verify()
+    Each cube is its symbolic flow composite with every coefficient
+    evaluated at the point, so its unit slot is the point itself.  The
+    construction always satisfies the membership conditions; verify()
     failing here would be a bug, not bad input.
     """
     dims = {f.in_dim for f in (x, y, z)} | {f.out_dim for f in (x, y, z)}
     if len(dims) != 1:
         raise ValidationError("vector fields on different model dimensions")
+    m = dims.pop()
     fields = (x, y, z)
+    alg = get_case("cube-1").leg_alg
+    point = [Q(v) for v in at]
+    zero = Poly.zero(m)
     cubes = {}
     for label in TRIANGLE_LABELS:
-        order = tuple(int(ch) for ch in label)
-        cubes[label] = flow_field(fields, order).at(at)
+        coords = _flow_coords(fields, tuple(int(ch) for ch in label), m, alg)
+        cubes[label] = _point(alg, m, {
+            pos: _vector_parts([c.coeffs.get(pos, zero).eval(point) for c in coords], m)
+            for pos in range(alg.dim)})
     cfg = TriangleConfig(cubes)
     cfg.verify()
     return cfg

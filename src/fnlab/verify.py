@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 from itertools import product as iter_product
 
 from .errors import ValidationError
-from .forms import (OMEGA12, OMEGA123, FormElem, Kernel, Permutation,
+from .forms import (OMEGA12, OMEGA13, OMEGA123, FormElem, Kernel, Permutation,
                     antisymmetrize, bracket_fn13, bracket_fn123, bracket_l1,
                     bracket_l12, conv_over, conv_under, cube_dim, cube_var,
                     form_from_kernel, is_omega12, is_omega13, is_omega123,
@@ -120,7 +120,8 @@ class Sampler:
     def omega1_form(self, p: int, m: int, deg: int) -> FormElem:
         return form_from_kernel(self.kernel(p, m, deg))
 
-    def multilinear_form(self, p: int, m: int, deg: int) -> FormElem:
+    def multilinear_form(self, p: int, m: int, deg: int,
+                         class_tag: str = OMEGA12) -> FormElem:
         """Dirac form whose principal kernel has axis multidegree (1, .., 1)."""
         n = cube_dim(p, m)
         comps = []
@@ -134,7 +135,7 @@ class Sampler:
                     term = term * Poly.var(n, cube_var(p, m, (), self.rng.randrange(m)))
                 acc = acc + term
             comps.append(acc)
-        return form_from_kernel(Kernel(p, m, PolyMap(n, comps)), class_tag=OMEGA12)
+        return form_from_kernel(Kernel(p, m, PolyMap(n, comps)), class_tag=class_tag)
 
     def _partition(self, p: int):
         axes = list(range(1, p + 1))
@@ -147,10 +148,10 @@ class Sampler:
         return blocks
 
     def omega13_form(self, p: int, m: int, deg: int) -> FormElem:
-        return antisymmetrize(self.omega1_form(p, m, deg)).with_tag("omega13")
+        return antisymmetrize(form_from_kernel(self.kernel(p, m, deg), class_tag=OMEGA13))
 
     def omega123_form(self, p: int, m: int, deg: int) -> FormElem:
-        return antisymmetrize(self.multilinear_form(p, m, deg)).with_tag(OMEGA123)
+        return antisymmetrize(self.multilinear_form(p, m, deg, OMEGA123))
 
     def micro_square(self, m: int) -> MicroPoint:
         table = {key: self.vector(m) for key in [(), (1,), (2,), (1, 2)]}

@@ -13,11 +13,12 @@ components are free variables.  The X's commute, so the terms with brackets
 of two X's vanish.  It is checked on its own against two special cases, the
 Lie derivative (k = 0) and twice the Nijenhuis torsion ((1, 1) at K = L),
 and `bracket_fn123` is -1 times it, the sign the vector-field commutator
-suite finds too.
+suite finds too.  The FN123 identities, graded antisymmetry and the graded
+Jacobi sum, are checked at m = p + q + r, where they are not zero by degree.
 """
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -94,17 +95,21 @@ def classical_fn(ring, K, L):
     return total
 
 
-def classical_form(rng, p, m):
-    """A random omega123 form: x-polynomial coefficients on distinct slot coordinates."""
+def classical_form(rng, p, m, terms=(1, 3), x_degree=(1, 2)):
+    """A random omega123 form: x-polynomial coefficients on distinct slot coordinates.
+
+    Each component has terms[0] to terms[1] terms, each of x-degree
+    x_degree[0] to x_degree[1].
+    """
     n = cube_dim(p, m)
     comps = []
     for _ in range(m):
         pairs = []
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(rng.randint(*terms)):
             e = [0] * n
             for i, j in enumerate(rng.sample(range(m), p), 1):
                 e[cube_var(p, m, {i}, j)] += 1
-            for _ in range(rng.randint(1, 2)):
+            for _ in range(rng.randint(*x_degree)):
                 e[cube_var(p, m, (), rng.randrange(m))] += 1
             pairs.append((Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)), e))
         comps.append(Poly.from_terms(n, pairs))
@@ -169,3 +174,34 @@ def test_one_form_self_bracket_is_twice_the_nijenhuis_torsion(m):
     assert m == 1 or any(want)
     assert classical_fn(ring, K, K) == want
     assert bracket_values(ring, x, x) == [c.scale(Q(-1)) for c in want]
+
+
+# (p, q, r): every arity triple with entries at most 2 and total arity 2 to 4
+JACOBI_TRIPLES = [t for t in product(range(3), repeat=3) if 2 <= sum(t) <= 4]
+
+
+@pytest.mark.parametrize("p, q, r", JACOBI_TRIPLES)
+def test_fn123_identities_at_nonzero_values(p, q, r):
+    """Graded antisymmetry and the graded Jacobi sum, exactly, at m = p + q + r.
+
+    A (p+q+r)-form on R^m vanishes when p + q + r > m, so at m = p + q + r
+    the outer brackets need not be zero, and one draw at least must show it.
+    Small forms (one or two terms of x-degree at most 1) keep the outer
+    brackets at total arity 4 on R^4 cheap.
+    """
+    m = p + q + r
+    rng = random.Random(f"fn123-identities-{p}-{q}-{r}")
+    nonzero = 0
+    for _ in range(4):
+        x, y, z = (classical_form(rng, a, m, terms=(1, 2), x_degree=(0, 1)) for a in (p, q, r))
+        outer = []
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            inner = bracket_fn123(b, c)
+            assert not (inner.principal()
+                        + bracket_fn123(c, b).principal().scale(Q((-1) ** (b.p * c.p))))
+            outer.append(bracket_fn123(a, inner).principal())
+        assert not (outer[0] + outer[1].scale(Q((-1) ** (p * (q + r))))
+                    + outer[2].scale(Q((-1) ** (r * (p + q)))))
+        nonzero += any(outer)
+    assert nonzero
+

@@ -7,11 +7,10 @@ import fnlab.micro
 from fnlab.errors import PreconditionError, ValidationError
 from fnlab.forms import Kernel, cube_dim
 from fnlab.linsolve import ReducedMatrix, apply_columns, solve_exact
-from fnlab.micro import (MicroField, MicroPoint, TRIANGLE_LABELS, TriangleConfig,
-                         add_tangents, amalgamate, amalgamation_cases, flow_field, get_case,
-                         jacobi3_defect, restrict, strong_diff,
-                         strong_diff_i, tangent_principal, triangle_from_slots,
-                         triangle_from_vector_fields)
+from fnlab.micro import (MicroPoint, TRIANGLE_LABELS, TriangleConfig, add_tangents,
+                         amalgamate, amalgamation_cases, get_case, jacobi3_defect,
+                         restrict, strong_diff, strong_diff_i, tangent_principal,
+                         triangle_from_slots, triangle_from_vector_fields)
 from fnlab.morphisms import InfMorphism, axis_map, inclusion
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
@@ -303,30 +302,16 @@ def test_amalgamate_names_the_first_disagreement(name):
             assert str(exc.value) == message
 
 
-def test_gluing_needs_rational_coordinates():
-    # a polynomial coefficient has no integer numerators to glue
-    def pair(obj):
-        alg = make_algebra(obj)
-        return (MicroPoint(alg, 1, [WeilElement(alg, {0: Poly.var(1, 0)})]),
-                MicroPoint(alg, 1, [alg.one()]))
-
-    def invalid():
-        return pytest.raises(ValidationError, match="^gluing needs rational coordinates$")
-
-    sq_ring, sq = pair(d_cube(2))
-    cube_ring, cube3 = pair(d_cube(3))
-    for g1, g2 in ((sq_ring, sq), (sq, sq_ring), (sq_ring, sq_ring)):
-        with invalid():
-            strong_diff(g1, g2)
-    for axis in (1, 2, 3):
-        for g1, g2 in ((cube_ring, cube3), (cube3, cube_ring)):
-            with invalid():
-                strong_diff_i(g1, g2, axis)
-    for ring_labels in (TRIANGLE_LABELS, ("231",)):
-        cubes = {label: cube_ring if label in ring_labels else cube3
-                 for label in TRIANGLE_LABELS}
-        with invalid():
-            TriangleConfig(cubes)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_points_with_polynomial_coordinates_rejected(n):
+    # a polynomial coefficient, in any slot, is refused when the point is made
+    alg = make_algebra(d_cube(n))
+    x0 = Poly.var(1, 0)
+    for ring in (WeilElement(alg, {0: x0}), WeilElement(alg, {n: x0 * x0}),
+                 WeilElement(alg, {0: Poly.one(1), 1: x0})):
+        for coords in ([ring], [alg.one(), ring], [ring, alg.zero()]):
+            with pytest.raises(ValidationError, match="^point coordinates must be rational$"):
+                MicroPoint(alg, len(coords), coords)
 
 
 def cube(m, table):
@@ -448,13 +433,6 @@ def test_add_tangents_matches_dense_sum():
     assert add_tangents(half, other).coeff((1,)) == (Q(8, 15),)
     with pytest.raises(PreconditionError):
         add_tangents(half, MicroPoint(alg, 2, half.coords * 2))
-    # coordinates with polynomial coefficients take the generic sum
-    x0 = Poly.var(1, 0)
-    ring_a = MicroPoint(alg, 1, [WeilElement(alg, {0: x0, 1: x0 * x0})])
-    ring_b = MicroPoint(alg, 1, [WeilElement(alg, {0: x0, 1: Poly.one(1)})])
-    assert add_tangents(ring_a, ring_b) == dense_add_tangents(ring_a, ring_b)
-    with pytest.raises(PreconditionError):
-        add_tangents(ring_a, MicroPoint(alg, 1, [WeilElement(alg, {1: x0})]))
 
 
 def test_zero_fields_triangle():
@@ -476,49 +454,62 @@ def test_flow_triangle_corner_example():
     assert tangent_principal(jacobi3_defect(t)) == (0,)
 
 
-def field_at_reference(fld, point):
-    """The dense path: each coordinate's column of values, then from_dense."""
-    alg = make_algebra(fld.obj)
-    vals = fld.body.eval([Q(v) for v in point])
-    return MicroPoint(alg, fld.m, [from_dense(alg, [vals[pos * fld.m + j] for pos in range(alg.dim)])
-                                   for j in range(fld.m)])
+def naive_poly_value(f, args, alg):
+    """f at Weil-valued arguments, term by term: each monomial the plain
+    product of its factors, times its coefficient."""
+    total = alg.zero()
+    for e, c in f.terms.items():
+        term = alg.one().scale(c)
+        for a, k in zip(args, e):
+            for _ in range(k):
+                term = term * a
+        total = total + term
+    return total
 
 
-def test_field_at_matches_dense_reference(monkeypatch):
-    rng = random.Random(23)
-
-    def rpoly(m):
-        pairs = [(rng.choice([Q(0), Q(rng.randint(-5, 5), rng.randint(1, 4))]),
-                  [rng.randint(0, 2) for _ in range(m)]) for _ in range(rng.randint(0, 3))]
-        return Poly.from_terms(m, pairs)
-
-    fields = []
-    for obj in (d_cube(2), d_cube(3), d_order(2), d_paren(2)):
-        for m in (1, 2):
-            rest = [rpoly(m) for _ in range(m * (make_algebra(obj).dim - 1))]
-            fields.append(MicroField(obj, m, PolyMap(m, [Poly.var(m, j) for j in range(m)] + rest)))
-    fields.append(flow_field([PolyMap(2, [rpoly(2), rpoly(2)]) for _ in range(3)], (2, 3, 1)))
-    calls = []
-    monkeypatch.setattr(fnlab.micro, "make_algebra",
-                        lambda obj: calls.append(obj) or make_algebra(obj))
-    for fld in fields:
-        for _ in range(3):
-            # ints and rationals are read as given, strings go through Q
-            point = [rng.choice([rng.randint(-3, 3), Q(rng.randint(-5, 5), rng.randint(1, 4)),
-                                 rng.choice(SPELLINGS)]) for _ in range(fld.m)]
-            got, want = fld.at(point), field_at_reference(fld, point)
-            assert got == want
-            for a, b in zip(got.coords, want.coords):
-                assert dict(a.coeffs) == dict(b.coeffs) and a.denominator == b.denominator
-    # the field holds its algebra
-    assert calls == []
+def naive_flow_cube(fields, order, point):
+    """The point itself flowed with rational Weil elements: for order
+    (i, j, k) field k moves it first, then j, then i, field a along d_a."""
+    alg = make_algebra(d_cube(3))
+    coords = [alg.one().scale(Q(v)) for v in point]
+    i, j, k = order
+    for axis in (k, j, i):
+        d = alg.generator(axis)
+        coords = [c + d * naive_poly_value(f, coords, alg)
+                  for c, f in zip(coords, fields[axis - 1].comps)]
+    return coords
 
 
-def test_flow_field_base_is_identity():
-    x = PolyMap(2, [Poly.var(2, 1), Poly.var(2, 0)])
-    fld = flow_field([x, x, x], (1, 2, 3))
-    pt = fld.at([Q(1, 2), Q(-3)])
-    assert pt.coeff(()) == (Q(1, 2), Q(-3))
+def test_flow_cubes_match_naive_flow_of_the_point():
+    rng = random.Random(31)
+
+    def rfield(m):
+        if rng.random() < 0.2:
+            return PolyMap.zero(m, m)
+        return PolyMap(m, [Poly.from_terms(m, [
+            (Q(rng.randint(-5, 5), rng.randint(1, 4)), [rng.randint(0, 1) for _ in range(m)])
+            for _ in range(rng.randint(0, 3))]) for _ in range(m)])
+
+    seen = {"zero field": 0, "int": 0, "rational": 0, "string": 0, "order matters": 0}
+    for _ in range(120):
+        m = rng.randint(1, 3)
+        fields = [rfield(m) for _ in range(3)]
+        point = [rng.choice([rng.randint(-3, 3), Q(rng.randint(-5, 5), rng.randint(1, 4)),
+                             rng.choice(SPELLINGS)]) for _ in range(m)]
+        seen["zero field"] += any(not f for f in fields)
+        for kind, types in (("int", int), ("rational", type(Q(1))), ("string", str)):
+            seen[kind] += any(type(v) is types for v in point)
+        t = triangle_from_vector_fields(*fields, point)
+        for label in TRIANGLE_LABELS:
+            got = t.cubes[label]
+            want = naive_flow_cube(fields, tuple(int(ch) for ch in label), point)
+            assert got.coeff(()) == tuple(Q(v) for v in point)
+            for a, b in zip(got.coords, want):
+                assert a.denominator == b.denominator
+                assert ({pos: v * a.denominator for pos, v in a.coeffs.items()}
+                        == {pos: v * b.denominator for pos, v in b.coeffs.items()})
+        seen["order matters"] += t.cubes["123"] != t.cubes["321"]
+    assert all(seen.values()), seen
 
 
 def test_random_field_triangles_satisfy_membership():
