@@ -107,9 +107,10 @@ def cmd_jacobi3(args) -> int:
         if len(dims) != 1:
             raise ValidationError(f"vector fields on mismatched dimensions {sorted(dims)}")
         m = dims.pop()
-        if args.point:
+        if args.point is not None:
+            # an empty --point names no coordinates
             try:
-                at = [parse_rational(v) for v in args.point.split(",")]
+                at = [parse_rational(v) for v in args.point.split(",") if args.point]
             except ZeroDivisionError as exc:
                 raise ValidationError(f"bad point coordinate: {exc}") from exc
             if len(at) != m:

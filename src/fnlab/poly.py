@@ -13,8 +13,9 @@ readers, by the read-only `terms` view, `constant_term` and the 1/denominator
 scaling that ends an evaluation in a ring outside the format.  Nilpotency of
 Weil scalars performs all truncation of degree during evaluation.
 
-Evaluation builds each power of an argument once, so an exponent k costs
-about 2 log2(k) products.  At fraction-free arguments
+Evaluation builds each power of an argument once per map evaluation, shared
+by every term and component, so an exponent k costs at most about 2 log2(k)
+products.  At fraction-free arguments
 (polynomials, as in `PolyMap.compose`, and rational Weil elements) the terms
 combine as one integer linear combination, reduced once.
 
@@ -204,10 +205,12 @@ class Poly(FractionFree):
                 out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
         return _reduced(self.n, out, self._den)
 
-    def eval(self, args, one=ONE):
+    def eval(self, args, one=ONE, *, _powers=None):
         """Evaluate at ring elements; `one` is the ring unit for empty products.
 
-        Each power args[i] ** k is built once per call, by repeated squaring.
+        Each power args[i] ** k is built once per map evaluation and shared by
+        every term and component: `_powers`, private, is the power table of
+        one `PolyMap` call (a direct call makes its own), keyed by (i, k).
         At fraction-free values (`Poly` arguments, rational `WeilElement`s)
         the terms combine fraction-free: each term's integer numerator times
         its monomial's numerators, over the lcm of the monomial
@@ -220,28 +223,21 @@ class Poly(FractionFree):
             raise ValidationError(f"expected {self.n} arguments, got {len(args)}")
         if not self._num:
             return c_zero_like(one)
-        combined = fraction_free((one, *args))
-        pow_cache = {}
+        powers = {} if _powers is None else _powers
         terms = []
-        total = None
         for e, c in self._num.items():
-            prod = None
+            prod = one
             for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                p = args[i] if k == 1 else pow_cache.get((i, k))
-                if p is None:
-                    p = pow_cache[(i, k)] = args[i] ** k
-                prod = p if prod is None else prod * p
-            if prod is None:
-                prod = one
-            if combined:
-                terms.append((c, prod))
-            else:
-                term = prod if c == 1 else c * prod
-                total = term if total is None else total + term
-        if combined:
+                if k:
+                    p = _power(args, i, k, powers)
+                    prod = p if prod is one else prod * p
+            terms.append((c, prod))
+        if fraction_free((one, *args)):
             return combine(terms, self._den, one)
+        total = None
+        for c, prod in terms:
+            term = prod if c == 1 else c * prod
+            total = term if total is None else total + term
         return total if self._den == 1 else rational(1, self._den) * total
 
     def remap_variables(self, mapping, new_n=None) -> "Poly":
@@ -307,6 +303,27 @@ def _permutation_gather(mapping: tuple):
     return itemgetter(*inverse)
 
 
+def _power(args, i, k, powers):
+    """args[i] ** k for k >= 1, read from or stored in the table `powers`.
+
+    An odd k multiplies the power k - 1 by args[i] and an even k squares
+    the power k // 2, each looked up first: a lone power takes the products
+    of repeated squaring, and a power shared by several exponents, terms or
+    components is built once.  Squaring is `** 2`, one product for `Poly`
+    and `WeilElement`, which spares a plain rational the gcd of a product.
+    """
+    if k == 1:
+        return args[i]
+    p = powers.get((i, k))
+    if p is None:
+        if k & 1:
+            p = _power(args, i, k - 1, powers) * args[i]
+        else:
+            p = _power(args, i, k >> 1, powers) ** 2
+        powers[(i, k)] = p
+    return p
+
+
 def c_zero_like(one):
     """Zero of the ring whose unit is `one` (rationals give Q(0))."""
     return one - one
@@ -335,8 +352,9 @@ class PolyMap:
         return PolyMap(in_dim, [Poly.zero(in_dim)] * out_dim)
 
     def eval(self, args, one=ONE):
-        """Evaluate all components at ring-valued arguments."""
-        return [c.eval(args, one) for c in self.comps]
+        """Evaluate all components at ring-valued arguments, sharing powers."""
+        powers = {}
+        return [c.eval(args, one, _powers=powers) for c in self.comps]
 
     def __call__(self, args, one=ONE):
         return self.eval(args, one)
@@ -347,8 +365,7 @@ class PolyMap:
             raise ValidationError(
                 f"cannot compose: inner map yields {other.out_dim}, outer expects {self.in_dim}")
         args = list(other.comps)
-        one = Poly.one(other.in_dim)
-        return PolyMap(other.in_dim, [c.eval(args, one) for c in self.comps])
+        return PolyMap(other.in_dim, self.eval(args, Poly.one(other.in_dim)))
 
     # linear-space structure (used when maps act as coefficient slots) -------
 

@@ -177,6 +177,19 @@ def test_jacobi3_fields(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_jacobi3_empty_point_names_no_coordinates(files, capsys, as_json):
+    # an empty --point is not the origin: on R^1 it lacks its one coordinate
+    x = files("vx.json", polymap_to_json(PolyMap(1, [Poly.var(1, 0)])))
+    y = files("vy.json", polymap_to_json(PolyMap(1, [Poly.one(1)])))
+    z = files("vz.json", polymap_to_json(PolyMap(1, [Poly.var(1, 0) ** 2])))
+    argv = ["jacobi3", "--fields", x, y, z, "--point", ""]
+    assert main(argv + (["--json"] if as_json else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: point needs 1 coordinates\n"
+
+
 def test_jacobi3_dimension_mismatch(files, capsys):
     x = files("vx.json", polymap_to_json(PolyMap(1, [Poly.var(1, 0)])))
     w = files("vw.json", polymap_to_json(PolyMap(2, [Poly.var(2, 0), Poly.var(2, 1)])))

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -487,6 +488,103 @@ def test_eval_at_ring_valued_weil_keeps_the_term_loop():
     del a[(0, 0, 0)]
     got = poly_of(a).eval(args, alg.one())
     assert got == want - one.scale(Q(2, 3)) and got.denominator is None
+
+
+# one power table per map evaluation ------------------------------------------
+#
+# PolyMap.eval and PolyMap.compose build each power args[i] ** k once and
+# share it across the terms and components of the call.  The maps below draw
+# every exponent from one small pool, so components repeat powers of an
+# argument and different arguments carry the same exponents.  The reference
+# evaluates each component term by term, builds every power by repeated
+# multiplication and shares nothing.
+
+
+@st.composite
+def shared_power_maps(draw):
+    """(in_dim, [reference component dicts]) with exponents from one pool."""
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3))
+    exps = st.tuples(*[st.sampled_from(pool)] * n)
+    comps = [{e: draw(fractions_1_7.filter(bool))
+              for e in draw(st.lists(exps, unique=True, min_size=1, max_size=3))}
+             for _ in range(draw(st.integers(1, 3)))]
+    return n, comps
+
+
+def unshared_eval(comps, args, one, scale):
+    return [ref_eval(a, args, one, lambda s, t: s * t, lambda s, t: s + t, scale)
+            for a in comps]
+
+
+def parts(v):
+    """Numerators and denominator; a ring-valued element gives its coefficients' parts."""
+    if isinstance(v, Poly):
+        return dict(v.numerators), v.denominator
+    if isinstance(v, WeilElement):
+        if v.denominator is None:
+            return {k: parts(c) for k, c in v.coeffs.items()}, None
+        return dict(v._num), v.denominator
+    assert type(v) is Q
+    return v.numerator, v.denominator
+
+
+def scale_by(c, s):
+    return s.scale(Q(c.numerator, c.denominator))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_power_maps(), st.sampled_from([d_order(4), d_cube(2)]), st.data())
+def test_map_evaluation_with_shared_powers_matches_unshared_reference(fm, obj, data):
+    n, comps = fm
+    f = PolyMap(n, [poly_of(a, n) for a in comps])
+
+    def same(got, want):
+        assert [parts(v) for v in got] == [parts(v) for v in want]
+
+    # rational Weil elements
+    alg = make_algebra(obj)
+    args = [weil_of(alg, data.draw(weil_refs(alg))) for _ in range(n)]
+    same(f.eval(args, alg.one()), unshared_eval(comps, args, alg.one(), scale_by))
+    # plain rationals
+    args = [Q(v.numerator, v.denominator)
+            for v in data.draw(st.lists(fractions_1_7, min_size=n, max_size=n))]
+    same(f.eval(args), unshared_eval(comps, args, Q(1), lambda c, s: Q(c.numerator,
+                                                                       c.denominator) * s))
+    # Weil elements with polynomial coefficients
+    alg = make_algebra(d_cube(1))
+    one = WeilElement(alg, {0: Poly.one(1)})
+    args = [WeilElement(alg, {k: poly_of(r, 1) for k, r in enumerate(
+        data.draw(st.lists(ref_polys(1, max_exp=1), min_size=2, max_size=2))) if r})
+        for _ in range(n)]
+    same(f.eval(args, one), unshared_eval(comps, args, one, scale_by))
+    # composition: evaluation at the components of a map from R^2
+    g = PolyMap(2, [poly_of(data.draw(ref_polys(2, max_exp=1)), 2) for _ in range(n)])
+    same(f.compose(g).comps, unshared_eval(comps, g.comps, Poly.one(2), scale_by))
+
+
+def test_map_evaluation_builds_each_power_once(monkeypatch):
+    # x^9 builds x^2, x^4, x^8 and x^9; x^8 * y reads x^8 and x^3 reads x^2
+    # from the same table, so the map takes 4 + 1 + 1 + 1 products (y^2 is
+    # the last); building each component's powers alone takes 11
+    alg = make_algebra(d_order(4))
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    f = PolyMap(2, [x ** 9, x ** 8 * y, x ** 3 + y ** 2])
+    args = [from_dense(alg, [Q(k + 2, 3) for k in range(alg.dim)]),
+            from_dense(alg, [Q(-k - 1, 5) for k in range(alg.dim)])]
+    want = unshared_eval([ref_of(c) for c in f.comps], args, alg.one(), scale_by)
+    mul = WeilElement.__mul__
+    products = Counter()
+
+    def counting_mul(self, other):
+        products["weil"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(WeilElement, "__mul__", counting_mul)
+    got = f.eval(args, alg.one())
+    assert products["weil"] == 7
+    monkeypatch.undo()
+    assert [parts(v) for v in got] == [parts(v) for v in want]
 
 
 @settings(max_examples=60, deadline=None)
