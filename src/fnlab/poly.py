@@ -15,9 +15,9 @@ Weil scalars performs all truncation of degree during evaluation.
 
 Evaluation builds each power of an argument once per map evaluation, shared
 by every term and component, so an exponent k costs at most about 2 log2(k)
-products.  At fraction-free arguments
-(polynomials, as in `PolyMap.compose`, and rational Weil elements) the terms
-combine as one integer linear combination, reduced once.
+products.  At fraction-free arguments (polynomials, as in `PolyMap.compose`,
+and rational Weil elements) the terms combine as one integer linear
+combination, reduced once.
 
 PolyMap bundles out_dim component polynomials in in_dim variables.  Its
 eval() is the single entry point for extending a map to exotic scalars: feed

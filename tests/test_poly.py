@@ -549,8 +549,8 @@ def test_map_evaluation_with_shared_powers_matches_unshared_reference(fm, obj, d
     # plain rationals
     args = [Q(v.numerator, v.denominator)
             for v in data.draw(st.lists(fractions_1_7, min_size=n, max_size=n))]
-    same(f.eval(args), unshared_eval(comps, args, Q(1), lambda c, s: Q(c.numerator,
-                                                                       c.denominator) * s))
+    same(f.eval(args),
+         unshared_eval(comps, args, Q(1), lambda c, s: Q(c.numerator, c.denominator) * s))
     # Weil elements with polynomial coefficients
     alg = make_algebra(d_cube(1))
     one = WeilElement(alg, {0: Poly.one(1)})
