@@ -108,9 +108,8 @@ def cmd_jacobi3(args) -> int:
             raise ValidationError(f"vector fields on mismatched dimensions {sorted(dims)}")
         m = dims.pop()
         if args.point is not None:
-            # an empty --point names no coordinates
             try:
-                at = [parse_rational(v) for v in args.point.split(",") if args.point]
+                at = [parse_rational(v) for v in args.point.split(",")] if args.point else []
             except ZeroDivisionError as exc:
                 raise ValidationError(f"bad point coordinate: {exc}") from exc
             if len(at) != m:

@@ -306,21 +306,27 @@ def _permutation_gather(mapping: tuple):
 def _power(args, i, k, powers):
     """args[i] ** k for k >= 1, read from or stored in the table `powers`.
 
-    An odd k multiplies the power k - 1 by args[i] and an even k squares
-    the power k // 2, each looked up first: a lone power takes the products
-    of repeated squaring, and a power shared by several exponents, terms or
-    components is built once.  Squaring is `** 2`, one product for `Poly`
-    and `WeilElement`, which spares a plain rational the gcd of a product.
+    Walks the bits of k from the top: each bit squares the running power
+    j, and a set bit multiplies it by args[i] as well, each step looked up
+    in the table first.  A lone power takes the products of repeated
+    squaring, a power shared by several exponents, terms or components is
+    built once, and any exponent size works.  Squaring is `** 2`, one
+    product for `Poly` and `WeilElement`, which spares a plain rational the
+    gcd of a product.
     """
-    if k == 1:
-        return args[i]
     p = powers.get((i, k))
-    if p is None:
-        if k & 1:
-            p = _power(args, i, k - 1, powers) * args[i]
-        else:
-            p = _power(args, i, k >> 1, powers) ** 2
-        powers[(i, k)] = p
+    if p is not None:
+        return p
+    x = p = args[i]
+    j = 1
+    for bit in bin(k)[3:]:
+        j *= 2
+        q = powers.get((i, j))
+        p = powers[(i, j)] = p ** 2 if q is None else q
+        if bit == "1":
+            j += 1
+            q = powers.get((i, j))
+            p = powers[(i, j)] = p * x if q is None else q
     return p
 
 
