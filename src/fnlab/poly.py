@@ -306,13 +306,10 @@ def _permutation_gather(mapping: tuple):
 def _power(args, i, k, powers):
     """args[i] ** k for k >= 1, read from or stored in the table `powers`.
 
-    Walks the bits of k from the top: each bit squares the running power
-    j, and a set bit multiplies it by args[i] as well, each step looked up
-    in the table first.  A lone power takes the products of repeated
-    squaring, a power shared by several exponents, terms or components is
-    built once, and any exponent size works.  Squaring is `** 2`, one
-    product for `Poly` and `WeilElement`, which spares a plain rational the
-    gcd of a product.
+    Walks k's bits from the top: square, and at a set bit times args[i],
+    each step read from the table first.  A lone power costs the products
+    of repeated squaring at any k; a shared one is built once.  `** 2` is
+    one product for `Poly` and `WeilElement` and spares a rational a gcd.
     """
     p = powers.get((i, k))
     if p is not None:
