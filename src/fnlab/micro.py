@@ -4,11 +4,12 @@ A MicroPoint is an m-tuple of Weil-algebra elements with rational
 coefficients: the multi-expansion of a point along nilpotent directions.  A
 coordinate with polynomial coefficients is refused when the point is made, so
 nothing downstream tests for one.  Points are built fraction-free by one
-constructor: each m-vector of a table, of a flow composite evaluated at a
-point or of a six-cube configuration's free data is read once into numerators
-and denominators, and each coordinate is its numerators over their lcm, a
-form that is already reduced.  The six cubes of a configuration share their 16
-distinct vectors, so each of those is read once for all six.  Squares (two
+constructor: each m-vector of a table or of a six-cube configuration's free
+data is read once into numerators and denominators, and each coordinate is
+its numerators over their lcm, a form that is already reduced.  The six cubes
+of a configuration share their 16 distinct vectors, so each of those is read
+once for all six.  The cubes of three vector fields are the point itself
+flowed along them, in rational Weil arithmetic from the start.  Squares (two
 directions) and cubes (three) are glued along common restrictions by an
 exact linear solve that inverts the relevant pullback square; the strong
 difference of a compatible pair is the restriction of that unique gluing
@@ -346,20 +347,19 @@ def add_tangents(a: MicroPoint, b: MicroPoint) -> MicroPoint:
 # flows of vector fields
 
 
-def _flow_coords(fields, order, m: int, alg: WeilAlgebra):
-    """Symbolic flow composite; returns per-coordinate Weil elements with
-    polynomial coefficients in the base variables.
+def _flow_point(fields, order, point, alg: WeilAlgebra):
+    """The point flowed along the fields, a rational Weil element per coordinate.
 
     order = (i, j, k) applies field k first, then j, then i; field a always
-    advances along direction d_a.
+    advances along direction d_a.  Evaluation commutes with composition, so
+    each step evaluates its field once at the coordinates reached so far,
+    with one power table per step.
     """
-    one = WeilElement(alg, {0: Poly.one(m)})
-    coords = [WeilElement(alg, {0: Poly.var(m, j)}) for j in range(m)]
+    one = alg.one()
+    coords = [one.scale(v) for v in point]
     for axis in reversed(order):
-        gen_pos = alg.index[tuple(1 if g == axis - 1 else 0 for g in range(alg.source.n))]
-        gen = WeilElement(alg, {gen_pos: Poly.one(m)})
-        vals = fields[axis - 1].eval(coords, one)
-        coords = [c + gen * v for c, v in zip(coords, vals)]
+        gen = alg.generator(axis)
+        coords = [c + gen * v for c, v in zip(coords, fields[axis - 1].eval(coords, one))]
     return coords
 
 
@@ -467,25 +467,22 @@ def jacobi3_defect(t: TriangleConfig) -> MicroPoint:
 def triangle_from_vector_fields(x: PolyMap, y: PolyMap, z: PolyMap, at) -> TriangleConfig:
     """The six flow composites of three vector fields, evaluated at a point.
 
-    Each cube is its symbolic flow composite with every coefficient
-    evaluated at the point, so its unit slot is the point itself.  The
-    construction always satisfies the membership conditions; verify()
+    Each cube is the point flowed along the fields in its label's order, so
+    its unit slot is the point itself; the point must have m coordinates.
+    The construction always satisfies the membership conditions; verify()
     failing here would be a bug, not bad input.
     """
     dims = {f.in_dim for f in (x, y, z)} | {f.out_dim for f in (x, y, z)}
     if len(dims) != 1:
         raise ValidationError("vector fields on different model dimensions")
     m = dims.pop()
+    point = [Q(v) for v in at]
+    if len(point) != m:
+        raise ValidationError(f"point needs {m} coordinates")
     fields = (x, y, z)
     alg = get_case("cube-1").leg_alg
-    point = [Q(v) for v in at]
-    zero = Poly.zero(m)
-    cubes = {}
-    for label in TRIANGLE_LABELS:
-        coords = _flow_coords(fields, tuple(int(ch) for ch in label), m, alg)
-        cubes[label] = _point(alg, m, {
-            pos: _vector_parts([c.coeffs.get(pos, zero).eval(point) for c in coords], m)
-            for pos in range(alg.dim)})
+    cubes = {label: MicroPoint(alg, m, _flow_point(fields, tuple(map(int, label)), point, alg))
+             for label in TRIANGLE_LABELS}
     cfg = TriangleConfig(cubes)
     cfg.verify()
     return cfg

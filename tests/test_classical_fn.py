@@ -24,7 +24,7 @@ from math import factorial
 import pytest
 
 from fnlab.forms import (OMEGA123, Kernel, antisymmetrize, bracket_fn123, cube_dim,
-                         cube_var, form_from_kernel, is_omega123)
+                         cube_var, form_from_kernel, identity_one_form, is_omega123)
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 
@@ -174,6 +174,22 @@ def test_one_form_self_bracket_is_twice_the_nijenhuis_torsion(m):
     assert m == 1 or any(want)
     assert classical_fn(ring, K, K) == want
     assert bracket_values(ring, x, x) == [c.scale(Q(-1)) for c in want]
+
+
+@pytest.mark.parametrize("k, m", [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+def test_identity_form_is_central(k, m):
+    """[Id, K] = 0 = [K, Id]: L_Id = d commutes with every L_K.
+
+    At m >= k + 1 the (k+1)-form need not vanish by degree, and at each of
+    these shapes either expanded product's corner alone is nonzero after
+    antisymmetrizing, so the zero is their cancellation.
+    """
+    rng = random.Random(f"central-{k}-{m}")
+    ident = identity_one_form(m)
+    for _ in range(3):
+        K = classical_form(rng, k, m, terms=(1, 2))
+        assert not bracket_fn123(ident, K).principal()
+        assert not bracket_fn123(K, ident).principal()
 
 
 # (p, q, r): every arity triple with entries at most 2 and total arity 2 to 4

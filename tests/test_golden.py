@@ -31,6 +31,13 @@ def test_jacobi3_random():
     assert out == (GOLDEN / "jacobi3_random20_seed3.json").read_bytes()
 
 
+def test_jacobi3_fields():
+    # the three fields on R^1 that the CI's CLI step flows, x, 1 and x^2
+    fields = ['{"in_dim": 1, "components": [[{"c": "1", "e": [%d]}]]}' % e for e in (1, 0, 2)]
+    out = run("-m", "fnlab.cli", "jacobi3", "--fields", *fields, "--point", "1/2", "--json")
+    assert out == (GOLDEN / "jacobi3_fields.json").read_bytes()
+
+
 @pytest.mark.parametrize("level", ["L1", "L12", "FN13", "FN123"])
 def test_bracket_levels(level):
     # bracket_x.json and bracket_y.json are two alternating multilinear

@@ -444,6 +444,14 @@ def test_zero_fields_triangle():
     assert tangent_principal(jacobi3_defect(t)) == (0,)
 
 
+@pytest.mark.parametrize("m, at", [(0, [5, 7]), (0, [0]), (1, []), (1, [1, 2]), (2, [Q(1, 2)])])
+def test_flow_point_of_the_wrong_length_rejected(m, at):
+    # on R^0 no field reads the point, so only the length check can catch it
+    zero = PolyMap.zero(m, m)
+    with pytest.raises(ValidationError, match=f"^point needs {m} coordinates$"):
+        triangle_from_vector_fields(zero, zero, zero, at)
+
+
 def test_flow_triangle_corner_example():
     x = PolyMap(1, [Poly.var(1, 0)])
     y = PolyMap(1, [Poly.one(1)])
@@ -487,7 +495,7 @@ def test_flow_cubes_match_naive_flow_of_the_point():
         if rng.random() < 0.2:
             return PolyMap.zero(m, m)
         return PolyMap(m, [Poly.from_terms(m, [
-            (Q(rng.randint(-5, 5), rng.randint(1, 4)), [rng.randint(0, 1) for _ in range(m)])
+            (Q(rng.randint(-5, 5), rng.randint(1, 4)), [rng.randint(0, 3) for _ in range(m)])
             for _ in range(rng.randint(0, 3))]) for _ in range(m)])
 
     seen = {"zero field": 0, "int": 0, "rational": 0, "string": 0, "order matters": 0}
