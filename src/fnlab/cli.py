@@ -112,8 +112,6 @@ def cmd_jacobi3(args) -> int:
                 at = [parse_rational(v) for v in args.point.split(",")] if args.point else []
             except ZeroDivisionError as exc:
                 raise ValidationError(f"bad point coordinate: {exc}") from exc
-            if len(at) != m:
-                raise ValidationError(f"point needs {m} coordinates")
         else:
             at = [Q(0)] * m
         t = triangle_from_vector_fields(*maps, at)

@@ -333,13 +333,8 @@ class FormElem:
         return f"FormElem(p={self.p}, k={self.k}, m={self.m}, {{{body}}})"
 
 
-def form_from_kernel(principal, p: int = None, m: int = None,
-                     class_tag: str = OMEGA1) -> FormElem:
-    """Dirac-normalized form with the given principal kernel."""
-    if isinstance(principal, PolyMap):
-        if p is None or m is None:
-            raise ValidationError("arity and dimension required for a bare map")
-        principal = Kernel(p, m, principal)
+def form_from_kernel(principal: Kernel, class_tag: str = OMEGA1) -> FormElem:
+    """Dirac-normalized form with this principal kernel, claiming class_tag."""
     return FormElem(principal.p, 1, principal.m,
                     {frozenset(): pi_kernel(principal.p, principal.m),
                      frozenset({1}): principal}, class_tag)

@@ -66,14 +66,23 @@ def _key_exponents(n: int, key) -> list:
     return exps
 
 
+def _rational(v):
+    """v as a rational: ints and rationals as they are, anything else through Q."""
+    if type(v) in RATIONAL_TYPES:
+        return v
+    try:
+        return Q(v)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"bad rational {v!r}") from exc
+
+
 def _vector_parts(vec, m: int) -> list:
     """An m-vector read once, as each entry's (numerator, denominator).
 
-    A bare scalar is a one-entry vector.  Ints and rationals pass as they
-    are; anything else converts with Q, before the length is checked.
+    A bare scalar is a one-entry vector.  Each entry converts with
+    _rational, before the length is checked.
     """
-    vec = [v if type(v) in RATIONAL_TYPES else Q(v)
-           for v in (vec if isinstance(vec, (list, tuple)) else [vec])]
+    vec = [_rational(v) for v in (vec if isinstance(vec, (list, tuple)) else [vec])]
     if len(vec) != m:
         raise ValidationError("coefficient vector length != m")
     return [(v.numerator, v.denominator) for v in vec]
@@ -469,23 +478,21 @@ def triangle_from_vector_fields(x: PolyMap, y: PolyMap, z: PolyMap, at) -> Trian
 
     Each cube is the point flowed along the fields in its label's order, so
     its unit slot is the point itself; the point must have m coordinates.
-    The construction always satisfies the membership conditions; verify()
-    failing here would be a bug, not bad input.
+    The cubes meet the membership conditions by construction, unchecked here:
+    violations() lists any broken one, and jacobi3_defect refuses it.
     """
     dims = {f.in_dim for f in (x, y, z)} | {f.out_dim for f in (x, y, z)}
     if len(dims) != 1:
         raise ValidationError("vector fields on different model dimensions")
     m = dims.pop()
-    point = [Q(v) for v in at]
+    point = [_rational(v) for v in at]
     if len(point) != m:
         raise ValidationError(f"point needs {m} coordinates")
     fields = (x, y, z)
     alg = get_case("cube-1").leg_alg
     cubes = {label: MicroPoint(alg, m, _flow_point(fields, tuple(map(int, label)), point, alg))
              for label in TRIANGLE_LABELS}
-    cfg = TriangleConfig(cubes)
-    cfg.verify()
-    return cfg
+    return TriangleConfig(cubes)
 
 
 def triangle_from_slots(m: int, base4, slots: dict, corners: dict) -> TriangleConfig:

@@ -20,9 +20,10 @@ and rational Weil elements) the terms combine as one integer linear
 combination, reduced once.
 
 PolyMap bundles out_dim component polynomials in in_dim variables.  Its
-eval() is the single entry point for extending a map to exotic scalars: feed
-it Weil-valued arguments and it computes the jet the corresponding functor
-would produce.
+eval() is the only way to evaluate a map, at rationals or at exotic scalars:
+feed it Weil-valued arguments and it computes the jet the corresponding
+functor would produce.  Beyond evaluation a map has composition, and the sum,
+negation and scaling that a form's kernels are built from.
 """
 
 from functools import lru_cache
@@ -359,9 +360,6 @@ class PolyMap:
         powers = {}
         return [c.eval(args, one, _powers=powers) for c in self.comps]
 
-    def __call__(self, args, one=ONE):
-        return self.eval(args, one)
-
     def compose(self, other: "PolyMap") -> "PolyMap":
         """self after other, expanded and normalized."""
         if other.out_dim != self.in_dim:
@@ -385,14 +383,8 @@ class PolyMap:
     def __neg__(self):
         return PolyMap(self.in_dim, [-a for a in self.comps])
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c) -> "PolyMap":
         return PolyMap(self.in_dim, [a.scale(c) for a in self.comps])
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def __eq__(self, other):
         return (isinstance(other, PolyMap) and self.in_dim == other.in_dim
@@ -400,9 +392,6 @@ class PolyMap:
 
     def __bool__(self):
         return any(self.comps)
-
-    def degree(self) -> int:
-        return max((c.degree() for c in self.comps), default=-1)
 
     def __repr__(self):
         return "PolyMap(%d -> %d: %s)" % (

@@ -89,33 +89,29 @@ class Sampler:
     def __init__(self, seed):
         self.rng = random.Random(str(seed))
 
-    def rational(self, nonzero=False) -> Q:
-        num = self.rng.randint(-9, 9)
-        if nonzero:
-            while num == 0:
-                num = self.rng.randint(-9, 9)
-        return Q(num, self.rng.choice((1, 2, 3)))
+    def rational(self) -> Q:
+        return Q(self.rng.randint(-9, 9), self.rng.choice((1, 2, 3)))
 
     def vector(self, m: int):
         return [self.rational() for _ in range(m)]
 
-    def poly(self, n: int, deg: int, terms: int = 2) -> Poly:
+    def poly(self, n: int, deg: int) -> Poly:
         pairs = []
-        for _ in range(terms):
+        for _ in range(2):
             e = [0] * n
             for _ in range(self.rng.randint(0, deg)):
                 e[self.rng.randrange(n)] += 1
             pairs.append((self.rational(), tuple(e)))
         return Poly.from_terms(n, pairs)
 
-    def polymap(self, in_dim: int, out_dim: int, deg: int, terms: int = 2) -> PolyMap:
-        return PolyMap(in_dim, [self.poly(in_dim, deg, terms) for _ in range(out_dim)])
+    def polymap(self, in_dim: int, out_dim: int, deg: int) -> PolyMap:
+        return PolyMap(in_dim, [self.poly(in_dim, deg) for _ in range(out_dim)])
 
     def vector_field(self, m: int, deg: int) -> PolyMap:
         return self.polymap(m, m, deg)
 
-    def kernel(self, p: int, m: int, deg: int, terms: int = 2) -> Kernel:
-        return Kernel(p, m, self.polymap(cube_dim(p, m), m, deg, terms))
+    def kernel(self, p: int, m: int, deg: int) -> Kernel:
+        return Kernel(p, m, self.polymap(cube_dim(p, m), m, deg))
 
     def omega1_form(self, p: int, m: int, deg: int) -> FormElem:
         return form_from_kernel(self.kernel(p, m, deg))
@@ -442,6 +438,11 @@ def run_general_jacobi_flows(s: Sampler, cfg: SuiteConfig) -> _Run:
         for _ in range(3):
             at = s.vector(m)
             t = triangle_from_vector_fields(*fields, at)
+            bad = t.violations()
+            if bad:
+                run.fail("flow cubes violate membership: " + bad[0],
+                         fields=fields, at=at)
+                continue
             defect = jacobi3_defect(t)
             run.check(all(not v for v in tangent_principal(defect)),
                       "nonzero defect for flow-generated cubes",

@@ -263,8 +263,6 @@ class WeilElement(FractionFree):
                 if cj is None:
                     continue
                 c = ci * cj
-                if not c:
-                    continue
                 s = out.get(k)
                 s = c if s is None else s + c
                 if s:

@@ -292,6 +292,12 @@ def test_jacobi3_point_with_a_zero_denominator_is_invalid_input(capsys):
     assert run(["jacobi3", "--fields", field, field, field, "--point", "1/0"], capsys) == 2
 
 
+def test_jacobi3_point_that_is_no_rational_is_invalid_input(capsys):
+    # the rational parser's own ValueError, not a ValidationError, reaches main
+    field = json.dumps({"in_dim": 1, "components": [[]]})
+    assert run(["jacobi3", "--fields", field, field, field, "--point", "x"], capsys) == 2
+
+
 @pytest.mark.parametrize("point", ["1e9", "1E999999999", "1/2,2e3"])
 def test_jacobi3_point_with_an_exponent_is_invalid_input(point, capsys):
     field = json.dumps({"in_dim": 1, "components": [[]]})

@@ -1,0 +1,119 @@
+"""Each validation branch of the library, met once by a call that trips it.
+
+The calls are the smallest that reach one check each.  Every row names the
+exception type and the start of its message, so deleting a check, or letting
+a different one fire first, fails its row.
+"""
+
+import re
+
+import pytest
+
+from fnlab.errors import PreconditionError, ValidationError
+from fnlab.forms import (FormElem, Kernel, Permutation, form_from_kernel,
+                         perm_act, perm_kernel, prod_over,
+                         vector_field_form, zero_kernel)
+from fnlab.micro import (MicroPoint, TriangleConfig, TRIANGLE_LABELS, amalgamate,
+                         get_case, strong_diff_i, triangle_from_vector_fields)
+from fnlab.morphisms import InfMorphism, inclusion
+from fnlab.poly import Poly, PolyMap
+from fnlab.rationals import Q
+from fnlab.simplicial import SimplicialObject, d_cube, d_order, d_paren
+from fnlab.verify import SuiteConfig
+from fnlab.weil import make_algebra
+
+
+def point(n, m=1):
+    """The origin of R^m on D^n."""
+    return MicroPoint.from_table(d_cube(n), m, {(): [0] * m})
+
+
+def form(p, m):
+    """The Dirac form of arity p on R^m with the zero principal kernel."""
+    return form_from_kernel(zero_kernel(p, m))
+
+
+def six_cubes(**replaced):
+    cubes = {label: point(3) for label in TRIANGLE_LABELS}
+    cubes.update(replaced)
+    return cubes
+
+
+CASES = [
+    # forms
+    (lambda: Kernel(1, 1, PolyMap.zero(1, 1)), ValidationError,
+     "kernel body must map 2 -> 1 for arity 1"),
+    (lambda: zero_kernel(1, 1) + zero_kernel(2, 1), ValidationError,
+     "kernels of different arity or model dimension"),
+    (lambda: Permutation([1, 2]).after(Permutation([1])), ValidationError,
+     "permutations of different degree"),
+    (lambda: perm_kernel(zero_kernel(1, 1), Permutation([2, 1])), ValidationError,
+     "permutation degree != kernel arity"),
+    (lambda: FormElem(1, 1, 1, {(1,): zero_kernel(2, 1)}), ValidationError,
+     "kernel arity or dimension mismatch"),
+    (lambda: FormElem(1, 2, 1, {}).principal(), PreconditionError,
+     "principal part needs expansion arity 1"),
+    (lambda: vector_field_form(PolyMap.zero(2, 1)), ValidationError,
+     "vector field must map R^m to R^m"),
+    (lambda: perm_act(form(1, 1), Permutation([2, 1])), ValidationError,
+     "permutation degree != form arity"),
+    (lambda: prod_over(form(1, 1), form(1, 2)), ValidationError,
+     "forms on different model dimensions"),
+    # micro
+    (lambda: MicroPoint(make_algebra(d_cube(1)), 2, [make_algebra(d_cube(1)).one()]),
+     ValidationError, "coordinate count != m"),
+    (lambda: MicroPoint(make_algebra(d_cube(1)), 1, [make_algebra(d_cube(2)).one()]),
+     ValidationError, "coordinates on mixed algebras"),
+    (lambda: get_case("cube-4"), ValidationError, "unknown amalgamation case 'cube-4'"),
+    (lambda: amalgamate(point(3), point(2), "square"), ValidationError,
+     "point does not live on"),
+    (lambda: amalgamate(point(2), point(2, 2), "square"), ValidationError,
+     "points of different model dimension"),
+    (lambda: strong_diff_i(point(3), point(3), 4), ValidationError,
+     "axis must be 1, 2 or 3"),
+    (lambda: TriangleConfig(six_cubes(**{"123": point(3, 2)})), ValidationError,
+     "cubes of different model dimension"),
+    (lambda: TriangleConfig(six_cubes(**{"123": point(2)})), ValidationError,
+     "every cube must live on three square-zero directions"),
+    (lambda: triangle_from_vector_fields(PolyMap.zero(1, 1), PolyMap.zero(1, 1),
+                                         PolyMap.zero(2, 2), [0]),
+     ValidationError, "vector fields on different model dimensions"),
+    # morphisms
+    (lambda: InfMorphism(d_cube(1), d_cube(1), [Poly.var(2, 0)]), ValidationError,
+     "substitution variable count != source generators"),
+    (lambda: InfMorphism(d_order(2), d_cube(1), [Poly.var(1, 0)]), ValidationError,
+     "ideal not preserved: image of generator 1 has nonzero power 2"),
+    (lambda: inclusion(d_paren(2), d_cube(2)).then(inclusion(d_paren(2), d_cube(2))),
+     ValidationError, "object mismatch in composition"),
+    (lambda: inclusion(d_cube(1), d_cube(2)), ValidationError,
+     "inclusion requires equal generator counts"),
+    # poly
+    (lambda: Poly.from_terms(1, [(Q(1), (-1,))]), ValidationError, "negative exponent"),
+    (lambda: Poly.var(1, 0) + Poly.var(2, 0), ValidationError,
+     "polynomials in different variable counts"),
+    (lambda: PolyMap(2, [Poly.var(1, 0)]), ValidationError,
+     "component variable count != in_dim"),
+    (lambda: PolyMap.zero(1, 1) + PolyMap.zero(1, 2), ValidationError,
+     "maps of different dimensions"),
+    # simplicial, verify and weil
+    (lambda: SimplicialObject(1, frozenset({()})), ValidationError,
+     "empty vanishing product"),
+    (lambda: SimplicialObject(2, bounds=(3,)), ValidationError,
+     "one power bound per generator required"),
+    (lambda: SuiteConfig(m_max=0), ValidationError, "bad scale limits"),
+    (lambda: make_algebra(d_cube(1)).one() + make_algebra(d_cube(2)).one(),
+     ValidationError, "elements of different algebras"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", CASES,
+                         ids=[message for _call, _error, message in CASES])
+def test_validation_branch(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()
+
+
+def test_remap_merging_cancelling_terms():
+    # x0 - x1 with both variables sent to x0 cancels to zero
+    f = Poly.var(2, 0) - Poly.var(2, 1)
+    assert f.remap_variables([0, 0], 1) == Poly.zero(1)

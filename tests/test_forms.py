@@ -279,6 +279,8 @@ def test_permutation_sign_and_inverse():
     assert Permutation((2, 1, 3)).sign == -1
     with pytest.raises(ValidationError):
         Permutation((1, 1, 2))
+    # permutations hash by their images, so equal ones are one set element
+    assert len(set(Permutation.all(3) + Permutation.all(3))) == 6
 
 
 def test_cube_slots_reject_out_of_range_subsets_and_coordinates():

@@ -62,6 +62,8 @@ def test_poly_equal_examples():
     assert not poly_equal(PolyMap(1, [x]), PolyMap(1, [tiny]))
     with pytest.raises(ValidationError):
         poly_equal(PolyMap(1, [x]), PolyMap(2, [Poly.var(2, 0)]))
+    # a polynomial equals no value that is neither a polynomial nor a rational
+    assert x != "x"
 
 
 @st.composite

@@ -2,12 +2,14 @@ import json
 
 import pytest
 
+from fnlab import micro
 from fnlab.errors import ValidationError
 from fnlab.micro import MicroPoint, strong_diff
 from fnlab.rationals import Q
 from fnlab.simplicial import d_cube
 from fnlab.verify import (PROPERTIES, Sampler, SuiteConfig,
-                          flow_commutator, run_strong_diff_antisymmetry,
+                          flow_commutator, run_general_jacobi_flows,
+                          run_strong_diff_antisymmetry, run_triangle_membership_flows,
                           run_verification, strip_timings)
 
 SMALL = SuiteConfig(cases_per_property=3)
@@ -77,6 +79,26 @@ def test_mutation_hook_catches_sign_flip():
         Sampler("0/strong_diff_antisymmetry"), SMALL, diff_fn=corrupted)
     assert run.failed > 0
     assert run.witnesses and "g1" in run.witnesses[0]
+
+
+def test_flow_suites_record_a_membership_violation(monkeypatch):
+    """A flow cube off the membership conditions fails both flow suites."""
+    honest = micro._flow_point
+
+    def broken(fields, order, point, alg):
+        coords = honest(fields, order, point, alg)
+        if order != (1, 2, 3):
+            return coords
+        d12 = alg.generator(1) * alg.generator(2)
+        return [c + d12 for c in coords]
+
+    monkeypatch.setattr(micro, "_flow_point", broken)
+    for suite in (run_triangle_membership_flows, run_general_jacobi_flows):
+        run = suite(Sampler(f"0/{suite.__name__}"), SMALL)
+        assert run.failed > 0, suite.__name__
+        witness = run.witnesses[0]
+        assert "cubes 123 and 132 disagree" in witness["message"], suite.__name__
+        assert {"fields", "at"} <= set(witness), suite.__name__
 
 
 def test_flow_commutator_oracle_values():

@@ -316,6 +316,8 @@ def test_powers_start_from_the_base():
     assert x ** 3 == x * x * x
     d = alg.generator(1)
     assert d ** 4 == alg.monomial((4,)) and not d ** 5
+    # a monomial outside the basis, or a zero coefficient, is zero
+    assert alg.monomial((5,)) == alg.zero() == alg.monomial((1,), 0)
     with pytest.raises(ValidationError):
         x ** -1
 
