@@ -2,6 +2,9 @@
 bracket tower on tangent-vector-valued forms over polynomial coordinate
 spaces.  Everything is computed symbolically over the rationals; every
 identity the library claims is checked exactly by the verification suites.
+
+The suites are a separate tool, fnlab.verify (Sampler, SuiteConfig,
+run_verification).  `import fnlab` loads only the calculus, not the suites.
 """
 
 from .simplicial import D, D2, POINT, SimplicialObject, d_cube, d_order, \
@@ -20,7 +23,6 @@ from .forms import FormElem, Kernel, Permutation, antisymmetrize, \
     identity_one_form, is_omega1, is_omega12, is_omega13, is_omega123, \
     perm_act, perm_kernel, pi_kernel, prod_over, prod_under, shuffle_sigma, \
     vector_field_form, verify_class
-from .verify import Sampler, SuiteConfig, run_verification
 from .errors import FnlabError, InternalError, PreconditionError, ValidationError
 
 __version__ = "0.1.0"

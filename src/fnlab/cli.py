@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verified property failed, 2 bad input,
-3 well-formed input violating an operation's precondition.
+3 well-formed input violating an operation's precondition.  Only the commands
+that sample or verify (verify, jacobi3 --random) import fnlab.verify.
 """
 
 import argparse
@@ -14,7 +15,6 @@ from .micro import jacobi3_defect, tangent_principal, triangle_from_vector_field
 from .rationals import Q, parse_rational, rat_str
 from .serialize import MAX_KERNEL_VARS, form_from_json, form_to_json, \
     obj_from_json, polymap_from_json, to_json
-from .verify import Sampler, SuiteConfig, run_verification
 from .weil import make_algebra
 
 def _load_json_arg(text: str):
@@ -67,6 +67,7 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SuiteConfig, run_verification
     if args.config:
         cfg = SuiteConfig.from_json(_load_json_arg(args.config))
     else:
@@ -123,6 +124,7 @@ def cmd_jacobi3(args) -> int:
     else:
         if args.random < 1:
             raise ValidationError("--random must be >= 1")
+        from .verify import Sampler
         sampler = Sampler(f"{args.seed}/jacobi3")
         for i in range(args.random):
             m = sampler.rng.randint(1, 2)

@@ -6,14 +6,15 @@ coordinate with polynomial coefficients is refused when the point is made, so
 nothing downstream tests for one.  Points are built fraction-free by one
 constructor: each m-vector of a table or of a six-cube configuration's free
 data is read once into numerators and denominators, and each coordinate is
-its numerators over their lcm, a form that is already reduced.  The six cubes
-of a configuration share their 16 distinct vectors, so each of those is read
-once for all six.  The cubes of three vector fields are the point itself
-flowed along them, in rational Weil arithmetic from the start.  Squares (two
-directions) and cubes (three) are glued along common restrictions by an
-exact linear solve that inverts the relevant pullback square; the strong
-difference of a compatible pair is the restriction of that unique gluing
-along a fresh direction.
+its numerators over their lcm, a form that is already reduced.  A value
+given as a string is read by parse_rational, so exponent notation is refused
+as the JSON decoders refuse it.  The six cubes of a configuration share their
+16 distinct vectors, so each of those is read once for all six.  The cubes of
+three vector fields are the point itself flowed along them, in rational Weil
+arithmetic from the start.  Squares (two directions) and cubes (three) are
+glued along common restrictions by an exact linear solve that inverts the
+relevant pullback square; the strong difference of a compatible pair is the
+restriction of that unique gluing along a fresh direction.
 
 The four gluing configurations are data, not code: each AmalgamationCase
 carries the apex object, the two leg substitutions (one twisted by a product
@@ -29,7 +30,8 @@ glue fraction-free: each coordinate pair goes through the check and the
 solve as sparse integer numerators over one common denominator.  A case
 holds its leg, apex and shared algebras, and a morphism its source and
 target algebras, so gluing and restricting look no algebra up.  Tangents at
-one base point add fraction-free too.
+one base point add fraction-free too.  AmalgamationCase is a plain slotted
+class, so importing micro loads no dataclass machinery.
 
 Restricting a point maps each coordinate through the morphism's dual algebra
 map, InfMorphism.pullback_element.  A six-cube configuration checks its
@@ -39,7 +41,6 @@ differences are kept for the threefold difference.
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from math import lcm
 from types import MappingProxyType
 
@@ -47,7 +48,7 @@ from .errors import InternalError, PreconditionError, ValidationError
 from .linsolve import ReducedMatrix, apply_columns, solve_exact
 from .morphisms import InfMorphism, axis_map, inclusion
 from .poly import Poly, PolyMap
-from .rationals import RATIONAL_TYPES, Q
+from .rationals import RATIONAL_TYPES, Q, parse_rational
 from .simplicial import SimplicialObject, d_cube, d_paren
 from .weil import WeilAlgebra, WeilElement, from_numerators, from_reduced, make_algebra
 
@@ -67,11 +68,12 @@ def _key_exponents(n: int, key) -> list:
 
 
 def _rational(v):
-    """v as a rational: ints and rationals as they are, anything else through Q."""
+    """v as a rational: ints and rationals as they are, strings through
+    parse_rational (exponent notation refused), anything else through Q."""
     if type(v) in RATIONAL_TYPES:
         return v
     try:
-        return Q(v)
+        return parse_rational(v) if isinstance(v, str) else Q(v)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"bad rational {v!r}") from exc
 
@@ -170,7 +172,6 @@ def restrict(p: MicroPoint, f: InfMorphism) -> MicroPoint:
 # gluing configurations
 
 
-@dataclass(frozen=True)
 class AmalgamationCase:
     """One gluing configuration and its reduced gluing system.
 
@@ -178,32 +179,33 @@ class AmalgamationCase:
     restricting to (first leg, second leg) solves system x = (c1, c2).  The
     matrix never changes, so it is compiled here, once.  The leg, apex and
     shared algebras are held from here on: make_algebra keeps every algebra
-    it builds, so each is the one make_algebra would return.
+    it builds, so each is the one make_algebra would return.  Cases compare
+    by identity.
     """
 
-    name: str
-    leg: SimplicialObject
-    apex: SimplicialObject
-    twisted: InfMorphism    # leg -> apex, extra slot carries a product term
-    flat: InfMorphism       # leg -> apex, extra slot zero
-    shared: SimplicialObject
-    shared_incl: InfMorphism  # shared -> leg
-    extract: InfMorphism      # result object -> apex
-    result: SimplicialObject
-    system: ReducedMatrix = field(init=False, repr=False, compare=False)
-    leg_alg: WeilAlgebra = field(init=False, repr=False, compare=False)
-    apex_alg: WeilAlgebra = field(init=False, repr=False, compare=False)
-    shared_alg: WeilAlgebra = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "leg", "apex", "twisted", "flat", "shared", "shared_incl",
+                 "extract", "result", "system", "leg_alg", "apex_alg", "shared_alg")
 
-    def __post_init__(self):
-        system = ReducedMatrix(self.twisted.matrix() + self.flat.matrix())
+    def __init__(self, name: str, leg: SimplicialObject, apex: SimplicialObject,
+                 twisted: InfMorphism, flat: InfMorphism, shared: SimplicialObject,
+                 shared_incl: InfMorphism, extract: InfMorphism, result: SimplicialObject):
+        self.name = name
+        self.leg = leg
+        self.apex = apex
+        self.twisted = twisted          # leg -> apex, extra slot carries a product term
+        self.flat = flat                # leg -> apex, extra slot zero
+        self.shared = shared
+        self.shared_incl = shared_incl  # shared -> leg
+        self.extract = extract          # result object -> apex
+        self.result = result
+        system = ReducedMatrix(twisted.matrix() + flat.matrix())
         # integer numerators map to integers only under integer entries
         if any(type(e) is not int for col in system.columns for _i, e in col):
-            raise InternalError(f"{self.name}: gluing needs an integer solution map")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "leg_alg", make_algebra(self.leg))
-        object.__setattr__(self, "apex_alg", make_algebra(self.apex))
-        object.__setattr__(self, "shared_alg", make_algebra(self.shared))
+            raise InternalError(f"{name}: gluing needs an integer solution map")
+        self.system = system
+        self.leg_alg = make_algebra(leg)
+        self.apex_alg = make_algebra(apex)
+        self.shared_alg = make_algebra(shared)
 
 
 def _square_case() -> AmalgamationCase:

@@ -6,20 +6,28 @@ with a set of square-free products d_{i1}...d_{ik} that are forced to vanish.
 Relations are strictly increasing index tuples over 1..n.  Bounds default to
 2 (square-zero generators); larger bounds model higher-order nilpotents and
 are only supported with no relations touching them downstream.
-"""
 
-from dataclasses import dataclass
+A SimplicialObject is an immutable value: two built separately from the same
+data are equal and hash alike, so make_algebra's cache returns one algebra
+for both.  It is a plain slotted class, so importing it loads no dataclass
+machinery.
+"""
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
 class SimplicialObject:
-    n: int
-    relations: frozenset = frozenset()
-    bounds: tuple = None  # type: ignore[assignment]
+    __slots__ = ("n", "relations", "bounds")
+
+    def __init__(self, n: int, relations: frozenset = frozenset(), bounds: tuple = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "bounds", bounds)
+        # a method of its own, so a tracer can count constructions by wrapping it
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate and normalize the fields once, at construction."""
         if self.n < 0:
             raise ValidationError("generator count must be >= 0")
         relations = frozenset(tuple(int(i) for i in seq) for seq in self.relations)
@@ -40,6 +48,23 @@ class SimplicialObject:
         if any(b < 2 for b in bounds):
             raise ValidationError("power bounds must be >= 2")
         object.__setattr__(self, "bounds", bounds)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.relations, self.bounds) == (other.n, other.relations, other.bounds)
+
+    def __hash__(self):
+        return hash((self.n, self.relations, self.bounds))
+
+    def __reduce__(self):
+        return SimplicialObject, (self.n, self.relations, self.bounds)
 
     @property
     def square_free(self) -> bool:

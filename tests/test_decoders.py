@@ -148,7 +148,9 @@ fields = st.integers(1, 2).flatmap(
     near(polymaps(st.integers(-1, 3))), min_size=3, max_size=3)
 
 
-SETTINGS = settings(max_examples=150, deadline=None, database=None,
+# derandomize: every run draws the same examples, so every run reaches the
+# same branches
+SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True,
                     suppress_health_check=list(HealthCheck))
 
 

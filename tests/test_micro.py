@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -680,6 +681,27 @@ def test_point_values_that_are_no_rationals_rejected(build, bad):
     # the value is read before the vector's length is checked
     with pytest.raises(ValidationError, match=f"^bad rational {re.escape(repr(bad))}$"):
         build(bad)
+
+
+# each builder reads a single point value, in data of the right shape
+ONE_VALUE = {
+    "vector_fields": lambda v: triangle_from_vector_fields(*[PolyMap.zero(1, 1)] * 3, [v]),
+    "from_table": lambda v: MicroPoint.from_table(d_cube(1), 1, {(): [v]}),
+    "slots": lambda v: triangle_from_slots(
+        1, [[v], [1], [1], [1]], {pair: ([1], [1]) for pair in SLOT_FIRST_CLASS},
+        {label: [1] for label in TRIANGLE_LABELS}),
+}
+
+
+@pytest.mark.parametrize("build", ONE_VALUE.values(), ids=ONE_VALUE)
+def test_point_values_in_exponent_notation_refused(build):
+    build("100")
+    # Q would build the power of ten in full; the JSON decoders refuse it too
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="^bad rational '1e200000'$") as err:
+        build("1e200000")
+    assert "exponent notation is not accepted" in str(err.value.__cause__)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_triangle_rejects_wrong_labels():

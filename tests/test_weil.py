@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -77,6 +79,51 @@ def test_bad_relations_rejected():
         SimplicialObject(2, frozenset({(0, 1)}))
     with pytest.raises(ValidationError):
         SimplicialObject(1, frozenset(), (1,))
+
+
+# pairs built separately that name one object
+SAME_OBJECT = [
+    (SimplicialObject(2), d_cube(2)),
+    (SimplicialObject(n=2, relations=[[1, 2]]), d_paren(2)),
+    (SimplicialObject(n=1, bounds=[3]), d_order(2)),
+    (SimplicialObject(3, frozenset({(2, 3), (1, 3)}), (2, 2, 2)), oplus(d_cube(2), d_cube(1))),
+]
+
+# pairs that differ in one field
+OTHER_OBJECT = [
+    (d_cube(2), d_cube(3)),
+    (d_cube(2), d_paren(2)),
+    (SimplicialObject(3, frozenset({(1, 2)})), SimplicialObject(3, frozenset({(1, 3)}))),
+    (d_order(2), d_order(3)),
+    (SimplicialObject(2, frozenset(), (2, 3)), SimplicialObject(2, frozenset(), (3, 2))),
+]
+
+
+@pytest.mark.parametrize("a, b", SAME_OBJECT)
+def test_objects_with_equal_fields_are_one_value(a, b):
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert make_algebra(a) is make_algebra(b)
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("a, b", OTHER_OBJECT)
+def test_objects_differing_in_a_field_are_unequal(a, b):
+    assert a != b and not a == b
+    assert make_algebra(a) is not make_algebra(b)
+
+
+def test_objects_are_immutable():
+    obj = d_paren(2)
+    for name, value in (("n", 3), ("relations", frozenset()), ("bounds", (3, 3)),
+                        ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+    with pytest.raises(AttributeError):
+        del obj.n
+    assert obj == d_paren(2) and obj.relations == frozenset({(1, 2)})
+    assert obj != (2, frozenset({(1, 2)}), (2, 2))
 
 
 def test_oplus_examples():
