@@ -36,12 +36,11 @@ numerators once per orbit of monomials under the axis permutations, and
 writes the result at every monomial of the orbit with the permutation's sign.
 """
 
-from collections.abc import Mapping
+from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations as iter_permutations
 from math import factorial
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import InternalError, PreconditionError, ValidationError
 from .linsolve import apply_columns
@@ -49,7 +48,7 @@ from .micro import case_compat_errors, case_solve, get_case
 from .poly import Poly, PolyMap, _permutation_gather
 from .rationals import ONE, Q
 from .simplicial import d_cube
-from .weil import WeilAlgebra, WeilElement, make_algebra
+from .weil import WeilElement, make_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +237,12 @@ def _perm_map(p: int, m: int, images: tuple) -> tuple:
     return tuple(mapping)
 
 
-class _PermTable(NamedTuple):
-    """The axis permutations of arity p on R^m, built once."""
-
-    checks: tuple   # the adjacent transpositions, which generate S_p
-    even: tuple     # exponent gathers of the even permutations of S_p
-    odd: tuple      # exponent gathers of the odd permutations of S_p
+# The axis permutations of arity p on R^m, built once.
+_PermTable = namedtuple("_PermTable", [
+    "checks",   # the adjacent transpositions, which generate S_p
+    "even",     # exponent gathers of the even permutations of S_p
+    "odd",      # exponent gathers of the odd permutations of S_p
+])
 
 
 @lru_cache(maxsize=64)
@@ -451,24 +450,23 @@ def verify_class(x: FormElem) -> bool:
 # convolution and expanded product
 
 
-class _ConvLayout(NamedTuple):
-    """The parts of a convolution that depend only on its shape.
-
-    Built once per (outer_axes, inner_axes, total, m, ext_n) and shared by
-    every convolution of that shape; the containers are read-only, and the
-    Poly and WeilElement values in them are immutable.
-    """
-
-    big_alg: WeilAlgebra    # expansion generators, then one per outer axis
-    ext_alg: WeilAlgebra    # expansion generators only
-    n_gamma: int            # variables of the total cube
-    big_one: WeilElement
-    ext_one: WeilElement
-    args: tuple             # inner-kernel arguments, gamma with outer scalars
-    inner_pos: Mapping      # expansion subset -> its position in big_alg
-    split: tuple            # big_alg position -> (outer position, ext position)
-    ext_pos: Mapping        # expansion subset -> its position in ext_alg
-    ext_subsets: tuple      # (position, subset) pairs of ext_alg, basis order
+# The parts of a convolution that depend only on its shape.
+#
+# Built once per (outer_axes, inner_axes, total, m, ext_n) and shared by
+# every convolution of that shape; the containers are read-only, and the
+# Poly and WeilElement values in them are immutable.
+_ConvLayout = namedtuple("_ConvLayout", [
+    "big_alg",      # WeilAlgebra: expansion generators, then one per outer axis
+    "ext_alg",      # WeilAlgebra: expansion generators only
+    "n_gamma",      # variables of the total cube
+    "big_one",      # the unit WeilElement of big_alg
+    "ext_one",      # the unit WeilElement of ext_alg
+    "args",         # inner-kernel arguments, gamma with outer scalars
+    "inner_pos",    # expansion subset -> its position in big_alg
+    "split",        # big_alg position -> (outer position, ext position)
+    "ext_pos",      # expansion subset -> its position in ext_alg
+    "ext_subsets",  # (position, subset) pairs of ext_alg, basis order
+])
 
 
 @lru_cache(maxsize=128)

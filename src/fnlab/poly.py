@@ -39,6 +39,15 @@ from .rationals import (ONE, Q, FractionFree, RationalCoeffs, add_numerators,
 _new = object.__new__
 
 
+def grlex_key(exps):
+    """Sort key of the graded lexicographic order on exponent tuples.
+
+    Total degree first, then earlier variables first.  Weil bases, Poly
+    reprs and the JSON term lists all list monomials in this order.
+    """
+    return (sum(exps), tuple(-e for e in exps))
+
+
 def _poly(n, num, den):
     """A polynomial from its parts, already reduced."""
     f = _new(Poly)
@@ -276,7 +285,7 @@ class Poly(FractionFree):
             return "0"
         terms = self.terms
         bits = []
-        for e in sorted(terms, key=lambda t: (sum(t), tuple(-x for x in t))):
+        for e in sorted(terms, key=grlex_key):
             c = terms[e]
             mono = "*".join(
                 f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k)

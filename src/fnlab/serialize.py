@@ -14,7 +14,7 @@ from .errors import ValidationError
 from .forms import OMEGA0, FormElem, Kernel, cube_dim, pi_kernel
 from .micro import MicroPoint
 from .morphisms import InfMorphism
-from .poly import Poly, PolyMap
+from .poly import Poly, PolyMap, grlex_key
 from .rationals import Q, parse_rational, rat_str
 from .simplicial import SimplicialObject
 
@@ -102,8 +102,8 @@ def obj_from_json(data: dict) -> SimplicialObject:
 
 
 def poly_to_json(p: Poly) -> list:
-    items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])))
-    return [{"c": rat_str(c), "e": list(e)} for e, c in items]
+    terms = p.terms
+    return [{"c": rat_str(terms[e]), "e": list(e)} for e in sorted(terms, key=grlex_key)]
 
 
 def poly_from_json(data, n: int) -> Poly:

@@ -5,12 +5,18 @@ reports are reproducible case by case and suites can run independently.
 Failures carry serialized counterexamples.  Scales (model dimension, arities,
 degree, case counts) come from SuiteConfig; the defaults keep a full run in
 the tens of seconds.
+
+The brackets suite states antisymmetry and the Jacobi identity once for all
+four brackets.  Each term is aligned with the first by a swap: the block
+shuffle of its arities for the ungraded L1 and L12, the sign (-1)^(ab) of the
+same shuffle for the graded FN13 and FN123.  On vector fields the brackets
+are checked against the classical commutator X.grad(Y) - Y.grad(X).
 """
 
 import random
 import time
-from dataclasses import asdict, dataclass, replace
-from itertools import product as iter_product
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import combinations, product as iter_product
 
 from .errors import ValidationError
 from .forms import (OMEGA12, OMEGA13, OMEGA123, FormElem, Kernel, Permutation,
@@ -28,7 +34,7 @@ from .poly import Poly, PolyMap
 from .rationals import Q
 from .serialize import to_json
 from .simplicial import SimplicialObject, d_cube, d_order, d_paren, oplus
-from .weil import WeilElement, make_algebra
+from .weil import from_dense, make_algebra
 
 SUITES = ("weil", "microcalc", "jacobi", "conv", "prod", "brackets")
 
@@ -75,9 +81,7 @@ class SuiteConfig:
     def from_json(data: dict) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise ValidationError("config must be a JSON object")
-        known = {"seed", "m_max", "p_max", "q_max", "r_max", "deg_max",
-                 "cases_per_property", "suites"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(SuiteConfig)}
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
         return SuiteConfig(**data)
@@ -149,28 +153,17 @@ class Sampler:
     def omega123_form(self, p: int, m: int, deg: int) -> FormElem:
         return antisymmetrize(self.multilinear_form(p, m, deg, OMEGA123))
 
-    def micro_square(self, m: int) -> MicroPoint:
-        table = {key: self.vector(m) for key in [(), (1,), (2,), (1, 2)]}
-        return MicroPoint.from_table(d_cube(2), m, table)
+    def micro_pair(self, n: int, m: int, redraw):
+        """Points (g1, g2) on D^n that differ at most at the keys `redraw`.
 
-    def square_pair(self, m: int):
-        g2 = self.micro_square(m)
-        table = {key: list(g2.coeff(key)) for key in [(), (1,), (2,)]}
-        table[(1, 2)] = self.vector(m)
-        return MicroPoint.from_table(d_cube(2), m, table), g2
-
-    def micro_cube(self, m: int) -> MicroPoint:
-        keys = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
-        return MicroPoint.from_table(d_cube(3), m, {k: self.vector(m) for k in keys})
-
-    def cube_pair(self, m: int, axis: int):
-        g2 = self.micro_cube(m)
-        others = tuple(sorted({1, 2, 3} - {axis}))
-        keys = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
-        table = {k: list(g2.coeff(k)) for k in keys}
-        table[others] = self.vector(m)
-        table[(1, 2, 3)] = self.vector(m)
-        return MicroPoint.from_table(d_cube(3), m, table), g2
+        g2 is drawn key by key in basis order; g1 copies it and draws the
+        `redraw` keys again, in the given order.
+        """
+        keys = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+        g2 = {key: self.vector(m) for key in keys}
+        g1 = {**g2, **{key: self.vector(m) for key in redraw}}
+        return (MicroPoint.from_table(d_cube(n), m, g1),
+                MicroPoint.from_table(d_cube(n), m, g2))
 
     def triangle(self, m: int):
         base4 = [self.vector(m) for _ in range(4)]
@@ -236,22 +229,16 @@ def brute_force_basis(obj: SimplicialObject):
 
 
 def flow_commutator(x: PolyMap, y: PolyMap) -> PolyMap:
-    """Classical commutator via the square loop of first-order steps.
+    """Classical commutator x.grad(y) - y.grad(x) of two vector fields.
 
-    Walks -x, -y, +x, +y with two square-zero parameters and returns the
-    corner coefficient, the classical derivation-commutator bracket.
+    This is the corner of the square loop of flows -x, -y, +x, +y taken with
+    square-zero parameters t and s: to first order in each, the loop ends at
+    c + ts (Dy(c) x(c) - Dx(c) y(c)).
     """
     m = x.in_dim
-    alg = make_algebra(d_cube(2))
-    one = WeilElement(alg, {0: Poly.one(m)})
-    t = WeilElement(alg, {alg.index[(1, 0)]: Poly.one(m)})
-    s = WeilElement(alg, {alg.index[(0, 1)]: Poly.one(m)})
-    coords = [WeilElement(alg, {0: Poly.var(m, j)}) for j in range(m)]
-    for gen, fld, sign in ((t, x, -1), (s, y, -1), (t, x, 1), (s, y, 1)):
-        vals = fld.eval(coords, one)
-        coords = [c + (gen * v).scale(Q(sign)) for c, v in zip(coords, vals)]
-    corner = alg.index[(1, 1)]
-    return PolyMap(m, [c.coeffs.get(corner, Poly.zero(m)) for c in coords])
+    return PolyMap(m, [sum((x.comps[j] * yi.partial(j) - y.comps[j] * xi.partial(j)
+                            for j in range(m)), Poly.zero(m))
+                       for xi, yi in zip(x.comps, y.comps)])
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +303,6 @@ def run_morphism_algebra_map(s: Sampler, cfg: SuiteConfig) -> _Run:
     for _ in range(cfg.cases_per_property):
         f = s.rng.choice(morphisms)
         tgt = make_algebra(f.target)
-        from .weil import from_dense
         x = from_dense(tgt, [s.rational() for _ in range(tgt.dim)])
         y = from_dense(tgt, [s.rational() for _ in range(tgt.dim)])
         a, b = s.rational(), s.rational()
@@ -331,7 +317,6 @@ def run_morphism_algebra_map(s: Sampler, cfg: SuiteConfig) -> _Run:
 
 def run_poly_eval_functorial(s: Sampler, cfg: SuiteConfig) -> _Run:
     run = _Run()
-    from .weil import from_dense
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         f = s.polymap(m, m, cfg.deg_max)
@@ -362,14 +347,13 @@ def run_poly_eval_functorial(s: Sampler, cfg: SuiteConfig) -> _Run:
 # microcalc suite
 
 
-def run_strong_diff_antisymmetry(s: Sampler, cfg: SuiteConfig,
-                                 diff_fn=strong_diff) -> _Run:
+def run_strong_diff_antisymmetry(s: Sampler, cfg: SuiteConfig) -> _Run:
     run = _Run()
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
-        g1, g2 = s.square_pair(m)
-        fwd = diff_fn(g1, g2)
-        rev = diff_fn(g2, g1)
+        g1, g2 = s.micro_pair(2, m, [(1, 2)])
+        fwd = strong_diff(g1, g2)
+        rev = strong_diff(g2, g1)
         psum = tuple(a + b for a, b in zip(tangent_principal(fwd),
                                            tangent_principal(rev)))
         run.check(all(not v for v in psum) and fwd.base() == rev.base() == g1.base(),
@@ -380,17 +364,17 @@ def run_strong_diff_antisymmetry(s: Sampler, cfg: SuiteConfig,
 
 def run_pullback_roundtrip(s: Sampler, cfg: SuiteConfig) -> _Run:
     run = _Run()
-    for name in ("square", "cube-1", "cube-2", "cube-3"):
+    for name, n, redraw in (("square", 2, [(1, 2)]),
+                            ("cube-1", 3, [(2, 3), (1, 2, 3)]),
+                            ("cube-2", 3, [(1, 3), (1, 2, 3)]),
+                            ("cube-3", 3, [(1, 2), (1, 2, 3)])):
         case = get_case(name)
         # a second elimination of the same system, pivoting right to left
         reordered = ReducedMatrix(case.system, reversed(range(case.apex_alg.dim)))
         offset = case.leg_alg.dim
         for _ in range(cfg.cases_per_property):
             m = s.m(cfg)
-            if name == "square":
-                g1, g2 = s.square_pair(m)
-            else:
-                g1, g2 = s.cube_pair(m, int(name[-1]))
+            g1, g2 = s.micro_pair(n, m, redraw)
             glued = amalgamate(g1, g2, case)
             stacked = ({**a.coeffs, **{offset + k: v for k, v in b.coeffs.items()}}
                        for a, b in zip(g1.coords, g2.coords))
@@ -407,7 +391,7 @@ def run_strong_diff_translation(s: Sampler, cfg: SuiteConfig) -> _Run:
     run = _Run()
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
-        g1, g2 = s.square_pair(m)
+        g1, g2 = s.micro_pair(2, m, [(1, 2)])
         v = s.vector(m)
 
         def shift(g, delta):
@@ -576,115 +560,90 @@ def run_prod_low_order_agreement(s: Sampler, cfg: SuiteConfig) -> _Run:
 # brackets suite
 
 
-def _arity_grid(cfg, count):
+def _shuffle_swap(t: Kernel, a: int, b: int) -> Kernel:
+    return perm_kernel(t, shuffle_sigma(a, b))
+
+
+def _graded_swap(t: Kernel, a: int, b: int) -> Kernel:
+    return t.scale(Q((-1) ** (a * b)))
+
+
+def _antisymmetry_sum(bracket, swap, x, y, xy):
+    """xy = bracket(x, y) plus the aligned bracket(y, x)."""
+    return xy.principal() + swap(bracket(y, x).principal(), y.p, x.p)
+
+
+def _jacobi_sum(bracket, swap, x, y, z):
+    p, q, r = x.p, y.p, z.p
+    return (bracket(x, bracket(y, z)).principal()
+            + swap(bracket(y, bracket(z, x)).principal(), q + r, p)
+            + swap(bracket(z, bracket(x, y)).principal(), r, p + q))
+
+
+def _arity_cases(s, cfg, count, cases):
+    """(arities, m) for `cases` draws of m at each point of the arity grid."""
     axes = [range(cfg.p_max + 1), range(cfg.q_max + 1), range(cfg.r_max + 1)]
-    return iter_product(*axes[:count])
+    for arities in iter_product(*axes[:count]):
+        for _ in range(cases):
+            yield arities, s.m(cfg)
+
+
+def _antisymmetry_loop(s, cfg, draw, bracket, swap, what) -> _Run:
+    run = _Run()
+    for (p, q), m in _arity_cases(s, cfg, 2, cfg.cases_per_property):
+        x, y = draw(p, m, cfg.deg_max), draw(q, m, cfg.deg_max)
+        run.check(not _antisymmetry_sum(bracket, swap, x, y, bracket(x, y)),
+                  f"{what} fails at ({p},{q})", x=x, y=y)
+    return run
+
+
+def _jacobi_loop(s, cfg, draw, bracket, swap, what) -> _Run:
+    run = _Run()
+    for (p, q, r), m in _arity_cases(s, cfg, 3, cfg.cases_per_property):
+        x, y, z = (draw(a, m, cfg.deg_max) for a in (p, q, r))
+        run.check(not _jacobi_sum(bracket, swap, x, y, z),
+                  f"{what} fails at ({p},{q},{r})", x=x, y=y, z=z)
+    return run
+
+
+def _identities_loop(s, cfg, draw, bracket, swap, closed, what) -> _Run:
+    """Closure, antisymmetry and Jacobi together, on half as many cases."""
+    run = _Run()
+    for (p, q, r), m in _arity_cases(s, cfg, 3, max(cfg.cases_per_property // 2, 1)):
+        x, y, z = (draw(a, m, cfg.deg_max) for a in (p, q, r))
+        xy = bracket(x, y)
+        run.check(closed(xy) and not _antisymmetry_sum(bracket, swap, x, y, xy)
+                  and not _jacobi_sum(bracket, swap, x, y, z),
+                  f"{what} fails at ({p},{q},{r})", x=x, y=y, z=z)
+    return run
 
 
 def run_bracket_antisymmetry(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
-    for p, q in _arity_grid(cfg, 2):
-        for _ in range(cfg.cases_per_property):
-            m = s.m(cfg)
-            x = s.omega1_form(p, m, cfg.deg_max)
-            y = s.omega1_form(q, m, cfg.deg_max)
-            total = bracket_l1(x, y).principal() + perm_kernel(
-                bracket_l1(y, x).principal(), shuffle_sigma(q, p))
-            run.check(not total, f"bracket antisymmetry fails at ({p},{q})",
-                      x=x, y=y)
-    return run
-
-
-def _jacobi_sum_l1(bracket, x, y, z):
-    p, q, r = x.p, y.p, z.p
-    t1 = bracket(x, bracket(y, z)).principal()
-    t2 = perm_kernel(bracket(y, bracket(z, x)).principal(), shuffle_sigma(q + r, p))
-    t3 = perm_kernel(bracket(z, bracket(x, y)).principal(), shuffle_sigma(r, p + q))
-    return t1 + t2 + t3
+    return _antisymmetry_loop(s, cfg, s.omega1_form, bracket_l1, _shuffle_swap,
+                              "bracket antisymmetry")
 
 
 def run_bracket_jacobi(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
-    for p, q, r in _arity_grid(cfg, 3):
-        for _ in range(cfg.cases_per_property):
-            m = s.m(cfg)
-            x = s.omega1_form(p, m, cfg.deg_max)
-            y = s.omega1_form(q, m, cfg.deg_max)
-            z = s.omega1_form(r, m, cfg.deg_max)
-            run.check(not _jacobi_sum_l1(bracket_l1, x, y, z),
-                      f"bracket jacobi fails at ({p},{q},{r})", x=x, y=y, z=z)
-    return run
+    return _jacobi_loop(s, cfg, s.omega1_form, bracket_l1, _shuffle_swap, "bracket jacobi")
 
 
 def run_bracket_multilinear_identities(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
-    for p, q, r in _arity_grid(cfg, 3):
-        for _ in range(max(cfg.cases_per_property // 2, 1)):
-            m = s.m(cfg)
-            x = s.multilinear_form(p, m, cfg.deg_max)
-            y = s.multilinear_form(q, m, cfg.deg_max)
-            z = s.multilinear_form(r, m, cfg.deg_max)
-            out = bracket_l12(x, y)
-            anti = out.principal() + perm_kernel(
-                bracket_l12(y, x).principal(), shuffle_sigma(q, p))
-            jac = _jacobi_sum_l1(bracket_l12, x, y, z)
-            run.check(is_omega12(out) and not anti and not jac,
-                      f"multilinear bracket identity fails at ({p},{q},{r})",
-                      x=x, y=y, z=z)
-    return run
+    return _identities_loop(s, cfg, s.multilinear_form, bracket_l12, _shuffle_swap,
+                            is_omega12, "multilinear bracket identity")
 
 
 def run_bracket_graded_antisymmetry(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
-    for p, q in _arity_grid(cfg, 2):
-        for _ in range(cfg.cases_per_property):
-            m = s.m(cfg)
-            x = s.omega13_form(p, m, cfg.deg_max)
-            y = s.omega13_form(q, m, cfg.deg_max)
-            total = bracket_fn13(x, y).principal() + \
-                bracket_fn13(y, x).principal().scale(Q((-1) ** (p * q)))
-            run.check(not total, f"graded antisymmetry fails at ({p},{q})",
-                      x=x, y=y)
-    return run
-
-
-def _jacobi_sum_graded(bracket, x, y, z):
-    p, q, r = x.p, y.p, z.p
-    t1 = bracket(x, bracket(y, z)).principal()
-    t2 = bracket(y, bracket(z, x)).principal().scale(Q((-1) ** (p * (q + r))))
-    t3 = bracket(z, bracket(x, y)).principal().scale(Q((-1) ** (r * (p + q))))
-    return t1 + t2 + t3
+    return _antisymmetry_loop(s, cfg, s.omega13_form, bracket_fn13, _graded_swap,
+                              "graded antisymmetry")
 
 
 def run_bracket_graded_jacobi(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
-    for p, q, r in _arity_grid(cfg, 3):
-        for _ in range(cfg.cases_per_property):
-            m = s.m(cfg)
-            x = s.omega13_form(p, m, cfg.deg_max)
-            y = s.omega13_form(q, m, cfg.deg_max)
-            z = s.omega13_form(r, m, cfg.deg_max)
-            run.check(not _jacobi_sum_graded(bracket_fn13, x, y, z),
-                      f"graded jacobi fails at ({p},{q},{r})", x=x, y=y, z=z)
-    return run
+    return _jacobi_loop(s, cfg, s.omega13_form, bracket_fn13, _graded_swap, "graded jacobi")
 
 
 def run_bracket_alternating_multilinear(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
-    for p, q, r in _arity_grid(cfg, 3):
-        for _ in range(max(cfg.cases_per_property // 2, 1)):
-            m = s.m(cfg)
-            x = s.omega123_form(p, m, cfg.deg_max)
-            y = s.omega123_form(q, m, cfg.deg_max)
-            z = s.omega123_form(r, m, cfg.deg_max)
-            out = bracket_fn123(x, y)
-            anti = out.principal() + \
-                bracket_fn123(y, x).principal().scale(Q((-1) ** (p * q)))
-            jac = _jacobi_sum_graded(bracket_fn123, x, y, z)
-            run.check(is_omega123(out) and not anti and not jac,
-                      f"full graded bracket identity fails at ({p},{q},{r})",
-                      x=x, y=y, z=z)
-    return run
+    return _identities_loop(s, cfg, s.omega123_form, bracket_fn123, _graded_swap,
+                            is_omega123, "full graded bracket identity")
 
 
 def run_bracket_closure(s: Sampler, cfg: SuiteConfig) -> _Run:

@@ -6,7 +6,8 @@ and not divisible by a vanishing product.  Monomial ideals make normal forms
 a divisibility test, so no Groebner machinery is needed anywhere.
 
 Basis order is graded lexicographic (total degree first, then earlier
-generators first) and is part of the serialization contract.
+generators first; `poly.grlex_key`) and is part of the serialization
+contract.
 
 Each algebra tabulates, once, the pairs of basis monomials whose product
 survives, with the product's position.  The table is built from packed
@@ -43,13 +44,10 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import ValidationError
+from .poly import grlex_key
 from .rationals import (ONE, RATIONAL_TYPES, Q, FractionFree, RationalCoeffs,
                         add_numerators, rational, reduce_numerators, to_numerators)
 from .simplicial import SimplicialObject
-
-
-def _grlex_key(exps):
-    return (sum(exps), tuple(-e for e in exps))
 
 
 class WeilAlgebra:
@@ -73,7 +71,7 @@ class WeilAlgebra:
                 if not any(t & m == m for m in closing[i]):
                     longer.extend((exps + (e,), t) for e in range(1, b))
             grown = longer
-        self.basis = tuple(sorted((exps for exps, _s in grown), key=_grlex_key))
+        self.basis = tuple(sorted((exps for exps, _s in grown), key=grlex_key))
         self.index = {e: i for i, e in enumerate(self.basis)}
         # Each basis monomial as one integer, with mixed radix 2*bound - 1
         # per generator.  A basis exponent is below its bound, so the digits

@@ -1,5 +1,6 @@
 """`import fnlab` loads the calculus only: not the verification suites
-(fnlab.verify) and not dataclasses, which pulls in inspect, ast and dis."""
+(fnlab.verify), not dataclasses, which pulls in inspect, ast and dis, and not
+typing."""
 
 import json
 import subprocess
@@ -10,7 +11,7 @@ import fnlab
 
 SRC = str(Path(fnlab.__file__).resolve().parent.parent)
 
-HEAVY = ("fnlab.verify", "dataclasses")
+HEAVY = ("fnlab.verify", "dataclasses", "typing")
 
 # runs with -S, so no site hook loads a module first; the checkout's src is
 # passed as the first argument

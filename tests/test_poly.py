@@ -473,8 +473,8 @@ def test_eval_constant_and_zero_polynomials():
 
 def test_eval_at_ring_valued_weil_keeps_the_term_loop():
     # Weil elements with polynomial coefficients, as the bracket tower's
-    # convolutions and verify.flow_commutator use: the result is ring-valued
-    # and equals the term-by-term sum
+    # convolutions use: the result is ring-valued and equals the term-by-term
+    # sum
     alg = make_algebra(d_cube(2))
     one = WeilElement(alg, {0: Poly.one(2)})
     args = [WeilElement(alg, {0: Poly.var(2, 0) * Q(1, 3), 1: Poly.one(2) * Q(2, 5)}),

@@ -2,15 +2,19 @@ import json
 
 import pytest
 
-from fnlab import micro
+from fnlab import micro, verify
 from fnlab.errors import ValidationError
 from fnlab.micro import MicroPoint, strong_diff
+from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 from fnlab.simplicial import d_cube
 from fnlab.verify import (PROPERTIES, Sampler, SuiteConfig,
-                          flow_commutator, run_general_jacobi_flows,
+                          flow_commutator, run_bracket_antisymmetry,
+                          run_bracket_graded_antisymmetry, run_bracket_graded_jacobi,
+                          run_bracket_jacobi, run_general_jacobi_flows,
                           run_strong_diff_antisymmetry, run_triangle_membership_flows,
                           run_verification, strip_timings)
+from fnlab.weil import WeilElement, make_algebra
 
 SMALL = SuiteConfig(cases_per_property=3)
 
@@ -66,7 +70,15 @@ def test_multiple_seeds_all_pass():
         assert run_verification(cfg)["passed"], seed
 
 
-def test_mutation_hook_catches_sign_flip():
+def test_heavy_bracket_suite_passes():
+    """At arity 2 a block shuffle is more than a single transposition."""
+    cfg = SuiteConfig(cases_per_property=2, suites=("brackets",)).heavy()
+    report = run_verification(cfg)
+    assert report["passed"] is True
+    assert sum(p["cases"] for p in report["properties"]) == 208
+
+
+def test_mutation_hook_catches_sign_flip(monkeypatch):
     """A corrupted strong difference must trip the antisymmetry suite."""
 
     def corrupted(g1, g2):
@@ -75,8 +87,8 @@ def test_mutation_hook_catches_sign_flip():
         return MicroPoint.from_table(d_cube(1), g1.m, {
             (): list(honest.base()), (1,): flipped})
 
-    run = run_strong_diff_antisymmetry(
-        Sampler("0/strong_diff_antisymmetry"), SMALL, diff_fn=corrupted)
+    monkeypatch.setattr(verify, "strong_diff", corrupted)
+    run = run_strong_diff_antisymmetry(Sampler("0/strong_diff_antisymmetry"), SMALL)
     assert run.failed > 0
     assert run.witnesses and "g1" in run.witnesses[0]
 
@@ -101,8 +113,46 @@ def test_flow_suites_record_a_membership_violation(monkeypatch):
         assert {"fields", "at"} <= set(witness), suite.__name__
 
 
+@pytest.mark.parametrize("swap, runners", [
+    ("_shuffle_swap", (run_bracket_antisymmetry, run_bracket_jacobi)),
+    ("_graded_swap", (run_bracket_graded_antisymmetry, run_bracket_graded_jacobi)),
+])
+def test_bracket_suites_need_their_alignment(monkeypatch, swap, runners):
+    """Without the block shuffle, or without the graded sign, the sums of the
+    ungraded and graded identities no longer vanish."""
+    cfg = SuiteConfig(cases_per_property=2)
+    for mutated in (False, True):
+        if mutated:
+            monkeypatch.setattr(verify, swap, lambda t, a, b: t)
+        for runner in runners:
+            run = runner(Sampler(f"0/{runner.__name__}"), cfg)
+            assert (run.failed > 0) == mutated, (swap, runner.__name__, mutated)
+
+
+def square_loop_corner(x, y):
+    """The corner of the flow loop -x, -y, +x, +y with square-zero t and s."""
+    m = x.in_dim
+    alg = make_algebra(d_cube(2))
+    one = WeilElement(alg, {0: Poly.one(m)})
+    t = WeilElement(alg, {alg.index[(1, 0)]: Poly.one(m)})
+    s = WeilElement(alg, {alg.index[(0, 1)]: Poly.one(m)})
+    coords = [WeilElement(alg, {0: Poly.var(m, j)}) for j in range(m)]
+    for gen, fld, sign in ((t, x, -1), (s, y, -1), (t, x, 1), (s, y, 1)):
+        vals = fld.eval(coords, one)
+        coords = [c + (gen * v).scale(Q(sign)) for c, v in zip(coords, vals)]
+    corner = alg.index[(1, 1)]
+    return PolyMap(m, [c.coeffs.get(corner, Poly.zero(m)) for c in coords])
+
+
+def test_flow_commutator_is_the_square_loop_corner():
+    s = Sampler("flow_commutator")
+    for m in (1, 2, 3):
+        for _ in range(5):
+            x, y = s.vector_field(m, 3), s.vector_field(m, 3)
+            assert flow_commutator(x, y) == square_loop_corner(x, y)
+
+
 def test_flow_commutator_oracle_values():
-    from fnlab.poly import Poly, PolyMap
     x = PolyMap(1, [Poly.var(1, 0)])
     y = PolyMap(1, [Poly.one(1)])
     # classical [x d/dx, d/dx] = -d/dx
