@@ -25,12 +25,15 @@ because none of them ever changes:
 - one permutation table per arity p and dimension m (an LRU cache of at
   most 64): every axis permutation's exponent gather, split by sign, and
   the adjacent transpositions that the alternation check applies;
-- one convolution layout per shape (an LRU cache of at most 128): the two
-  algebras and their units, the inner arguments, the scalar split table and
-  the expansion positions, held in tuples and read-only mappings of
-  immutable values.
-A convolution embeds each kernel value at its expansion subset by
-re-indexing (`WeilElement.times_basis`), not by a product.  The
+- one convolution layout per shape (an LRU cache of at most 128): the
+  expansion algebra, its unit and that of the outer-axis algebra, the inner
+  arguments and the expansion positions, held in tuples and read-only
+  mappings of immutable values.
+A convolution evaluates the inner kernels in the algebra of the outer axes
+alone, whose arguments carry no expansion generator, and writes each value's
+outer-axis coefficients straight into the outer arguments at the kernel's
+expansion subset.  It embeds each outer kernel value at its expansion subset
+by re-indexing (`WeilElement.times_basis`), not by a product.  The
 antisymmetrizer builds no permuted kernel: it sums the signed integer
 numerators once per orbit of monomials under the axis permutations, and
 writes the result at every monomial of the orbit with the permutation's sign.
@@ -456,14 +459,11 @@ def verify_class(x: FormElem) -> bool:
 # every convolution of that shape; the containers are read-only, and the
 # Poly and WeilElement values in them are immutable.
 _ConvLayout = namedtuple("_ConvLayout", [
-    "big_alg",      # WeilAlgebra: expansion generators, then one per outer axis
     "ext_alg",      # WeilAlgebra: expansion generators only
     "n_gamma",      # variables of the total cube
-    "big_one",      # the unit WeilElement of big_alg
+    "axis_one",     # the unit WeilElement of the outer-axis algebra
     "ext_one",      # the unit WeilElement of ext_alg
     "args",         # inner-kernel arguments, gamma with outer scalars
-    "inner_pos",    # expansion subset -> its position in big_alg
-    "split",        # big_alg position -> (outer position, ext position)
     "ext_pos",      # expansion subset -> its position in ext_alg
     "ext_subsets",  # (position, subset) pairs of ext_alg, basis order
 ])
@@ -471,38 +471,27 @@ _ConvLayout = namedtuple("_ConvLayout", [
 
 @lru_cache(maxsize=128)
 def _conv_layout(outer_axes, inner_axes, total, m, ext_n) -> _ConvLayout:
-    po, qi = len(outer_axes), len(inner_axes)
-    big_alg = make_algebra(d_cube(ext_n + po))
+    axis_alg = make_algebra(d_cube(len(outer_axes)))
     ext_alg = make_algebra(d_cube(ext_n))
     n_gamma = cube_dim(total, m)
-    big = _cube_layout(ext_n + po)
     ext = _cube_layout(ext_n)
-    outer = _cube_layout(po)
+    outer = _cube_layout(len(outer_axes))
 
     args = []
-    for _pos, s_own in _cube_layout(qi).subsets:
+    for _pos, s_own in _cube_layout(len(inner_axes)).subsets:
         s_global = {inner_axes[s - 1] for s in s_own}
         for j in range(m):
             coeffs = {}
-            for _tpos, t_own in outer.subsets:
+            for tpos, t_own in outer.subsets:
                 t_global = {outer_axes[t - 1] for t in t_own}
-                var = cube_var(total, m, s_global | t_global, j)
-                coeffs[big.index[frozenset(ext_n + t for t in t_own)]] = Poly.var(n_gamma, var)
-            args.append(WeilElement(big_alg, coeffs))
-
-    split = [None] * len(big.subsets)
-    for pos, subset in big.subsets:
-        t_own = frozenset(i - ext_n for i in subset if i > ext_n)
-        ext_subset = frozenset(i for i in subset if i <= ext_n)
-        split[pos] = (outer.index[t_own], ext.index[ext_subset])
+                coeffs[tpos] = Poly.var(n_gamma, cube_var(total, m, s_global | t_global, j))
+            args.append(WeilElement(axis_alg, coeffs))
 
     return _ConvLayout(
-        big_alg, ext_alg, n_gamma,
-        WeilElement(big_alg, {0: Poly.one(n_gamma)}),
+        ext_alg, n_gamma,
+        WeilElement(axis_alg, {0: Poly.one(n_gamma)}),
         WeilElement(ext_alg, {0: Poly.one(n_gamma)}),
-        tuple(args),
-        MappingProxyType({subset: big.index[subset] for _pos, subset in ext.subsets}),
-        tuple(split), MappingProxyType(ext.index), ext.subsets)
+        tuple(args), MappingProxyType(ext.index), ext.subsets)
 
 
 def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
@@ -510,29 +499,27 @@ def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
 
     outer_bar / inner_bar map expansion subsets to kernels of arity
     len(outer_axes) / len(inner_axes); the axis tuples partition {1..total}.
-    Scalars live in the algebra on ext_n expansion generators tensored with
-    one square-zero generator per outer axis; coefficients are polynomials in
-    the total-cube variables.  Each kernel's values are embedded at their
-    expansion subset by re-indexing (`WeilElement.times_basis`).  Returns
-    expansion subset -> Kernel(total).
+    Coefficients are polynomials in the total-cube variables.  The inner
+    arguments carry only outer-axis generators, so the inner kernels are
+    evaluated in the algebra with one square-zero generator per outer axis.
+    The coefficient at outer slot t of an inner value becomes the outer
+    argument at t, at the position of the inner kernel's expansion subset in
+    the algebra on the ext_n expansion generators; no two kernels share a
+    position.  Each outer kernel's values are embedded at their expansion
+    subset by re-indexing (`WeilElement.times_basis`).  Returns expansion
+    subset -> Kernel(total).
     """
     layout = _conv_layout(outer_axes, inner_axes, total, m, ext_n)
     n_gamma = layout.n_gamma
 
-    inner_vals = [WeilElement(layout.big_alg, {}) for _ in range(m)]
-    for v_subset, ker in inner_bar.items():
-        pos = layout.inner_pos[v_subset]
-        vals = ker.body.eval(layout.args, layout.big_one)
-        for j in range(m):
-            inner_vals[j] = inner_vals[j] + vals[j].times_basis(pos)
-
-    # split the scalars: polynomial h-cube entries over the expansion algebra
-    split = layout.split
+    # the outer arguments: polynomial h-cube entries over the expansion algebra
     h_args = [{} for _ in range(m << len(outer_axes))]
-    for j in range(m):
-        for pos, poly in inner_vals[j].coeffs.items():
-            tpos, ext_pos = split[pos]
-            h_args[tpos * m + j][ext_pos] = poly
+    for v_subset, ker in inner_bar.items():
+        ext_pos = layout.ext_pos[v_subset]
+        vals = ker.body.eval(layout.args, layout.axis_one)
+        for j in range(m):
+            for tpos, poly in vals[j].coeffs.items():
+                h_args[tpos * m + j][ext_pos] = poly
     h_args = [WeilElement(layout.ext_alg, c) for c in h_args]
 
     out_vals = [WeilElement(layout.ext_alg, {}) for _ in range(m)]

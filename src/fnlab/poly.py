@@ -17,7 +17,9 @@ Evaluation builds each power of an argument once per map evaluation, shared
 by every term and component, so an exponent k costs at most about 2 log2(k)
 products.  At fraction-free arguments (polynomials, as in `PolyMap.compose`,
 and rational Weil elements) the terms combine as one integer linear
-combination, reduced once.
+combination, reduced once.  At Weil elements with polynomial coefficients
+(the bracket tower's convolutions) each basis position's coefficients
+combine the same way; only plain rationals are summed term by term.
 
 PolyMap bundles out_dim component polynomials in in_dim variables.  Its
 eval() is the only way to evaluate a map, at rationals or at exotic scalars:
@@ -28,7 +30,7 @@ negation and scaling that a form's kernels are built from.
 
 from functools import lru_cache
 from math import lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, neg
 from types import MappingProxyType
 
 from .errors import ValidationError
@@ -45,7 +47,7 @@ def grlex_key(exps):
     Total degree first, then earlier variables first.  Weil bases, Poly
     reprs and the JSON term lists all list monomials in this order.
     """
-    return (sum(exps), tuple(-e for e in exps))
+    return (sum(exps), tuple(map(neg, exps)))
 
 
 def _poly(n, num, den):
@@ -154,10 +156,10 @@ class Poly(FractionFree):
 
     def __add__(self, other):
         """Sum with a polynomial, or with an int or rational as a constant."""
-        if isinstance(other, (int, Q)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Q)):
+                return NotImplemented
             other = Poly.const(self.n, other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
         self._check(other)
         if not other._num:
             return self
@@ -187,10 +189,10 @@ class Poly(FractionFree):
 
     def __eq__(self, other):
         """Equality with a polynomial, or with an int or rational as a constant."""
-        if isinstance(other, (int, Q)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Q)):
+                return False
             other = Poly.const(self.n, other)
-        elif not isinstance(other, Poly):
-            return False
         return (self.n == other.n and self._den == other._den
                 and self._num == other._num)
 
@@ -221,13 +223,18 @@ class Poly(FractionFree):
         Each power args[i] ** k is built once per map evaluation and shared by
         every term and component: `_powers`, private, is the power table of
         one `PolyMap` call (a direct call makes its own), keyed by (i, k).
-        At fraction-free values (`Poly` arguments, rational `WeilElement`s)
-        the terms combine fraction-free: each term's integer numerator times
-        its monomial's numerators, over the lcm of the monomial
-        denominators, reduced once (`rationals.combine`).  Any other ring
-        (plain rationals, ring-valued Weil elements) scales each monomial by
-        its numerator from the left, adds, and scales the sum by
-        1/denominator once.
+        The terms combine in one of three ways, chosen once per call:
+        - at fraction-free values (`Poly` arguments, rational `WeilElement`s)
+          each term's integer numerator times its monomial's numerators,
+          over the lcm of the monomial denominators, reduced once
+          (`rationals.combine`);
+        - at Weil elements of which some hold Poly coefficients (rational
+          ones may join them, the unit too) the terms' coefficients are
+          summed fraction-free at each basis position
+          (`_sum_by_position`);
+        - in any other ring (plain rationals) each monomial is scaled by its
+          numerator from the left, the terms are added and the sum is scaled
+          by 1/denominator once.
         """
         if len(args) != self.n:
             raise ValidationError(f"expected {self.n} arguments, got {len(args)}")
@@ -242,8 +249,11 @@ class Poly(FractionFree):
                     p = _power(args, i, k, powers)
                     prod = p if prod is one else prod * p
             terms.append((c, prod))
-        if fraction_free((one, *args)):
+        values = (one, *args)
+        if fraction_free(values):
             return combine(terms, self._den, one)
+        if all(isinstance(v, FractionFree) for v in values):
+            return _sum_by_position(terms, self._den, one)
         total = None
         for c, prod in terms:
             term = prod if c == 1 else c * prod
@@ -335,6 +345,35 @@ def _power(args, i, k, powers):
             q = powers.get((i, j))
             p = powers[(i, j)] = p * x if q is None else q
     return p
+
+
+def _sum_by_position(terms, den, one):
+    """sum(c * x for c, x in terms) / den for Weil elements x with Poly coefficients.
+
+    The Poly coefficients are grouped by basis position, and each group is
+    summed by `rationals.combine`: one lcm, integer multiply-adds and one
+    gcd pass.  A lone term, or a lone coefficient, with c = 1 over den = 1
+    is taken as it is.  Rational values (a rational unit's constant term, a
+    rational coefficient) are summed apart and added as constants.
+    """
+    if den == 1 and len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    groups, consts = {}, {}
+    for c, x in terms:
+        xden = x._den
+        for k, v in x._num.items():
+            if xden is None and isinstance(v, FractionFree):
+                groups.setdefault(k, []).append((c, v))
+            else:
+                consts[k] = consts.get(k, 0) + c * (v if xden is None else rational(v, xden))
+    out = {}
+    for k, group in groups.items():
+        c, v = group[0]
+        out[k] = v if len(group) == 1 and c == 1 and den == 1 else combine(group, den, v)
+    for k, q in consts.items():
+        q = rational(1, den) * q
+        out[k] = out[k] + q if k in out else q
+    return one._from_reduced({k: v for k, v in out.items() if v}, None)
 
 
 def c_zero_like(one):

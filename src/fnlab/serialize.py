@@ -9,6 +9,7 @@ with repeats for powers above one.  Polynomials are term lists
 import json
 from collections.abc import Mapping
 from itertools import repeat
+from math import gcd
 
 from .errors import ValidationError
 from .forms import OMEGA0, FormElem, Kernel, cube_dim, pi_kernel
@@ -101,9 +102,15 @@ def obj_from_json(data: dict) -> SimplicialObject:
 # polynomials ----------------------------------------------------------------
 
 
+def _ratio_str(n: int, den: int) -> str:
+    """rat_str(Q(n, den)) for den > 0, from the integers: one gcd, no rational."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def poly_to_json(p: Poly) -> list:
-    terms = p.terms
-    return [{"c": rat_str(terms[e]), "e": list(e)} for e in sorted(terms, key=grlex_key)]
+    num, den = p.numerators, p.denominator
+    return [{"c": _ratio_str(num[e], den), "e": list(e)} for e in sorted(num, key=grlex_key)]
 
 
 def poly_from_json(data, n: int) -> Poly:

@@ -53,9 +53,13 @@ class SuiteConfig:
     suites: tuple = SUITES
 
     def __post_init__(self):
-        for name in ("m_max", "p_max", "q_max", "r_max", "deg_max", "cases_per_property"):
+        for name in ("seed", "m_max", "p_max", "q_max", "r_max", "deg_max",
+                     "cases_per_property"):
             if type(getattr(self, name)) is not int:
                 raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("p_max", "q_max", "r_max"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.cases_per_property < 1:
             raise ValidationError("cases_per_property must be >= 1")
         if self.m_max < 1 or self.deg_max < 0:

@@ -33,7 +33,9 @@ ring-valued elements alike; WeilElement keeps its sum, product, ring-valued
 scaling, equality and `times_basis`.  Rationals are built only for readers:
 `coeffs` is a read-only view that builds each one on lookup, and `coeff`
 and `dense` build theirs.  Elements with ring-valued coefficients keep a
-plain dict and the generic loops.
+plain dict and the generic loops for their sums and products;
+`Poly.eval` sums its terms at each basis position fraction-free when those
+values are polynomials.
 
 Multiplying by a basis monomial with coefficient 1 needs no arithmetic:
 `times_basis` moves each coefficient along that monomial's surviving pairs,
@@ -190,6 +192,9 @@ class WeilElement(FractionFree):
         self._num, self._den = to_numerators(coeffs)
 
     def _from_reduced(self, num, den):
+        """From reduced numerators over den, or from ring values (den None)."""
+        if den is None:
+            return _ring(self.algebra, num)
         return _element(self.algebra, num, den)
 
     def _unit(self):

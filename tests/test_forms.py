@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -20,7 +21,7 @@ from fnlab.forms import (FormElem, Kernel, OMEGA0, OMEGA1, OMEGA12, OMEGA13, OME
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 from fnlab.simplicial import d_cube
-from fnlab.weil import make_algebra
+from fnlab.weil import WeilElement, make_algebra
 
 RNG = random.Random(41)
 
@@ -459,11 +460,81 @@ def test_cached_conv_layout_is_read_only():
     assert forms._conv_layout((1,), (2,), 2, 1, 2) is layout
     with pytest.raises(AttributeError):
         layout.args = ()
-    for container, key in ((layout.args, 0), (layout.split, 0),
-                           (layout.inner_pos, frozenset()), (layout.ext_pos, frozenset()),
+    for container, key in ((layout.args, 0), (layout.ext_pos, frozenset()),
                            (layout.ext_subsets, 0)):
         with pytest.raises(TypeError):
             container[key] = None
+
+
+def big_algebra_conv(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
+    """Reference convolution in one algebra for expansion and outer axes.
+
+    The inner kernels are evaluated in the algebra on the ext_n expansion
+    generators followed by one generator per outer axis; each value is moved
+    to its expansion subset there, and a split table reads every basis
+    position back as an (outer slot, expansion position) pair.
+    """
+    po = len(outer_axes)
+    big_alg, ext_alg = make_algebra(d_cube(ext_n + po)), make_algebra(d_cube(ext_n))
+    big, ext, outer = (forms._cube_layout(k) for k in (ext_n + po, ext_n, po))
+    n_gamma = cube_dim(total, m)
+    args = []
+    for _pos, s_own in forms._cube_layout(len(inner_axes)).subsets:
+        for j in range(m):
+            args.append(WeilElement(big_alg, {
+                big.index[frozenset(ext_n + t for t in t_own)]: Poly.var(n_gamma, cube_var(
+                    total, m, {inner_axes[s - 1] for s in s_own}
+                    | {outer_axes[t - 1] for t in t_own}, j))
+                for _tpos, t_own in outer.subsets}))
+    inner_vals = [WeilElement(big_alg, {}) for _ in range(m)]
+    for v_subset, ker in inner_bar.items():
+        vals = ker.body.eval(args, WeilElement(big_alg, {0: Poly.one(n_gamma)}))
+        for j in range(m):
+            inner_vals[j] = inner_vals[j] + vals[j].times_basis(big.index[v_subset])
+    split = {pos: (outer.index[frozenset(i - ext_n for i in subset if i > ext_n)],
+                   ext.index[frozenset(i for i in subset if i <= ext_n)])
+             for pos, subset in big.subsets}
+    h_args = [{} for _ in range(m << po)]
+    for j in range(m):
+        for pos, poly in inner_vals[j].coeffs.items():
+            tpos, ext_pos = split[pos]
+            h_args[tpos * m + j][ext_pos] = poly
+    h_args = [WeilElement(ext_alg, c) for c in h_args]
+    out_vals = [WeilElement(ext_alg, {}) for _ in range(m)]
+    for u_subset, ker in outer_bar.items():
+        vals = ker.body.eval(h_args, WeilElement(ext_alg, {0: Poly.one(n_gamma)}))
+        for j in range(m):
+            out_vals[j] = out_vals[j] + vals[j].times_basis(ext.index[u_subset])
+    result = {}
+    for pos, subset in ext.subsets:
+        comps = [out_vals[j].coeffs.get(pos, Poly.zero(n_gamma)) for j in range(m)]
+        if any(comps):
+            result[subset] = Kernel(total, m, PolyMap(n_gamma, comps))
+    return result
+
+
+@pytest.mark.parametrize("ext_n", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_conv_core_matches_the_big_algebra_reference(m, ext_n):
+    rng = random.Random(f"conv-core/{m}/{ext_n}")
+    subsets = [frozenset(s) for k in range(ext_n + 1)
+               for s in combinations(range(1, ext_n + 1), k)]
+
+    def bar(p):
+        return {s: rkernel(p, m, deg=3) for s in subsets if rng.random() < 0.7}
+
+    for po in range(3):
+        for qi in range(3):
+            total = po + qi
+            low, high = tuple(range(1, po + 1)), tuple(range(po + 1, total + 1))
+            # the outer kernel's axes first (prod_under), then last (prod_over)
+            for outer_axes, inner_axes in ((low, high),
+                                           (tuple(range(qi + 1, total + 1)),
+                                            tuple(range(1, qi + 1)))):
+                outer_bar, inner_bar = bar(po), bar(qi)
+                args = (outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n)
+                assert forms._conv_core(*args) == big_algebra_conv(*args), \
+                    (po, qi, outer_axes)
 
 
 @pytest.mark.parametrize("p, q", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)])

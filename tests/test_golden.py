@@ -38,13 +38,19 @@ def test_jacobi3_fields():
     assert out == (GOLDEN / "jacobi3_fields.json").read_bytes()
 
 
-@pytest.mark.parametrize("level", ["L1", "L12", "FN13", "FN123"])
-def test_bracket_levels(level):
+@pytest.mark.parametrize("level, pair", [
+    ("L1", ""), ("L12", ""), ("FN13", ""), ("FN123", ""), ("FN13", "alt2_")],
+    ids=["L1", "L12", "FN13", "FN123", "FN13-alt2"])
+def test_bracket_levels(level, pair):
     # bracket_x.json and bracket_y.json are two alternating multilinear
-    # (1,1)-forms on R^2, so every level accepts them and none is zero
-    out = run("-m", "fnlab.cli", "bracket", str(Path("tests") / "golden" / "bracket_x.json"),
-              str(Path("tests") / "golden" / "bracket_y.json"), "--level", level)
-    assert out == (GOLDEN / f"bracket_{level}.json").read_bytes()
+    # (1,1)-forms on R^2, so every level accepts them and none is zero.
+    # bracket_alt2_x.json and bracket_alt2_y.json are two alternating
+    # (2,1)-forms on R^2, not multilinear: their FN13 bracket has total
+    # arity 4 at m = 2, the slowest shape of the bracket tower benchmark.
+    out = run("-m", "fnlab.cli", "bracket",
+              str(Path("tests") / "golden" / f"bracket_{pair}x.json"),
+              str(Path("tests") / "golden" / f"bracket_{pair}y.json"), "--level", level)
+    assert out == (GOLDEN / f"bracket_{pair}{level}.json").read_bytes()
 
 
 @pytest.mark.parametrize("demo", ["bracket_tower", "strong_differences", "weil_algebras"])

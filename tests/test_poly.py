@@ -471,7 +471,7 @@ def test_eval_constant_and_zero_polynomials():
     assert Poly.zero(2).eval([Q(1), Q(2)]) == 0
 
 
-def test_eval_at_ring_valued_weil_keeps_the_term_loop():
+def test_eval_at_ring_valued_weil_sums_by_position():
     # Weil elements with polynomial coefficients, as the bracket tower's
     # convolutions use: the result is ring-valued and equals the term-by-term
     # sum
@@ -491,6 +491,42 @@ def test_eval_at_ring_valued_weil_keeps_the_term_loop():
     del a[(0, 0, 0)]
     got = poly_of(a).eval(args, alg.one())
     assert got == want - one.scale(Q(2, 3)) and got.denominator is None
+    # a lone term with numerator 1 is still divided by the denominator
+    got = Poly.var(3, 0, Q(1, 2)).eval(args, one)
+    assert got == args[0].scale(Q(1, 2)) and parts(got) == parts(args[0].scale(Q(1, 2)))
+    # positions that cancel are dropped, and with none left the result is zero
+    diff = Poly.var(3, 0) - Poly.var(3, 1)
+    assert parts(diff.eval([args[0], args[0] + args[2], args[2]], one)) == parts(-args[2])
+    assert parts(diff.eval([args[0], args[0], args[2]], one)) == ({}, 1)
+
+
+@st.composite
+def poly_weil(draw, alg, n=2):
+    """A Weil element with Poly coefficients in n variables; now and then a rational one."""
+    if draw(st.integers(0, 4)) == 0:
+        return weil_of(alg, draw(weil_refs(alg)))
+    keys = draw(st.lists(st.integers(0, alg.dim - 1), unique=True, max_size=alg.dim))
+    return WeilElement(alg, {k: c for k in keys
+                             if (c := poly_of(draw(ref_polys(n, max_exp=1)), n))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_polys(max_exp=3), st.one_of(st.just(0), fractions_1_7),
+       st.sampled_from([d_cube(1), d_cube(2), d_order(3)]), st.booleans(), st.data())
+def test_eval_at_poly_valued_weil_matches_term_by_term_reference(a, c, obj, poly_unit, data):
+    # the reference scales, multiplies and adds Weil elements term by term; a
+    # constant term c adds c times the unit, a rational one or a Poly-valued one
+    a = {e: v for e, v in {**a, (0,) * N: c}.items() if v} if c else a
+    alg = make_algebra(obj)
+    one = WeilElement(alg, {0: Poly.one(2)}) if poly_unit else alg.one()
+    args = [data.draw(poly_weil(alg)) for _ in range(N)]
+    got = poly_of(a).eval(args, one)
+    want = ref_eval(a, args, one, lambda s, t: s * t, lambda s, t: s + t, scale_by) \
+        if a else alg.zero()
+    assert got == want
+    assert all(got.coeffs.values())
+    if poly_unit and all(arg.denominator is None for arg in args):
+        assert parts(got) == parts(want)
 
 
 # one power table per map evaluation ------------------------------------------

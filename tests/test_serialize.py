@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from fnlab import serialize
 from fnlab.errors import ValidationError
 from fnlab.forms import Kernel, cube_dim, form_from_kernel, identity_one_form, \
     pi_kernel, vector_field_form
 from fnlab.micro import TRIANGLE_LABELS, MicroPoint, triangle_from_slots
 from fnlab.morphisms import InfMorphism
-from fnlab.poly import Poly, PolyMap
-from fnlab.rationals import Q, parse_rational
+from fnlab.poly import Poly, PolyMap, grlex_key
+from fnlab.rationals import Q, parse_rational, rat_str
 from fnlab.serialize import (MAX_KERNEL_VARS, MAX_MONOMIALS, form_from_json, form_to_json,
                              micropoint_from_json,
                              micropoint_to_json, morphism_from_json,
@@ -262,6 +263,26 @@ def test_form_above_the_size_bound_rejected(p, m):
 def test_rationals_serialized_as_strings():
     p = MicroPoint.from_table(d_cube(1), 1, {(): [Q(-7, 3)]})
     assert micropoint_to_json(p)["coeffs"]["[]"] == ["-7/3"]
+
+
+@pytest.mark.parametrize("n, den", [
+    (-7, 3), (7, 3), (-1, 2),          # negative and positive, already reduced
+    (6, 1), (-6, 3), (12, 4), (0, 5),  # integral, over 1 or not, and zero
+    (4, 6), (-10, 4), (9, 12),         # a factor shared with the denominator
+    (2 ** 70 + 2, 6),                  # beyond machine integers
+])
+def test_coefficient_strings_from_numerators(n, den):
+    assert serialize._ratio_str(n, den) == rat_str(Q(n, den))
+
+
+def test_polynomial_terms_written_from_numerators():
+    # over the denominator 12, each numerator shares a different factor with it
+    x = Poly.from_terms(2, [(Q(1, 12), (0, 0)), (Q(1, 2), (1, 0)), (Q(-4, 3), (0, 1)),
+                            (Q(5), (2, 0))])
+    assert x.denominator == 12
+    assert [t["c"] for t in polymap_to_json(PolyMap(2, [x]))["components"][0]] \
+        == [rat_str(x.terms[e]) for e in sorted(x.terms, key=grlex_key)] \
+        == ["1/12", "1/2", "-4/3", "5"]
 
 
 def test_triangle_cubes_serialize_as_micropoints():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fnlab import micro, verify
+from fnlab.cli import main
 from fnlab.errors import ValidationError
 from fnlab.micro import MicroPoint, strong_diff
 from fnlab.poly import Poly, PolyMap
@@ -30,6 +31,30 @@ def test_config_validation():
     assert cfg.suites == ("weil",)
     heavy = cfg.heavy()
     assert (heavy.p_max, heavy.q_max, heavy.r_max) == (2, 2, 2)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("p_max", -1, "p_max must be >= 0, got -1"),
+    ("q_max", -2, "q_max must be >= 0, got -2"),
+    ("r_max", -1, "r_max must be >= 0, got -1"),
+    ("seed", [1, 2], "seed must be an integer, got [1, 2]"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("seed", "7", "seed must be an integer, got '7'"),
+])
+def test_config_names_the_bad_field(field, value, message):
+    for build in (lambda: SuiteConfig(**{field: value}),
+                  lambda: SuiteConfig.from_json({field: value, "suites": ["brackets"]})):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == message
+    # zero caps and any int seed stay valid
+    SuiteConfig(**{field: 0})
+
+
+def test_verify_command_names_a_negative_cap(capsys):
+    assert main(["verify", "--config", '{"p_max": -1, "suites": ["brackets"]}']) == 2
+    assert "p_max must be >= 0" in capsys.readouterr().err
 
 
 def test_report_shape_and_pass():
