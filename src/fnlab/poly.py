@@ -17,9 +17,12 @@ Evaluation builds each power of an argument once per map evaluation, shared
 by every term and component, so an exponent k costs at most about 2 log2(k)
 products.  At fraction-free arguments (polynomials, as in `PolyMap.compose`,
 and rational Weil elements) the terms combine as one integer linear
-combination, reduced once.  At Weil elements with polynomial coefficients
-(the bracket tower's convolutions) each basis position's coefficients
-combine the same way; only plain rationals are summed term by term.
+combination in one accumulator, reduced once; at rational Weil elements the
+product's pair-table loop multiplies each term's last power straight into it.
+At Weil elements with polynomial coefficients (the bracket tower's
+convolutions) each basis position's coefficients combine the same way; only
+plain rationals are summed term by term.  A rational unit is lifted into the
+arguments' ring, and a unit from another ring is refused.
 
 PolyMap bundles out_dim component polynomials in in_dim variables.  Its
 eval() is the only way to evaluate a map, at rationals or at exotic scalars:
@@ -220,14 +223,21 @@ class Poly(FractionFree):
     def eval(self, args, one=ONE, *, _powers=None):
         """Evaluate at ring elements; `one` is the ring unit for empty products.
 
-        Each power args[i] ** k is built once per map evaluation and shared by
-        every term and component: `_powers`, private, is the power table of
-        one `PolyMap` call (a direct call makes its own), keyed by (i, k).
-        The terms combine in one of three ways, chosen once per call:
+        A rational unit is lifted into the ring of fraction-free arguments;
+        then every argument must share the unit's type and ring (variable
+        count, algebra), else ValidationError.  Each power args[i] ** k is
+        built once per map evaluation and shared by every term and component:
+        `_powers`, private, is the power table of one `PolyMap` call, which
+        has settled the unit (a direct call makes its own), keyed by (i, k).
+        A term's powers but the last are multiplied in order, and the terms
+        combine in one of three ways, chosen once per call:
         - at fraction-free values (`Poly` arguments, rational `WeilElement`s)
-          each term's integer numerator times its monomial's numerators,
-          over the lcm of the monomial denominators, reduced once
-          (`rationals.combine`);
+          `rationals.combine` adds each term's integer numerator times its
+          monomial's numerators into one accumulator, over the lcm of the
+          monomial denominators, reduced once.  At rational Weil elements
+          the product's pair-table loop (`WeilElement._mul_into`) multiplies
+          the last power straight into it; at polynomials `Poly.__mul__`
+          multiplies it on first;
         - at Weil elements of which some hold Poly coefficients (rational
           ones may join them, the unit too) the terms' coefficients are
           summed fraction-free at each basis position
@@ -238,24 +248,34 @@ class Poly(FractionFree):
         """
         if len(args) != self.n:
             raise ValidationError(f"expected {self.n} arguments, got {len(args)}")
+        if _powers is None:
+            one, _powers = _unit_of(args, one), {}
         if not self._num:
             return c_zero_like(one)
-        powers = {} if _powers is None else _powers
+        values = (one, *args)
+        flat = fraction_free(values)
+        fuse = flat and one._mul_into is not None
         terms = []
         for e, c in self._num.items():
-            prod = one
+            prod = last = None
             for i, k in enumerate(e):
                 if k:
-                    p = _power(args, i, k, powers)
-                    prod = p if prod is one else prod * p
-            terms.append((c, prod))
-        values = (one, *args)
-        if fraction_free(values):
+                    if last is not None:
+                        prod = last if prod is None else prod * last
+                    last = _power(args, i, k, _powers)
+            if last is None:
+                prod = one
+            elif prod is None:
+                prod, last = last, None
+            elif not fuse:
+                prod, last = prod * last, None
+            terms.append((c, prod, last))
+        if flat:
             return combine(terms, self._den, one)
         if all(isinstance(v, FractionFree) for v in values):
             return _sum_by_position(terms, self._den, one)
         total = None
-        for c, prod in terms:
+        for c, prod, _ in terms:
             term = prod if c == 1 else c * prod
             total = term if total is None else total + term
         return total if self._den == 1 else rational(1, self._den) * total
@@ -359,21 +379,36 @@ def _sum_by_position(terms, den, one):
     if den == 1 and len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
     groups, consts = {}, {}
-    for c, x in terms:
+    for c, x, _ in terms:
         xden = x._den
         for k, v in x._num.items():
             if xden is None and isinstance(v, FractionFree):
-                groups.setdefault(k, []).append((c, v))
+                groups.setdefault(k, []).append((c, v, None))
             else:
                 consts[k] = consts.get(k, 0) + c * (v if xden is None else rational(v, xden))
     out = {}
     for k, group in groups.items():
-        c, v = group[0]
+        c, v, _ = group[0]
         out[k] = v if len(group) == 1 and c == 1 and den == 1 else combine(group, den, v)
     for k, q in consts.items():
         q = rational(1, den) * q
         out[k] = out[k] + q if k in out else q
     return one._from_reduced({k: v for k, v in out.items() if v}, None)
+
+
+def _unit_of(args, one):
+    """`one` lifted into the ring of fraction-free arguments, or checked against all arguments."""
+    if not isinstance(one, FractionFree):
+        a = next((a for a in args if isinstance(a, FractionFree)), None)
+        if a is None:
+            return one
+        one = a._unit().scale(one)
+    ring = type(one)
+    for a in args:
+        if type(a) is not ring:
+            raise ValidationError(f"a {ring.__name__} unit for a {type(a).__name__} argument")
+        one._check(a)
+    return one
 
 
 def c_zero_like(one):
@@ -404,7 +439,8 @@ class PolyMap:
         return PolyMap(in_dim, [Poly.zero(in_dim)] * out_dim)
 
     def eval(self, args, one=ONE):
-        """Evaluate all components at ring-valued arguments, sharing powers."""
+        """Evaluate all components at ring-valued arguments, sharing powers and a unit."""
+        one = _unit_of(args, one)
         powers = {}
         return [c.eval(args, one, _powers=powers) for c in self.comps]
 

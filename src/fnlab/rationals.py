@@ -125,6 +125,10 @@ class FractionFree:
         """The unit of this one's ring."""
         raise NotImplementedError
 
+    # (acc, f, y): add f * self * y into acc, a list from `_accumulator()`
+    # (`combine`); None where products are built by `__mul__`
+    _mul_into = None
+
     @property
     def denominator(self):
         """The positive common denominator (1 for zero); None for ring values."""
@@ -175,21 +179,36 @@ def fraction_free(values) -> bool:
 
 
 def combine(terms, den, like):
-    """sum(c * x for c, x in terms) / den, as an element of like's ring.
+    """sum(c * x * y for c, x, y in terms) / den, as an element of like's ring.
 
-    terms holds (integer, fraction-free element) pairs, at least one; den is
-    a positive integer.  Each element's numerators are brought over the lcm
-    L of the element denominators, so the sum is integer multiply-adds with
-    no gcd pass; the result, over L * den, is reduced once.
+    terms holds (integer, fraction-free element, last factor or None for 1)
+    triples, at least one; den is a positive integer.  Each term is brought
+    over the lcm L of the terms' denominators (x's times y's) and added, by
+    integer multiply-adds, into a dict by key or, for a type with
+    `_mul_into`, its dense `_accumulator()`, into which `_mul_into`
+    multiplies a last factor straight.  The sum, over L * den, is reduced once.
     """
-    big = lcm(*[x._den for _c, x in terms])
-    acc = {}
-    get = acc.get
-    for c, x in terms:
-        f = c * (big // x._den)
-        for k, n in x._num.items():
-            acc[k] = get(k, 0) + f * n
-    num, den = reduce_numerators({k: n for k, n in acc.items() if n}, big * den)
+    if like._mul_into is None:
+        big = lcm(*[x._den for _c, x, _y in terms])
+        acc = {}
+        get = acc.get
+        for c, x, _y in terms:
+            f = c * (big // x._den)
+            for k, n in x._num.items():
+                acc[k] = get(k, 0) + f * n
+        items = acc.items()
+    else:
+        big = lcm(*[x._den if y is None else x._den * y._den for _c, x, y in terms])
+        acc = like._accumulator()
+        for c, x, y in terms:
+            if y is None:
+                f = c * (big // x._den)
+                for k, n in x._num.items():
+                    acc[k] += f * n
+            else:
+                x._mul_into(acc, c * (big // (x._den * y._den)), y)
+        items = enumerate(acc)
+    num, den = reduce_numerators({k: n for k, n in items if n}, big * den)
     return like._from_reduced(num, den)
 
 

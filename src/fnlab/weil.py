@@ -37,6 +37,12 @@ plain dict and the generic loops for their sums and products;
 `Poly.eval` sums its terms at each basis position fraction-free when those
 values are polynomials.
 
+The rational product is one loop, `_mul_into`, that adds products of
+numerators along the pair table into a dense list by basis position: on a
+fresh list for `*`, and on the evaluation sum in `Poly.eval` (through
+`rationals.combine`), which so accumulates a sum of products straight into
+one result (Monagan & Pearce): no term's last product is built or reduced.
+
 Multiplying by a basis monomial with coefficient 1 needs no arithmetic:
 `times_basis` moves each coefficient along that monomial's surviving pairs,
 for rational and ring-valued elements alike.
@@ -245,16 +251,8 @@ class WeilElement(FractionFree):
             return self.scale(other)
         self._check(other)
         if self._den is not None and other._den is not None:
-            # numerators accumulate densely along each row's surviving pairs
-            dim = self.algebra.dim
-            pairs = self.algebra._pairs
-            b = [0] * dim
-            for j, y in other._num.items():
-                b[j] = y
-            acc = [0] * dim
-            for i, x in self._num.items():
-                for j, k in pairs[i]:
-                    acc[k] += x * b[j]
+            acc = [0] * self.algebra.dim
+            self._mul_into(acc, 1, other)
             return from_numerators(self.algebra, {k: s for k, s in enumerate(acc) if s},
                                    self._den * other._den)
         out = {}
@@ -273,6 +271,26 @@ class WeilElement(FractionFree):
                 elif k in out:
                     del out[k]
         return _ring(self.algebra, out)
+
+    def _accumulator(self):
+        """Zero numerators by basis position for `_mul_into` (`rationals.combine`)."""
+        return [0] * self.algebra.dim
+
+    def _mul_into(self, acc, f, other):
+        """Add f times self * other's numerators into the dense list acc, unchecked.
+
+        other is spread densely by position, and each of self's numerators,
+        times f, meets it along its row's surviving pairs.
+        """
+        pairs = self.algebra._pairs
+        b = [0] * len(acc)
+        for j, y in other._num.items():
+            b[j] = y
+        for i, x in self._num.items():
+            if f != 1:
+                x *= f
+            for j, k in pairs[i]:
+                acc[k] += x * b[j]
 
     def times_basis(self, pos: int) -> "WeilElement":
         """self times the basis monomial at index pos, with coefficient 1.

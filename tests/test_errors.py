@@ -20,7 +20,7 @@ from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 from fnlab.simplicial import SimplicialObject, d_cube, d_order, d_paren
 from fnlab.verify import SuiteConfig
-from fnlab.weil import make_algebra
+from fnlab.weil import WeilElement, make_algebra
 
 
 def point(n, m=1):
@@ -117,3 +117,41 @@ def test_remap_merging_cancelling_terms():
     # x0 - x1 with both variables sent to x0 cancels to zero
     f = Poly.var(2, 0) - Poly.var(2, 1)
     assert f.remap_variables([0, 0], 1) == Poly.zero(1)
+
+
+# Poly.eval takes its unit from the arguments' ring: a rational unit is
+# lifted into it, and a unit from any other ring is refused.
+UNIT_CASES = [
+    # x at a point of W[D_5] with the unit of W[D^1] (dimension 2)
+    (lambda: Poly.var(1, 0).eval([make_algebra(d_order(5)).generator(1)],
+                                 make_algebra(d_cube(1)).one()),
+     "elements of different algebras"),
+    # x + 1 at a polynomial in 2 variables with the unit in 3
+    (lambda: (Poly.var(1, 0) + Poly.one(1)).eval([Poly.var(2, 0)], Poly.one(3)),
+     "polynomials in different variable counts"),
+    (lambda: Poly.var(1, 0).eval([Poly.var(1, 0)], make_algebra(d_cube(1)).one()),
+     "a WeilElement unit for a Poly argument"),
+    # a rational argument beside a Weil unit, given or lifted from a Weil argument
+    (lambda: (Poly.var(1, 0) + Poly.one(1)).eval([Q(3)], make_algebra(d_cube(1)).one()),
+     f"a WeilElement unit for a {Q.__name__} argument"),
+    (lambda: (Poly.var(2, 0) + Poly.var(2, 1)).eval([make_algebra(d_cube(1)).generator(1), Q(3)]),
+     f"a WeilElement unit for a {Q.__name__} argument"),
+]
+
+
+@pytest.mark.parametrize("call, message", UNIT_CASES,
+                         ids=["weil-algebra", "poly-variables", "weil-unit-poly-argument",
+                              "weil-unit-rational-argument", "lifted-unit-rational-argument"])
+def test_eval_refuses_a_unit_from_another_ring(call, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        call()
+
+
+def test_eval_lifts_a_rational_unit_into_the_arguments_ring():
+    # x + 2 at d1 with the default unit 1: the constant term is 2 in W[D^1]
+    alg = make_algebra(d_cube(1))
+    got = Poly.from_terms(1, [(Q(1), (1,)), (Q(2), (0,))]).eval([alg.generator(1)])
+    assert isinstance(got, WeilElement) and got == alg.one().scale(2) + alg.generator(1)
+    # a rational unit q is q times the ring's unit
+    got = Poly.one(1).eval([Poly.var(2, 1)], Q(1, 3))
+    assert got == Poly.const(2, Q(1, 3))

@@ -38,6 +38,25 @@ def test_jacobi3_fields():
     assert out == (GOLDEN / "jacobi3_fields.json").read_bytes()
 
 
+# three fields on R^2 with mixed monomials and constant terms; the flows
+# evaluate them at rational Weil points, so each term's last power is
+# multiplied straight into the evaluation sum
+FIELDS_R2 = [
+    '{"in_dim": 2, "components": [[{"c": "1", "e": [1, 2]}, {"c": "1/3", "e": [0, 0]}],'
+    ' [{"c": "1", "e": [1, 0]}, {"c": "-2", "e": [0, 1]}]]}',
+    '{"in_dim": 2, "components": [[{"c": "1", "e": [0, 2]}, {"c": "-1/2", "e": [0, 0]}],'
+    ' [{"c": "1", "e": [1, 1]}, {"c": "3", "e": [0, 0]}]]}',
+    '{"in_dim": 2, "components": [[{"c": "2", "e": [2, 1]}],'
+    ' [{"c": "2/5", "e": [0, 0]}, {"c": "-1", "e": [1, 1]}]]}',
+]
+
+
+def test_jacobi3_fields_on_r2():
+    out = run("-m", "fnlab.cli", "jacobi3", "--fields", *FIELDS_R2, "--point", "1/2,-2/3",
+              "--json")
+    assert out == (GOLDEN / "jacobi3_fields_r2.json").read_bytes()
+
+
 @pytest.mark.parametrize("level, pair", [
     ("L1", ""), ("L12", ""), ("FN13", ""), ("FN123", ""), ("FN13", "alt2_")],
     ids=["L1", "L12", "FN13", "FN123", "FN13-alt2"])

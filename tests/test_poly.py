@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fnlab.errors import ValidationError
 from fnlab.poly import Poly, PolyMap, poly_equal
 from fnlab.rationals import Q
-from fnlab.simplicial import D2, d_cube, d_order, d_paren, tensor
+from fnlab.simplicial import D2, SimplicialObject, d_cube, d_order, d_paren, tensor
 from fnlab.weil import WeilElement, from_dense, make_algebra
 
 
@@ -431,6 +431,70 @@ def test_eval_at_polynomials_matches_fraction_reference(a, data):
     check(poly_of(a).eval([poly_of(r, 2) for r in refs], Poly.one(2)), want or {})
 
 
+# The fused step: a term's last power is multiplied straight into the sum,
+# over the lcm of the terms' prefix-times-last denominators.  Every term below
+# is a product of two or three variables, and argument i scales its
+# coefficients by a denominator of its own, so a prefix and its last factor
+# never share one.  Points may be sparse or lack the unit coefficient; the
+# algebras are truncated polynomial rings and algebras with relations.
+
+FUSED_OBJECTS = [d_order(2), d_order(5), d_paren(3), tensor(d_order(2), d_paren(2)),
+                 SimplicialObject(3, frozenset({(1, 2)})),
+                 SimplicialObject(2, frozenset({(1, 2)}), (3, 4))]
+ARG_DENOMINATORS = (2, 3, 5)
+
+
+@st.composite
+def mixed_terms(draw, n):
+    """A reference dict whose every term has two or more variables."""
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+        lambda e: sum(1 for k in e if k) >= 2).map(tuple)
+    keys = draw(st.lists(exps, unique=True, min_size=1, max_size=4))
+    ref = {e: draw(fractions_1_7) for e in keys}
+    return {e: v for e, v in ref.items() if v}
+
+
+@st.composite
+def scaled_points(draw, alg, i):
+    """Sparse or dense points over denominators times ARG_DENOMINATORS[i]; unit maybe zero."""
+    ref = draw(weil_refs(alg))
+    if draw(st.booleans()):
+        ref.pop(0, None)
+    return {k: v / ARG_DENOMINATORS[i] for k, v in ref.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 3), st.sampled_from(FUSED_OBJECTS), st.data())
+def test_fused_sum_matches_fraction_reference(n, obj, data):
+    alg = make_algebra(obj)
+    a = data.draw(mixed_terms(n))
+    if data.draw(st.booleans()):
+        a[(0,) * n] = data.draw(fractions_1_7.filter(bool))
+    refs = [data.draw(scaled_points(alg, i)) for i in range(n)]
+    want = ref_eval(a, refs, {0: Fraction(1)}, weil_ref_mul(alg), ref_add, ref_scale)
+    check_weil(poly_of(a, n).eval([weil_of(alg, r) for r in refs], alg.one()), want or {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FUSED_OBJECTS), fractions_1_7.filter(bool), st.data())
+def test_fused_sums_that_cancel_come_out_over_denominator_one(obj, c, data):
+    # c * (x0 * x1 - 7 * x2) at x2 = x0 * x1 / 7, and c * (x0 * x1^2 - x1 *
+    # x0^2) at x0 = x1: the terms' prefixes and last factors have different
+    # denominators, and the sum is zero over denominator 1
+    alg = make_algebra(obj)
+    u, v = (weil_of(alg, data.draw(scaled_points(alg, i))) for i in range(2))
+    q = Q(c.numerator, c.denominator)
+    x0, x1, x2 = (Poly.var(3, i) for i in range(3))
+    check_weil((x0 * x1 - x2 * 7).scale(q).eval([u, v, (u * v).scale(Q(1, 7))], alg.one()),
+               {})
+    check_weil((x0 * x1 ** 2 - x1 * x0 ** 2).scale(q).eval([u, u, v], alg.one()), {})
+    # a three-variable term, prefix x0 * x1 and last factor x2, against the
+    # product built in the other order
+    w = weil_of(alg, data.draw(scaled_points(alg, 2)))
+    f = Poly.from_terms(4, [(q, (1, 1, 1, 0)), (-q, (0, 0, 0, 1))])
+    check_weil(f.eval([u, v, w, u * (v * w)], alg.one()), {})
+
+
 def test_eval_cancelling_terms_reduce():
     alg = make_algebra(d_cube(2))
     d1, d2 = alg.generator(1), alg.generator(2)
@@ -605,23 +669,30 @@ def test_map_evaluation_with_shared_powers_matches_unshared_reference(fm, obj, d
 def test_map_evaluation_builds_each_power_once(monkeypatch):
     # x^9 builds x^2, x^4, x^8 and x^9; x^8 * y reads x^8 and x^3 reads x^2
     # from the same table, so the map takes 4 + 1 + 1 + 1 products (y^2 is
-    # the last); building each component's powers alone takes 11
+    # the last); building each component's powers alone takes 11.  Every
+    # product runs the pair-table loop `_mul_into` once: six through
+    # `__mul__` (the powers) and one, x^8 times y, fused into the sum
     alg = make_algebra(d_order(4))
     x, y = Poly.var(2, 0), Poly.var(2, 1)
     f = PolyMap(2, [x ** 9, x ** 8 * y, x ** 3 + y ** 2])
     args = [from_dense(alg, [Q(k + 2, 3) for k in range(alg.dim)]),
             from_dense(alg, [Q(-k - 1, 5) for k in range(alg.dim)])]
     want = unshared_eval([ref_of(c) for c in f.comps], args, alg.one(), scale_by)
-    mul = WeilElement.__mul__
+    mul, mul_into = WeilElement.__mul__, WeilElement._mul_into
     products = Counter()
 
     def counting_mul(self, other):
-        products["weil"] += 1
+        products["mul"] += 1
         return mul(self, other)
 
+    def counting_mul_into(self, acc, f, other):
+        products["loop"] += 1
+        return mul_into(self, acc, f, other)
+
     monkeypatch.setattr(WeilElement, "__mul__", counting_mul)
+    monkeypatch.setattr(WeilElement, "_mul_into", counting_mul_into)
     got = f.eval(args, alg.one())
-    assert products["weil"] == 7
+    assert products == {"loop": 7, "mul": 6}
     monkeypatch.undo()
     assert [parts(v) for v in got] == [parts(v) for v in want]
 
