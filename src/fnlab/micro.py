@@ -208,32 +208,22 @@ class AmalgamationCase:
         self.shared_alg = make_algebra(shared)
 
 
-def _square_case() -> AmalgamationCase:
-    leg = d_cube(2)
-    apex = SimplicialObject(3, frozenset({(1, 3), (2, 3)}))
-    twisted = InfMorphism(leg, apex, [
-        Poly.var(2, 0), Poly.var(2, 1), Poly.var(2, 0) * Poly.var(2, 1)])
-    flat = InfMorphism(leg, apex, [Poly.var(2, 0), Poly.var(2, 1), Poly.zero(2)])
-    shared = d_paren(2)
-    return AmalgamationCase(
-        "square", leg, apex, twisted, flat, shared, inclusion(shared, leg),
-        axis_map(d_cube(1), apex, (3,)), d_cube(1))
+def _gluing_case(name: str, n: int, pair: tuple, kept: tuple) -> AmalgamationCase:
+    """Two d_cube(n) legs glued along a new generator n + 1.
 
-
-def _cube_case(axis: int) -> AmalgamationCase:
-    leg = d_cube(3)
-    others = tuple(sorted({1, 2, 3} - {axis}))
-    j, k = others
-    apex = SimplicialObject(4, frozenset({(a, 4) for a in others}))
-    twist = [Poly.var(3, 0), Poly.var(3, 1), Poly.var(3, 2),
-             Poly.var(3, j - 1) * Poly.var(3, k - 1)]
-    flat = [Poly.var(3, 0), Poly.var(3, 1), Poly.var(3, 2), Poly.zero(3)]
-    shared = SimplicialObject(3, frozenset({others}))
+    The new generator vanishes against each axis of pair, and the twisted
+    leg carries pair's product there; the result keeps kept and the new axis.
+    """
+    leg = d_cube(n)
+    apex = SimplicialObject(n + 1, frozenset({(a, n + 1) for a in pair}))
+    coords = [Poly.var(n, i) for i in range(n)]
+    twist = Poly.var(n, pair[0] - 1) * Poly.var(n, pair[1] - 1)
+    shared = SimplicialObject(n, frozenset({pair}))
+    result = d_cube(len(kept) + 1)
     return AmalgamationCase(
-        f"cube-{axis}", leg, apex,
-        InfMorphism(leg, apex, twist), InfMorphism(leg, apex, flat),
-        shared, inclusion(shared, leg),
-        axis_map(d_cube(2), apex, (axis, 4)), d_cube(2))
+        name, leg, apex, InfMorphism(leg, apex, coords + [twist]),
+        InfMorphism(leg, apex, coords + [Poly.zero(n)]), shared, inclusion(shared, leg),
+        axis_map(result, apex, kept + (n + 1,)), result)
 
 
 _CASES = None
@@ -242,8 +232,9 @@ _CASES = None
 def amalgamation_cases() -> dict:
     global _CASES
     if _CASES is None:
-        _CASES = {c.name: c for c in
-                  (_square_case(), _cube_case(1), _cube_case(2), _cube_case(3))}
+        cubes = [_gluing_case(f"cube-{i}", 3, tuple(sorted({1, 2, 3} - {i})), (i,))
+                 for i in (1, 2, 3)]
+        _CASES = {c.name: c for c in [_gluing_case("square", 2, (1, 2), ())] + cubes}
     return _CASES
 
 

@@ -7,21 +7,24 @@ the denominator and every numerator.  The reduced form is canonical, so two
 polynomials are equal iff their numerators and denominators are; an int or
 rational equals, and adds as, the constant polynomial.  `FractionFree` owns
 negation, difference, rational scaling and powers by repeated squaring; Poly
-keeps its sum, product, equality, evaluation and variable maps.  All work on
-the integers and reduce once, by one gcd pass; rationals are built only for
-readers, by the read-only `terms` view, `constant_term` and the 1/denominator
-scaling that ends an evaluation in a ring outside the format.  Nilpotency of
-Weil scalars performs all truncation of degree during evaluation.
+keeps its sum, product, equality, evaluation and variable maps.  Its product
+is one loop, `_mul_into`, that adds products of numerators by exponent into a
+dict: a fresh one for `*`, the evaluation sum of `rationals.combine` for
+`eval`.  All work on the integers and reduce once, by one gcd pass;
+rationals are built only for readers, by the read-only `terms` view,
+`constant_term` and the 1/denominator scaling that ends an evaluation in a
+ring outside the format.  Nilpotency of Weil scalars performs all truncation
+of degree during evaluation.
 
 Evaluation builds each power of an argument once per map evaluation, shared
 by every term and component, so an exponent k costs at most about 2 log2(k)
 products.  At fraction-free arguments (polynomials, as in `PolyMap.compose`,
 and rational Weil elements) the terms combine as one integer linear
-combination in one accumulator, reduced once; at rational Weil elements the
-product's pair-table loop multiplies each term's last power straight into it.
-At Weil elements with polynomial coefficients (the bracket tower's
-convolutions) each basis position's coefficients combine the same way; only
-plain rationals are summed term by term.  A rational unit is lifted into the
+combination in one accumulator, reduced once, into which the arguments'
+product loop multiplies each term's last power straight.  At Weil elements
+with polynomial coefficients (the bracket tower's convolutions) each basis
+position's products of coefficients combine the same way; only plain
+rationals are summed term by term.  A rational unit is lifted into the
 arguments' ring, and a unit from another ring is refused.
 
 PolyMap bundles out_dim component polynomials in in_dim variables.  Its
@@ -31,6 +34,7 @@ functor would produce.  Beyond evaluation a map has composition, and the sum,
 negation and scaling that a form's kernels are built from.
 """
 
+from collections import defaultdict
 from functools import lru_cache
 from math import lcm
 from operator import add, itemgetter, neg
@@ -178,17 +182,28 @@ class Poly(FractionFree):
             return self.scale(other)
         self._check(other)
         out = {}
-        get = out.get
+        self._mul_into(out, 1, other)
+        return _reduced(self.n, out, self._den * other._den)
+
+    def _accumulator(self):
+        """Zero numerators by exponent tuple for `_mul_into` (`rationals.combine`)."""
+        return defaultdict(int)
+
+    def _mul_into(self, acc, f, other):
+        """Add f times self * other's numerators into the dict acc, unchecked;
+        a sum that cancels is dropped."""
+        get = acc.get
         b = other._num.items()
         for e1, x in self._num.items():
+            if f != 1:
+                x *= f
             for e2, y in b:
                 e = tuple(map(add, e1, e2))
                 s = get(e, 0) + x * y
                 if s:
-                    out[e] = s
+                    acc[e] = s
                 else:
-                    del out[e]
-        return _reduced(self.n, out, self._den * other._den)
+                    del acc[e]
 
     def __eq__(self, other):
         """Equality with a polynomial, or with an int or rational as a constant."""
@@ -229,19 +244,16 @@ class Poly(FractionFree):
         built once per map evaluation and shared by every term and component:
         `_powers`, private, is the power table of one `PolyMap` call, which
         has settled the unit (a direct call makes its own), keyed by (i, k).
-        A term's powers but the last are multiplied in order, and the terms
-        combine in one of three ways, chosen once per call:
+        A term's powers but the last are multiplied in order, and the terms,
+        each with its last power apart, combine in one of three ways:
         - at fraction-free values (`Poly` arguments, rational `WeilElement`s)
           `rationals.combine` adds each term's integer numerator times its
           monomial's numerators into one accumulator, over the lcm of the
-          monomial denominators, reduced once.  At rational Weil elements
-          the product's pair-table loop (`WeilElement._mul_into`) multiplies
-          the last power straight into it; at polynomials `Poly.__mul__`
-          multiplies it on first;
-        - at Weil elements of which some hold Poly coefficients (rational
-          ones may join them, the unit too) the terms' coefficients are
-          summed fraction-free at each basis position
-          (`_sum_by_position`);
+          monomial denominators, reduced once; the type's `_mul_into`
+          multiplies the last power straight into it;
+        - at Weil elements of which some hold ring values (rational ones may
+          join them, the unit too) `WeilElement._ring_sum` sums the terms
+          the same way at each basis position;
         - in any other ring (plain rationals) each monomial is scaled by its
           numerator from the left, the terms are added and the sum is scaled
           by 1/denominator once.
@@ -252,9 +264,6 @@ class Poly(FractionFree):
             one, _powers = _unit_of(args, one), {}
         if not self._num:
             return c_zero_like(one)
-        values = (one, *args)
-        flat = fraction_free(values)
-        fuse = flat and one._mul_into is not None
         terms = []
         for e, c in self._num.items():
             prod = last = None
@@ -263,20 +272,17 @@ class Poly(FractionFree):
                     if last is not None:
                         prod = last if prod is None else prod * last
                     last = _power(args, i, k, _powers)
-            if last is None:
-                prod = one
-            elif prod is None:
-                prod, last = last, None
-            elif not fuse:
-                prod, last = prod * last, None
+            if prod is None:
+                prod, last = one if last is None else last, None
             terms.append((c, prod, last))
-        if flat:
+        if fraction_free((one, *args)):
             return combine(terms, self._den, one)
-        if all(isinstance(v, FractionFree) for v in values):
-            return _sum_by_position(terms, self._den, one)
+        if isinstance(one, FractionFree):
+            return one._ring_sum(terms, self._den)
         total = None
-        for c, prod, _ in terms:
-            term = prod if c == 1 else c * prod
+        for c, prod, last in terms:
+            term = prod if last is None else prod * last
+            term = term if c == 1 else c * term
             total = term if total is None else total + term
         return total if self._den == 1 else rational(1, self._den) * total
 
@@ -365,35 +371,6 @@ def _power(args, i, k, powers):
             q = powers.get((i, j))
             p = powers[(i, j)] = p * x if q is None else q
     return p
-
-
-def _sum_by_position(terms, den, one):
-    """sum(c * x for c, x in terms) / den for Weil elements x with Poly coefficients.
-
-    The Poly coefficients are grouped by basis position, and each group is
-    summed by `rationals.combine`: one lcm, integer multiply-adds and one
-    gcd pass.  A lone term, or a lone coefficient, with c = 1 over den = 1
-    is taken as it is.  Rational values (a rational unit's constant term, a
-    rational coefficient) are summed apart and added as constants.
-    """
-    if den == 1 and len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
-    groups, consts = {}, {}
-    for c, x, _ in terms:
-        xden = x._den
-        for k, v in x._num.items():
-            if xden is None and isinstance(v, FractionFree):
-                groups.setdefault(k, []).append((c, v, None))
-            else:
-                consts[k] = consts.get(k, 0) + c * (v if xden is None else rational(v, xden))
-    out = {}
-    for k, group in groups.items():
-        c, v, _ = group[0]
-        out[k] = v if len(group) == 1 and c == 1 and den == 1 else combine(group, den, v)
-    for k, q in consts.items():
-        q = rational(1, den) * q
-        out[k] = out[k] + q if k in out else q
-    return one._from_reduced({k: v for k, v in out.items() if v}, None)
 
 
 def _unit_of(args, one):

@@ -17,8 +17,13 @@ rationals for readers.
 a `WeilElement` with ring-valued coefficients).  It owns the arithmetic the
 types share: `denominator`, truth, negation, difference, left scaling,
 rational `scale` and powers by repeated squaring.  Each type supplies its
-`_from_reduced` constructor and its `_unit`, and keeps its own sum, product,
-equality and evaluation; `combine` works on the parts of any of them.
+`_from_reduced` constructor, its `_unit` and a multiply-accumulate pair (a
+sum of products into one result, Monagan & Pearce, CASC 2007):
+`_accumulator()` gives zero numerators keyed as the type's, and
+`_mul_into(acc, f, y)` adds f times the numerators of self * y into them,
+unchecked.  Its product runs `_mul_into` on a fresh accumulator; it keeps
+its own sum, equality and evaluation.  `combine` sums products of any of
+them through that pair.
 """
 
 import re
@@ -125,10 +130,6 @@ class FractionFree:
         """The unit of this one's ring."""
         raise NotImplementedError
 
-    # (acc, f, y): add f * self * y into acc, a list from `_accumulator()`
-    # (`combine`); None where products are built by `__mul__`
-    _mul_into = None
-
     @property
     def denominator(self):
         """The positive common denominator (1 for zero); None for ring values."""
@@ -182,32 +183,22 @@ def combine(terms, den, like):
     """sum(c * x * y for c, x, y in terms) / den, as an element of like's ring.
 
     terms holds (integer, fraction-free element, last factor or None for 1)
-    triples, at least one; den is a positive integer.  Each term is brought
-    over the lcm L of the terms' denominators (x's times y's) and added, by
-    integer multiply-adds, into a dict by key or, for a type with
-    `_mul_into`, its dense `_accumulator()`, into which `_mul_into`
-    multiplies a last factor straight.  The sum, over L * den, is reduced once.
+    triples, at least one, all of like's ring; den is a positive integer.
+    Each term is brought over the lcm L of the terms' denominators (x's times
+    y's) and added, by integer multiply-adds, into like's `_accumulator()`,
+    into which `_mul_into` multiplies a last factor straight.  The sum, over
+    L * den, is reduced once.
     """
-    if like._mul_into is None:
-        big = lcm(*[x._den for _c, x, _y in terms])
-        acc = {}
-        get = acc.get
-        for c, x, _y in terms:
+    big = lcm(*[x._den if y is None else x._den * y._den for _c, x, y in terms])
+    acc = like._accumulator()
+    for c, x, y in terms:
+        if y is None:
             f = c * (big // x._den)
             for k, n in x._num.items():
-                acc[k] = get(k, 0) + f * n
-        items = acc.items()
-    else:
-        big = lcm(*[x._den if y is None else x._den * y._den for _c, x, y in terms])
-        acc = like._accumulator()
-        for c, x, y in terms:
-            if y is None:
-                f = c * (big // x._den)
-                for k, n in x._num.items():
-                    acc[k] += f * n
-            else:
-                x._mul_into(acc, c * (big // (x._den * y._den)), y)
-        items = enumerate(acc)
+                acc[k] += f * n
+        else:
+            x._mul_into(acc, c * (big // (x._den * y._den)), y)
+    items = acc.items() if isinstance(acc, dict) else enumerate(acc)
     num, den = reduce_numerators({k: n for k, n in items if n}, big * den)
     return like._from_reduced(num, den)
 

@@ -32,16 +32,21 @@ rational scaling and powers by repeated squaring, for rational and
 ring-valued elements alike; WeilElement keeps its sum, product, ring-valued
 scaling, equality and `times_basis`.  Rationals are built only for readers:
 `coeffs` is a read-only view that builds each one on lookup, and `coeff`
-and `dense` build theirs.  Elements with ring-valued coefficients keep a
-plain dict and the generic loops for their sums and products;
-`Poly.eval` sums its terms at each basis position fraction-free when those
-values are polynomials.
+and `dense` build theirs.
 
 The rational product is one loop, `_mul_into`, that adds products of
 numerators along the pair table into a dense list by basis position: on a
 fresh list for `*`, and on the evaluation sum in `Poly.eval` (through
 `rationals.combine`), which so accumulates a sum of products straight into
 one result (Monagan & Pearce): no term's last product is built or reduced.
+
+Elements with ring-valued coefficients keep one value per basis position
+in a plain dict.  Their sums and products, and `Poly.eval` at them, are one
+sum of products, `_ring_sum`: each product of coefficients is grouped by
+the position the pair table sends it to, and each position's polynomials
+are summed by `rationals.combine` with the last factor fused into
+`Poly._mul_into`, as a polynomial evaluation sums its terms.  A result whose
+values are all rational is held fraction-free, as the constructor holds it.
 
 Multiplying by a basis monomial with coefficient 1 needs no arithmetic:
 `times_basis` moves each coefficient along that monomial's surviving pairs,
@@ -52,9 +57,10 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import ValidationError
-from .poly import grlex_key
+from .poly import Poly, grlex_key
 from .rationals import (ONE, RATIONAL_TYPES, Q, FractionFree, RationalCoeffs,
-                        add_numerators, rational, reduce_numerators, to_numerators)
+                        add_numerators, combine, rational, reduce_numerators,
+                        to_numerators)
 from .simplicial import SimplicialObject
 
 
@@ -170,11 +176,6 @@ def _element(algebra, num, den):
     return w
 
 
-def _ring(algebra, coeffs):
-    """An element from ring values; with no terms left it is the zero."""
-    return _element(algebra, coeffs, None) if coeffs else _element(algebra, {}, 1)
-
-
 class WeilElement(FractionFree):
     """Sparse coefficient vector over a WeilAlgebra basis; immutable.
 
@@ -200,7 +201,7 @@ class WeilElement(FractionFree):
     def _from_reduced(self, num, den):
         """From reduced numerators over den, or from ring values (den None)."""
         if den is None:
-            return _ring(self.algebra, num)
+            return WeilElement(self.algebra, num)
         return _element(self.algebra, num, den)
 
     def _unit(self):
@@ -214,7 +215,7 @@ class WeilElement(FractionFree):
         return RationalCoeffs(self._num, self._den)
 
     def _values(self) -> dict:
-        """Coefficient dict for the generic ring loops."""
+        """Coefficient dict, rationals built from numerators."""
         if self._den is None:
             return self._num
         den = self._den
@@ -234,15 +235,7 @@ class WeilElement(FractionFree):
             return other
         da, db = self._den, other._den
         if da is None or db is None:
-            out = dict(self._values())
-            for k, c in other._values().items():
-                s = out.get(k)
-                s = c if s is None else s + c
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-            return _ring(self.algebra, out)
+            return self._ring_sum(((1, self, None), (1, other, None)), 1)
         num, den = add_numerators(self._num, da, other._num, db)
         return _element(self.algebra, num, den)
 
@@ -250,27 +243,39 @@ class WeilElement(FractionFree):
         if not isinstance(other, WeilElement):
             return self.scale(other)
         self._check(other)
-        if self._den is not None and other._den is not None:
-            acc = [0] * self.algebra.dim
-            self._mul_into(acc, 1, other)
-            return from_numerators(self.algebra, {k: s for k, s in enumerate(acc) if s},
-                                   self._den * other._den)
-        out = {}
+        if self._den is None or other._den is None:
+            return self._ring_sum(((1, self, other),), 1)
+        acc = [0] * self.algebra.dim
+        self._mul_into(acc, 1, other)
+        return from_numerators(self.algebra, {k: s for k, s in enumerate(acc) if s},
+                               self._den * other._den)
+
+    def _ring_sum(self, terms, den):
+        """sum(c * x * y for c, x, y in terms) / den, summed by basis position.
+
+        terms holds (integer, element, element or None for 1) triples of
+        this algebra, at least one; den is a positive integer.  A lone term
+        x at c = 1 over den = 1 is x; otherwise each product of coefficients
+        joins the group of the position it lands at (`_position_sum`).
+        """
+        c, x, y = terms[0]
+        if den == 1 and len(terms) == 1 and c == 1 and y is None:
+            return x
         pairs = self.algebra._pairs
-        b = other._values()
-        for i, ci in self._values().items():
-            for j, k in pairs[i]:
-                cj = b.get(j)
-                if cj is None:
-                    continue
-                c = ci * cj
-                s = out.get(k)
-                s = c if s is None else s + c
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return _ring(self.algebra, out)
+        groups = {}
+        for c, x, y in terms:
+            if y is None:
+                for k, v in x._values().items():
+                    groups.setdefault(k, []).append((c, v, None))
+                continue
+            b = y._values()
+            for i, v in x._values().items():
+                for j, k in pairs[i]:
+                    w = b.get(j)
+                    if w is not None:
+                        groups.setdefault(k, []).append((c, v, w))
+        return WeilElement(self.algebra, {
+            k: s for k, group in groups.items() if (s := _position_sum(group, den))})
 
     def _accumulator(self):
         """Zero numerators by basis position for `_mul_into` (`rationals.combine`)."""
@@ -305,7 +310,7 @@ class WeilElement(FractionFree):
         num = self._num
         out = {k: num[j] for j, k in self.algebra._pairs[pos] if j in num}
         if self._den is None:
-            return _ring(self.algebra, out)
+            return WeilElement(self.algebra, out)
         return from_numerators(self.algebra, out, self._den)
 
     def scale(self, c) -> "WeilElement":
@@ -317,7 +322,7 @@ class WeilElement(FractionFree):
             s = c * v
             if s:
                 out[k] = s
-        return _ring(self.algebra, out)
+        return WeilElement(self.algebra, out)
 
     def __eq__(self, other):
         if not isinstance(other, WeilElement) or self.algebra is not other.algebra:
@@ -350,6 +355,36 @@ class WeilElement(FractionFree):
             c = coeffs[k]
             bits.append(f"{c}" if mono == "1" else f"{c}*{mono}")
         return " + ".join(bits)
+
+
+def _position_sum(group, den):
+    """sum(c * v * w for c, v, w in group) / den at one basis position.
+
+    A lone product at c = 1 over den = 1 is multiplied directly (w None for
+    1).  Polynomials, which must share a variable count, are summed by
+    `combine` with the last factor fused; other values (rationals) are
+    multiplied and added with their own operations and scaled once.
+    """
+    c, v, w = group[0]
+    if len(group) == 1 and c == 1 and den == 1:
+        return v if w is None else v * w
+    fused, rest = [], None
+    for t in group:
+        c, v, w = t
+        if type(v) is Poly and (w is None or type(w) is Poly):
+            fused.append(t)
+        else:
+            p = c * v if w is None else c * v * w
+            rest = p if rest is None else rest + p
+    if rest is not None and den != 1:
+        rest = rational(1, den) * rest
+    if not fused:
+        return rest
+    n = fused[0][1].n
+    if any(v.n != n or w is not None and w.n != n for _c, v, w in fused):
+        raise ValidationError("polynomials in different variable counts")
+    s = combine(fused, den, fused[0][1])
+    return s if rest is None else s + rest
 
 
 def from_dense(algebra: WeilAlgebra, values) -> WeilElement:

@@ -113,6 +113,18 @@ def test_validation_branch(call, error, message):
         call()
 
 
+def test_ring_valued_weil_arithmetic_checks_variable_counts():
+    # polynomial coefficients in 1 and 2 variables meet at a basis position,
+    # in a sum, in a lone product and in a fused sum of products
+    alg = make_algebra(d_cube(1))
+    x = WeilElement(alg, {0: Poly.var(1, 0), 1: Poly.one(1)})
+    y = WeilElement(alg, {0: Poly.var(2, 0), 1: Poly.one(2)})
+    for call in (lambda: x + y, lambda: x * WeilElement(alg, {0: Poly.var(2, 0)}),
+                 lambda: x * y):
+        with pytest.raises(ValidationError, match="^polynomials in different variable counts"):
+            call()
+
+
 def test_remap_merging_cancelling_terms():
     # x0 - x1 with both variables sent to x0 cancels to zero
     f = Poly.var(2, 0) - Poly.var(2, 1)

@@ -522,6 +522,36 @@ def test_flow_cubes_match_naive_flow_of_the_point():
     assert all(seen.values()), seen
 
 
+def test_flow_cubes_on_r2_match_naive_flow_with_mixed_denominators():
+    # The jacobi3 --fields runs report only defects, which vanish whenever the
+    # identity holds; here every flow cube is compared with the naive flow.
+    # Each field's terms mix monomials of one and two variables with constant
+    # terms, and each field and component has denominators of its own, so the
+    # terms of one evaluation never share a denominator.
+    def field(*comps):
+        return PolyMap(2, [Poly.from_terms(2, [(Q(c), e) for c, e in comp]) for comp in comps])
+
+    golden = [field([("1", (1, 2)), ("1/3", (0, 0))], [("1", (1, 0)), ("-2", (0, 1))]),
+              field([("1", (0, 2)), ("-1/2", (0, 0))], [("1", (1, 1)), ("3", (0, 0))]),
+              field([("2", (2, 1))], [("2/5", (0, 0)), ("-1", (1, 1))])]
+    rng = random.Random(2024)
+    cases = [(golden, [Q(1, 2), Q(-2, 3)])]
+    for _ in range(12):
+        fields = []
+        for d in rng.sample([2, 3, 5, 7, 11], 3):
+            fields.append(PolyMap(2, [Poly.from_terms(2, [
+                (Q(rng.randint(-6, 6), d * rng.choice([1, 2, 3])),
+                 (rng.randint(0, 2), rng.randint(0, 2))) for _ in range(3)]) for _ in range(2)]))
+        cases.append((fields, [Q(rng.randint(-5, 5), rng.choice([2, 3, 4])) for _ in range(2)]))
+    for fields, point in cases:
+        t = triangle_from_vector_fields(*fields, point)
+        for label in TRIANGLE_LABELS:
+            want = naive_flow_cube(fields, tuple(int(ch) for ch in label), point)
+            got = t.cubes[label].coords
+            assert [c.denominator for c in got] == [c.denominator for c in want]
+            assert list(got) == want
+
+
 def test_random_field_triangles_satisfy_membership():
     rng = random.Random(17)
 

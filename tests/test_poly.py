@@ -593,6 +593,140 @@ def test_eval_at_poly_valued_weil_matches_term_by_term_reference(a, c, obj, poly
         assert parts(got) == parts(want)
 
 
+# fused sums at polynomial values against term-by-term references ------------
+#
+# Weil elements with polynomial coefficients add, multiply and evaluate
+# polynomials by one sum of products per basis position, each product's
+# last factor multiplied straight into the sum; polynomial arguments fuse
+# the same way.  The references work on Fraction dicts: a polynomial is
+# {exponents: Fraction}, a ring-valued Weil element {basis index: polynomial},
+# and every product and sum is built term by term.  Each argument scales its
+# coefficients by a denominator of its own, so the products that meet at a
+# position or a monomial never share one.  Now and then a coefficient is
+# held as a rational rather than as a constant polynomial.
+
+
+def ring_ref_mul(alg):
+    def mul(a, b):
+        out = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                k = alg.index.get(tuple(p + q for p, q in zip(alg.basis[i], alg.basis[j])))
+                if k is not None:
+                    out[k] = ref_add(out.get(k, {}), ref_mul(x, y))
+        return {k: v for k, v in out.items() if v}
+    return mul
+
+
+def ring_ref_add(a, b):
+    out = {k: ref_add(a.get(k, {}), b.get(k, {})) for k in a.keys() | b.keys()}
+    return {k: v for k, v in out.items() if v}
+
+
+def ring_ref_scale(c, a):
+    return {k: ref_scale(c, v) for k, v in a.items() if c}
+
+
+def ring_ref_of(w, n=2):
+    """A ring-valued (or rational) Weil element's coefficients as Fraction dicts."""
+    out = {}
+    for k, c in w.coeffs.items():
+        assert c
+        if isinstance(c, Poly):
+            out[k] = ref_of(c)
+        else:
+            out[k] = {(0,) * n: Fraction(c.numerator, c.denominator)}
+    return out
+
+
+@st.composite
+def ring_refs(draw, alg, den, n=2):
+    """{basis index: polynomial ref} over denominators times den, max 4 positions."""
+    keys = draw(st.lists(st.integers(0, alg.dim - 1), unique=True, max_size=min(4, alg.dim)))
+    out = {}
+    for k in keys:
+        ref = ref_scale(Fraction(1, den), draw(ref_polys(n, max_exp=1)))
+        if ref:
+            out[k] = ref
+    return out
+
+
+def ring_of(alg, ref, data, n=2):
+    """The element of a ring ref; a constant coefficient may be held as a rational."""
+    coeffs = {}
+    for k, v in ref.items():
+        if set(v) == {(0,) * n} and data.draw(st.booleans()):
+            c = v[(0,) * n]
+            coeffs[k] = Q(c.numerator, c.denominator)
+        else:
+            coeffs[k] = poly_of(v, n)
+    return WeilElement(alg, coeffs)
+
+
+RING_OBJECTS = [d_cube(2), d_order(3), d_paren(3), SimplicialObject(3, frozenset({(1, 2)}))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RING_OBJECTS), st.data())
+def test_ring_valued_sums_and_products_match_term_by_term_reference(obj, data):
+    alg = make_algebra(obj)
+    a, b = (data.draw(ring_refs(alg, d)) for d in (3, 5))
+    x, y = ring_of(alg, a, data), ring_of(alg, b, data)
+    assert ring_ref_of(x * y) == ring_ref_mul(alg)(a, b)
+    assert ring_ref_of(y * x) == ring_ref_mul(alg)(b, a)
+    assert ring_ref_of(x + y) == ring_ref_add(a, b)
+    assert ring_ref_of(x - y) == ring_ref_add(a, ring_ref_scale(-1, b))
+    assert ring_ref_of(x * x) == ring_ref_of(x ** 2) == ring_ref_mul(alg)(a, a)
+    # a sum that cancels is the zero, over denominator 1
+    z = x * y - y * x
+    assert z == alg.zero() and z.denominator == 1 and not z.coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 3), st.sampled_from(RING_OBJECTS), st.booleans(), st.data())
+def test_eval_at_ring_valued_weil_fuses_last_factors_as_the_reference(n, obj, poly_unit,
+                                                                       data):
+    alg = make_algebra(obj)
+    a = data.draw(mixed_terms(n))
+    if data.draw(st.booleans()):
+        a[(0,) * n] = data.draw(fractions_1_7.filter(bool))
+    refs = [data.draw(ring_refs(alg, d)) for d in ARG_DENOMINATORS[:n]]
+    one = WeilElement(alg, {0: Poly.one(2)}) if poly_unit else alg.one()
+    want = ref_eval(a, refs, {0: {(0, 0): Fraction(1)}}, ring_ref_mul(alg), ring_ref_add,
+                    ring_ref_scale) or {}
+    got = poly_of(a, n).eval([ring_of(alg, r, data) for r in refs], one)
+    assert ring_ref_of(got) == want
+    # x0 * x1 evaluates to the product of its arguments; the difference of
+    # the two is the zero, over denominator 1
+    args = [ring_of(alg, r, data) for r in refs]
+    zero = (Poly.var(n, 0) * Poly.var(n, 1)).eval(args, one) - args[0] * args[1]
+    assert zero == alg.zero() and zero.denominator == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 3), st.data())
+def test_eval_at_polynomials_fuses_last_factors_as_the_reference(n, data):
+    comps = [data.draw(mixed_terms(n)) for _ in range(2)]
+    if data.draw(st.booleans()):
+        comps[0][(0,) * n] = data.draw(fractions_1_7.filter(bool))
+    refs = [ref_scale(Fraction(1, ARG_DENOMINATORS[i]), data.draw(ref_polys(2)))
+            for i in range(n)]
+    args = [poly_of(r, 2) for r in refs]
+    want = [ref_eval(a, refs, {(0, 0): Fraction(1)}, ref_mul, ref_add, ref_scale) or {}
+            for a in comps]
+    f = PolyMap(n, [poly_of(a, n) for a in comps])
+    for got, ref in zip(f.eval(args, Poly.one(2)), want):
+        check(got, ref)
+    # composition against the terms multiplied out one product at a time
+    unfused = [ref_eval(a, args, Poly.one(2), lambda s, t: s * t, lambda s, t: s + t,
+                        scale_by) or Poly.zero(2) for a in comps]
+    comp = f.compose(PolyMap(2, args)).comps
+    assert [parts(v) for v in comp] == [parts(v) for v in unfused]
+    # terms that cancel, x0 * x1 - x2 at x2 = x0 * x1, come out over denominator 1
+    x0, x1, x2 = (Poly.var(3, i) for i in range(3))
+    check((x0 * x1 - x2).eval(args[:2] + [args[0] * args[1]], Poly.one(2)), {})
+
+
 # one power table per map evaluation ------------------------------------------
 #
 # PolyMap.eval and PolyMap.compose build each power args[i] ** k once and

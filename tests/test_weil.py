@@ -686,6 +686,24 @@ def test_rational_coefficients_equal_constant_polynomials(n):
         assert alg.one() != other and other != alg.one()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ring_valued_arithmetic_with_rational_results_hashes_as_rational(n):
+    """A ring-valued sum or evaluation whose values all come out rational is
+    held fraction-free, so it hashes as the equal rational element does."""
+    alg = make_algebra(d_cube(n))
+    a = WeilElement(alg, {1: Poly.var(1, 0)})
+    one = (a + alg.one()) - a
+    assert one == alg.one() and hash(one) == hash(alg.one())
+    assert one.denominator == 1 and dict(one.coeffs) == {0: Q(1)}
+    # 3 + a^2 at a square-zero a
+    s = Poly.from_terms(1, [(Q(3), (0,)), (Q(1), (2,))]).eval([a])
+    assert s == alg.one().scale(3) and len({s, alg.one().scale(3)}) == 1
+    # a product whose polynomial parts vanish, scaled by a rational
+    half = from_dense(alg, [Q(1, 2)] + [Q(0)] * (alg.dim - 1))
+    p = (a * a + half) * from_dense(alg, [Q(2, 3)] + [Q(0)] * (alg.dim - 1))
+    assert hash(p) == hash(alg.one().scale(Q(1, 3))) and p.denominator == 3
+
+
 # multiplication by a unit basis monomial, as re-indexing --------------------
 
 
