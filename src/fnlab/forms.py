@@ -17,17 +17,18 @@ class by construction, is checked on its next use.
 
 The constant combinatorics are worked out once and cached, which is safe
 because none of them ever changes:
-- one cube layout per arity p (the basis-order subsets of {1..p} and their
-  positions, 2^p entries, kept for the life of the process like the cube
-  algebra it is read from);
+- one cube layout per arity p (the basis-order subsets of {1..p} and a
+  read-only index of their positions, 2^p entries, kept for the life of the
+  process like the cube algebra it is read from): the only record of slot
+  order, which kernels, convolutions and the bracket all read;
 - one variable map per permutation (an LRU cache of at most 1024 maps of
   m * 2^p indices each), which `Poly.remap_variables` applies as a gather;
 - one permutation table per arity p and dimension m (an LRU cache of at
   most 64): every axis permutation's exponent gather, split by sign, and
   the adjacent transpositions that the alternation check applies;
 - one convolution layout per shape (an LRU cache of at most 128): the
-  expansion algebra, its unit and that of the outer-axis algebra, the inner
-  arguments and the expansion positions, held in tuples and read-only
+  units of the outer-axis and the expansion algebras, the inner arguments
+  and the expansion algebra's cube layout, held in tuples and read-only
   mappings of immutable values.
 A convolution evaluates the inner kernels in the algebra of the outer axes
 alone, whose arguments carry no expansion generator, and writes each value's
@@ -72,18 +73,13 @@ class _CubeLayout:
         self.subsets = tuple(
             (pos, frozenset(i + 1 for i, e in enumerate(exps) if e))
             for pos, exps in enumerate(alg.basis))
-        self.index = {subset: pos for pos, subset in self.subsets}
+        self.index = MappingProxyType({subset: pos for pos, subset in self.subsets})
 
 
 @lru_cache(maxsize=None)
 def _cube_layout(p: int) -> _CubeLayout:
     """The layout of arity p, built once; make_algebra already keeps D^p."""
     return _CubeLayout(p)
-
-
-def cube_positions(p: int):
-    """Subsets of {1..p} in basis order, as (position, frozenset) pairs."""
-    return _cube_layout(p).subsets
 
 
 def subset_position(p: int, subset) -> int:
@@ -378,7 +374,7 @@ def is_omega1(x: FormElem) -> bool:
 
 def _axis_degrees(p: int, m: int, exps):
     degs = [0] * p
-    for pos, subset in cube_positions(p):
+    for pos, subset in _cube_layout(p).subsets:
         for j in range(m):
             e = exps[pos * m + j]
             if e:
@@ -459,22 +455,17 @@ def verify_class(x: FormElem) -> bool:
 # every convolution of that shape; the containers are read-only, and the
 # Poly and WeilElement values in them are immutable.
 _ConvLayout = namedtuple("_ConvLayout", [
-    "ext_alg",      # WeilAlgebra: expansion generators only
-    "n_gamma",      # variables of the total cube
     "axis_one",     # the unit WeilElement of the outer-axis algebra
-    "ext_one",      # the unit WeilElement of ext_alg
+    "ext_one",      # the unit WeilElement of the expansion algebra
     "args",         # inner-kernel arguments, gamma with outer scalars
-    "ext_pos",      # expansion subset -> its position in ext_alg
-    "ext_subsets",  # (position, subset) pairs of ext_alg, basis order
+    "ext",          # _CubeLayout of the expansion algebra: slot order
 ])
 
 
 @lru_cache(maxsize=128)
 def _conv_layout(outer_axes, inner_axes, total, m, ext_n) -> _ConvLayout:
     axis_alg = make_algebra(d_cube(len(outer_axes)))
-    ext_alg = make_algebra(d_cube(ext_n))
     n_gamma = cube_dim(total, m)
-    ext = _cube_layout(ext_n)
     outer = _cube_layout(len(outer_axes))
 
     args = []
@@ -488,10 +479,9 @@ def _conv_layout(outer_axes, inner_axes, total, m, ext_n) -> _ConvLayout:
             args.append(WeilElement(axis_alg, coeffs))
 
     return _ConvLayout(
-        ext_alg, n_gamma,
         WeilElement(axis_alg, {0: Poly.one(n_gamma)}),
-        WeilElement(ext_alg, {0: Poly.one(n_gamma)}),
-        tuple(args), MappingProxyType(ext.index), ext.subsets)
+        WeilElement(make_algebra(d_cube(ext_n)), {0: Poly.one(n_gamma)}),
+        tuple(args), _cube_layout(ext_n))
 
 
 def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
@@ -510,27 +500,27 @@ def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
     subset -> Kernel(total).
     """
     layout = _conv_layout(outer_axes, inner_axes, total, m, ext_n)
-    n_gamma = layout.n_gamma
+    ext_alg, n_gamma = layout.ext_one.algebra, cube_dim(total, m)
 
     # the outer arguments: polynomial h-cube entries over the expansion algebra
     h_args = [{} for _ in range(m << len(outer_axes))]
     for v_subset, ker in inner_bar.items():
-        ext_pos = layout.ext_pos[v_subset]
+        ext_pos = layout.ext.index[v_subset]
         vals = ker.body.eval(layout.args, layout.axis_one)
         for j in range(m):
             for tpos, poly in vals[j].coeffs.items():
                 h_args[tpos * m + j][ext_pos] = poly
-    h_args = [WeilElement(layout.ext_alg, c) for c in h_args]
+    h_args = [WeilElement(ext_alg, c) for c in h_args]
 
-    out_vals = [WeilElement(layout.ext_alg, {}) for _ in range(m)]
+    out_vals = [WeilElement(ext_alg, {}) for _ in range(m)]
     for u_subset, ker in outer_bar.items():
-        pos = layout.ext_pos[u_subset]
+        pos = layout.ext.index[u_subset]
         vals = ker.body.eval(h_args, layout.ext_one)
         for j in range(m):
             out_vals[j] = out_vals[j] + vals[j].times_basis(pos)
 
     result = {}
-    for pos, subset in layout.ext_subsets:
+    for pos, subset in layout.ext.subsets:
         comps = [out_vals[j].coeffs.get(pos, Poly.zero(n_gamma)) for j in range(m)]
         if any(comps):
             result[subset] = Kernel(total, m, PolyMap(n_gamma, comps))
@@ -641,26 +631,26 @@ def antisymmetrize_scaled(x: FormElem, parts) -> FormElem:
 
 
 def _bracket_core(x: FormElem, y: FormElem, tag: str = OMEGA1) -> FormElem:
-    """Strong difference of the two expanded products, at kernel level."""
+    """Strong difference of the two expanded products, at kernel level.
+
+    The square's legs (D^2) and the tangent (D^1) are read in cube-layout
+    order; the tangent's base is the projection because both inputs are
+    Dirac-normalized.
+    """
     a = prod_under(x, y)
     b = prod_over(x, y)
     case = get_case("square")
-    order = [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
-    ca = {i: k for i, k in enumerate(map(a.coeffs.get, order)) if k}
-    cb = {i: k for i, k in enumerate(map(b.coeffs.get, order)) if k}
+    square = _cube_layout(2).subsets
+    ca = {pos: k for pos, s in square if (k := a.coeffs.get(s))}
+    cb = {pos: k for pos, s in square if (k := b.coeffs.get(s))}
     bad = case_compat_errors(case, ca, cb)
     if bad:
         raise InternalError(
             f"expanded products disagree below the corner at {bad[0]}")
-    apex = case_solve(case, ca, cb)
-    # the extracted tangent: base at basis index 0, principal part at 1
-    tangent = apply_columns(case.extract.columns(), apex)
-    total = x.p + y.p
-    zero = zero_kernel(total, x.m)
-    base, principal = tangent.get(0, zero), tangent.get(1, zero)
-    if base != pi_kernel(total, x.m):
-        raise InternalError("bracket base is not the projection")
-    return FormElem(total, 1, x.m, {frozenset(): base, frozenset({1}): principal}, tag)
+    tangent = apply_columns(case.extract.columns(), case_solve(case, ca, cb))
+    return FormElem(x.p + y.p, 1, x.m,
+                    {s: tangent[pos] for pos, s in _cube_layout(1).subsets
+                     if pos in tangent}, tag)
 
 
 def _require(pred, name: str, x: FormElem, y: FormElem):

@@ -263,7 +263,7 @@ class Poly(FractionFree):
         if _powers is None:
             one, _powers = _unit_of(args, one), {}
         if not self._num:
-            return c_zero_like(one)
+            return one - one
         terms = []
         for e, c in self._num.items():
             prod = last = None
@@ -386,11 +386,6 @@ def _unit_of(args, one):
             raise ValidationError(f"a {ring.__name__} unit for a {type(a).__name__} argument")
         one._check(a)
     return one
-
-
-def c_zero_like(one):
-    """Zero of the ring whose unit is `one` (rationals give Q(0))."""
-    return one - one
 
 
 class PolyMap:

@@ -240,7 +240,10 @@ def form_from_json(data) -> FormElem:
         raise ValidationError("form coeffs must be an object")
     coeffs = {}
     for key, body in table.items():
-        subset = frozenset(_unkey(key))
+        indices = _unkey(key)
+        subset = frozenset(indices)
+        if len(subset) != len(indices):
+            raise ValidationError(f"expansion subset key {key!r} repeats an index")
         if body == "pi":
             ker = pi_kernel(p, m)
         else:

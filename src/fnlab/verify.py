@@ -64,11 +64,14 @@ class SuiteConfig:
             raise ValidationError("cases_per_property must be >= 1")
         if self.m_max < 1 or self.deg_max < 0:
             raise ValidationError("bad scale limits")
+        bad = ValidationError(f"suites must be a list of names, got {self.suites!r}")
+        if isinstance(self.suites, (str, dict)):  # iterable, but not a list of names
+            raise bad
         try:
             suites = tuple(self.suites)
             unknown = set(suites) - set(SUITES)
         except TypeError as exc:
-            raise ValidationError(f"suites must be a list of names, got {self.suites!r}") from exc
+            raise bad from exc
         if unknown:
             raise ValidationError(f"unknown suites: {sorted(unknown, key=str)}")
         object.__setattr__(self, "suites", suites)

@@ -41,12 +41,14 @@ fresh list for `*`, and on the evaluation sum in `Poly.eval` (through
 one result (Monagan & Pearce): no term's last product is built or reduced.
 
 Elements with ring-valued coefficients keep one value per basis position
-in a plain dict.  Their sums and products, and `Poly.eval` at them, are one
-sum of products, `_ring_sum`: each product of coefficients is grouped by
-the position the pair table sends it to, and each position's polynomials
-are summed by `rationals.combine` with the last factor fused into
-`Poly._mul_into`, as a polynomial evaluation sums its terms.  A result whose
-values are all rational is held fraction-free, as the constructor holds it.
+in a plain dict.  Their sum adds the values at each shared position with
+their own `+` and drops a sum that cancels.  Their products, and
+`Poly.eval` at them, are one sum of products, `_ring_sum`: each product of
+coefficients is grouped by the position the pair table sends it to, and
+each position's polynomials are summed by `rationals.combine` with the last
+factor fused into `Poly._mul_into`, as a polynomial evaluation sums its
+terms.  A result whose values are all rational is held fraction-free, as
+the constructor holds it.
 
 Multiplying by a basis monomial with coefficient 1 needs no arithmetic:
 `times_basis` moves each coefficient along that monomial's surviving pairs,
@@ -116,10 +118,10 @@ class WeilAlgebra:
         return len(self.basis)
 
     def zero(self) -> "WeilElement":
-        return _element(self, {}, 1)
+        return from_reduced(self, {}, 1)
 
     def one(self) -> "WeilElement":
-        return _element(self, {0: 1}, 1)
+        return from_reduced(self, {0: 1}, 1)
 
     def generator(self, i: int) -> "WeilElement":
         """The class of d_i (1-indexed)."""
@@ -128,7 +130,7 @@ class WeilAlgebra:
             for g in range(self.source.n):
                 exps = tuple(1 if j == g else 0 for j in range(self.source.n))
                 k = self.index.get(exps)
-                gens.append(_element(self, {} if k is None else {k: 1}, 1))
+                gens.append(from_reduced(self, {} if k is None else {k: 1}, 1))
             self._gen_elems = tuple(gens)
         return self._gen_elems[i - 1]
 
@@ -167,8 +169,8 @@ def make_algebra(obj: SimplicialObject) -> WeilAlgebra:
 _new = object.__new__
 
 
-def _element(algebra, num, den):
-    """An element from its parts: den is None when num holds ring values."""
+def from_reduced(algebra: WeilAlgebra, num, den) -> "WeilElement":
+    """Element from numerators already reduced over den > 0: no gcd pass."""
     w = _new(WeilElement)
     w.algebra = algebra
     w._num = num
@@ -202,7 +204,7 @@ class WeilElement(FractionFree):
         """From reduced numerators over den, or from ring values (den None)."""
         if den is None:
             return WeilElement(self.algebra, num)
-        return _element(self.algebra, num, den)
+        return from_reduced(self.algebra, num, den)
 
     def _unit(self):
         return self.algebra.one()
@@ -235,9 +237,13 @@ class WeilElement(FractionFree):
             return other
         da, db = self._den, other._den
         if da is None or db is None:
-            return self._ring_sum(((1, self, None), (1, other, None)), 1)
+            # shared positions add by the values' own +
+            out = dict(self._values())
+            for k, w in other._values().items():
+                out[k] = out[k] + w if k in out else w
+            return WeilElement(self.algebra, {k: v for k, v in out.items() if v})
         num, den = add_numerators(self._num, da, other._num, db)
-        return _element(self.algebra, num, den)
+        return from_reduced(self.algebra, num, den)
 
     def __mul__(self, other):
         if not isinstance(other, WeilElement):
@@ -395,9 +401,4 @@ def from_numerators(algebra: WeilAlgebra, num, den) -> WeilElement:
     """Element from nonzero integer numerators by basis index over den > 0."""
     if den != 1:
         num, den = reduce_numerators(num, den)
-    return _element(algebra, num, den)
-
-
-def from_reduced(algebra: WeilAlgebra, num, den) -> WeilElement:
-    """Element from numerators already reduced over den > 0: no gcd pass."""
-    return _element(algebra, num, den)
+    return from_reduced(algebra, num, den)

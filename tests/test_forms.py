@@ -460,8 +460,8 @@ def test_cached_conv_layout_is_read_only():
     assert forms._conv_layout((1,), (2,), 2, 1, 2) is layout
     with pytest.raises(AttributeError):
         layout.args = ()
-    for container, key in ((layout.args, 0), (layout.ext_pos, frozenset()),
-                           (layout.ext_subsets, 0)):
+    for container, key in ((layout.args, 0), (layout.ext.index, frozenset()),
+                           (layout.ext.subsets, 0)):
         with pytest.raises(TypeError):
             container[key] = None
 

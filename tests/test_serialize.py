@@ -231,6 +231,17 @@ def test_form_rejects_bad_kernel_dims():
         form_from_json(data)
 
 
+def test_form_rejects_a_repeated_index_in_a_subset_key():
+    # "[1,1]" was read as the subset {1}, so pi replaced the principal kernel
+    n = cube_dim(1, 1)
+    x0 = polymap_to_json(PolyMap(n, [Poly.var(n, 0)]))
+    data = {"p": 1, "k": 1, "m": 1, "coeffs": {"[]": "pi", "[1]": x0, "[1,1]": "pi"}}
+    with pytest.raises(ValidationError, match=r"subset key '\[1,1\]' repeats an index"):
+        form_from_json(data)
+    del data["coeffs"]["[1,1]"]
+    assert form_from_json(data).principal().body == PolyMap(n, [Poly.var(n, 0)])
+
+
 def _pi_form(**fields):
     return {"p": 1, "k": 1, "m": 1, "coeffs": {"[]": "pi"}, **fields}
 

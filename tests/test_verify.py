@@ -41,15 +41,17 @@ def test_config_validation():
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("seed", True, "seed must be an integer, got True"),
     ("seed", "7", "seed must be an integer, got '7'"),
+    ("suites", "weil", "suites must be a list of names, got 'weil'"),
+    ("suites", {"weil": 1}, "suites must be a list of names, got {'weil': 1}"),
 ])
 def test_config_names_the_bad_field(field, value, message):
     for build in (lambda: SuiteConfig(**{field: value}),
-                  lambda: SuiteConfig.from_json({field: value, "suites": ["brackets"]})):
+                  lambda: SuiteConfig.from_json({"suites": ["brackets"], field: value})):
         with pytest.raises(ValidationError) as err:
             build()
         assert str(err.value) == message
-    # zero caps and any int seed stay valid
-    SuiteConfig(**{field: 0})
+    # zero caps, any int seed and a list of suite names stay valid
+    SuiteConfig(**{field: ["weil"] if field == "suites" else 0})
 
 
 def test_verify_command_names_a_negative_cap(capsys):
