@@ -7,8 +7,8 @@ The suites are a separate tool, fnlab.verify (Sampler, SuiteConfig,
 run_verification).  `import fnlab` loads only the calculus, not the suites.
 """
 
-from .simplicial import D, D2, POINT, SimplicialObject, d_cube, d_order, \
-    d_paren, oplus, tensor
+from .simplicial import D, D2, SimplicialObject, d_cube, d_order, d_paren, \
+    oplus, tensor
 from .weil import WeilAlgebra, WeilElement, from_dense, make_algebra
 from .morphisms import InfMorphism, axis_map, compose_morphisms, \
     identity_morphism, inclusion

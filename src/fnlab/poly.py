@@ -17,11 +17,12 @@ ring outside the format.  Nilpotency of Weil scalars performs all truncation
 of degree during evaluation.
 
 Evaluation builds each power of an argument once per map evaluation, shared
-by every term and component, so an exponent k costs at most about 2 log2(k)
-products.  At fraction-free arguments (polynomials, as in `PolyMap.compose`,
-and rational Weil elements) the terms combine as one integer linear
-combination in one accumulator, reduced once, into which the arguments'
-product loop multiplies each term's last power straight.  At Weil elements
+by every term and component, by the walk of `**` (`rationals._power`) over
+one table, so an exponent k costs at most about 2 log2(k) products.  At
+fraction-free arguments (polynomials, as in `PolyMap.compose`, and rational
+Weil elements) the terms combine as one integer linear combination in one
+accumulator, reduced once, into which the arguments' product loop
+multiplies each term's last power straight.  At Weil elements
 with polynomial coefficients (the bracket tower's convolutions) each basis
 position's products of coefficients combine the same way; only plain
 rationals are summed term by term.  A rational unit is lifted into the
@@ -41,9 +42,9 @@ from operator import add, itemgetter, neg
 from types import MappingProxyType
 
 from .errors import ValidationError
-from .rationals import (ONE, Q, FractionFree, RationalCoeffs, add_numerators,
-                        combine, fraction_free, rational, reduce_numerators,
-                        to_numerators)
+from .rationals import (ONE, Q, FractionFree, RationalCoeffs, _power,
+                        add_numerators, combine, fraction_free, rational,
+                        reduce_numerators, to_numerators)
 
 _new = object.__new__
 
@@ -176,6 +177,10 @@ class Poly(FractionFree):
         return _poly(self.n, num, den)
 
     __radd__ = __add__
+
+    def __rsub__(self, other):
+        """other - self, for an int or rational other read as a constant."""
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -347,30 +352,6 @@ def _permutation_gather(mapping: tuple):
     for i, j in enumerate(mapping):
         inverse[j] = i
     return itemgetter(*inverse)
-
-
-def _power(args, i, k, powers):
-    """args[i] ** k for k >= 1, read from or stored in the table `powers`.
-
-    Walks k's bits from the top: square, and at a set bit times args[i],
-    each step read from the table first.  A lone power costs the products
-    of repeated squaring at any k; a shared one is built once.  `** 2` is
-    one product for `Poly` and `WeilElement` and spares a rational a gcd.
-    """
-    p = powers.get((i, k))
-    if p is not None:
-        return p
-    x = p = args[i]
-    j = 1
-    for bit in bin(k)[3:]:
-        j *= 2
-        q = powers.get((i, j))
-        p = powers[(i, j)] = p ** 2 if q is None else q
-        if bit == "1":
-            j += 1
-            q = powers.get((i, j))
-            p = powers[(i, j)] = p * x if q is None else q
-    return p
 
 
 def _unit_of(args, one):

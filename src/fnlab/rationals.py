@@ -16,7 +16,8 @@ rationals for readers.
 `WeilElement`): `_num` holds the numerators, `_den` the denominator (None for
 a `WeilElement` with ring-valued coefficients).  It owns the arithmetic the
 types share: `denominator`, truth, negation, difference, left scaling,
-rational `scale` and powers by repeated squaring.  Each type supplies its
+rational `scale` and powers by repeated squaring, one walk down k's bits
+(`_power`) that `Poly.eval` runs over a shared table.  Each type supplies its
 `_from_reduced` constructor, its `_unit` and a multiply-accumulate pair (a
 sum of products into one result, Monagan & Pearce, CASC 2007):
 `_accumulator()` gives zero numerators keyed as the type's, and
@@ -156,19 +157,35 @@ class FractionFree:
             {k: n * p for k, n in self._num.items()}, self._den * c.denominator))
 
     def __pow__(self, k: int):
-        """self ** k by repeated squaring: about 2 log2(k) products."""
+        """self ** k by repeated squaring (`_power`)."""
         if k < 0:
             raise ValidationError(self._NEGATIVE_POWER)
         if k == 0:
             return self._unit()
-        out, base = None, self
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        return _power((self,), 0, k, {})
+
+
+def _power(args, i, k, powers):
+    """args[i] ** k for k >= 1, read from or stored in the table `powers`.
+
+    Walks k's bits from the top: square, and at a set bit times args[i],
+    each step read from the table first: a lone power costs bitlen(k) - 1
+    squarings and popcount(k) - 1 products, a shared one is built once.
+    """
+    p = powers.get((i, k))
+    if p is not None:
+        return p
+    x = p = args[i]
+    j = 1
+    for bit in bin(k)[3:]:
+        j *= 2
+        q = powers.get((i, j))
+        p = powers[(i, j)] = p * p if q is None else q
+        if bit == "1":
+            j += 1
+            q = powers.get((i, j))
+            p = powers[(i, j)] = p * x if q is None else q
+    return p
 
 
 def fraction_free(values) -> bool:

@@ -6,6 +6,12 @@ Failures carry serialized counterexamples.  Scales (model dimension, arities,
 degree, case counts) come from SuiteConfig; the defaults keep a full run in
 the tens of seconds.
 
+Each property is declared once, by `@_property(suite, statement)` on its
+runner `run_<name>`: the decorator names the property after the function,
+appends it to PROPERTIES in definition order (the report's order), and
+wraps the body, which only fills the `_Run` it is handed, so that
+`run_<name>(sampler, cfg)` returns that `_Run`.
+
 The brackets suite states antisymmetry and the Jacobi identity once for all
 four brackets.  Each term is aligned with the first by a swap: the block
 shuffle of its arities for the ungraded L1 and L12, the sign (-1)^(ab) of the
@@ -16,6 +22,7 @@ are checked against the classical commutator X.grad(Y) - Y.grad(X).
 import random
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from functools import wraps
 from itertools import combinations, product as iter_product
 
 from .errors import ValidationError
@@ -218,6 +225,30 @@ class _Run:
             self.fail(message, **objects)
 
 
+@dataclass(frozen=True)
+class Property:
+    name: str
+    suite: str
+    statement: str
+    runner: callable
+
+
+PROPERTIES = []
+
+
+def _property(suite: str, statement: str):
+    """Declare the decorated `run_<name>(s, cfg, run)`; see the module docstring."""
+    def declare(body):
+        @wraps(body)
+        def runner(s: Sampler, cfg: SuiteConfig) -> _Run:
+            run = _Run()
+            body(s, cfg, run)
+            return run
+        PROPERTIES.append(Property(body.__name__.removeprefix("run_"), suite, statement, runner))
+        return runner
+    return declare
+
+
 # ---------------------------------------------------------------------------
 # oracles used only for cross-checking
 
@@ -252,8 +283,8 @@ def flow_commutator(x: PolyMap, y: PolyMap) -> PolyMap:
 # weil suite
 
 
-def run_weil_dimensions(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("weil", "algebra dimensions match brute-force monomial enumeration")
+def run_weil_dimensions(s: Sampler, cfg: SuiteConfig, run: _Run):
     named = [(d_cube(n), 2 ** n) for n in range(7)]
     named += [(d_paren(2), 3),
               (SimplicialObject(3, frozenset({(1, 3), (2, 3)})), 5),
@@ -265,11 +296,10 @@ def run_weil_dimensions(s: Sampler, cfg: SuiteConfig) -> _Run:
         run.check(alg.dim == dim == len(oracle) and list(alg.basis) == oracle,
                   "dimension or basis differs from enumeration", object=obj,
                   expected=dim, got=alg.dim)
-    return run
 
 
-def run_weil_basis_enumeration(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("weil", "bases equal the brute-force filter and are divisor-closed")
+def run_weil_basis_enumeration(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         obj = s.simplicial_object(4)
         alg = make_algebra(obj)
@@ -281,16 +311,14 @@ def run_weil_basis_enumeration(s: Sampler, cfg: SuiteConfig) -> _Run:
                     lower = tuple(e - 1 if k == i else e for k, e in enumerate(exps))
                     good = good and lower in alg.index
         run.check(good, "basis mismatch or not divisor-closed", object=obj)
-    return run
 
 
-def run_oplus_associative(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("weil", "the cross-vanishing combination of objects is associative")
+def run_oplus_associative(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         a, b, c = (s.simplicial_object(3) for _ in range(3))
         run.check(oplus(oplus(a, b), c) == oplus(a, oplus(b, c)),
                   "combination is not associative", a=a, b=b, c=c)
-    return run
 
 
 def _canonical_morphisms():
@@ -304,8 +332,8 @@ def _canonical_morphisms():
     return out
 
 
-def run_morphism_algebra_map(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("weil", "pullback along object maps is linear, unital and multiplicative")
+def run_morphism_algebra_map(s: Sampler, cfg: SuiteConfig, run: _Run):
     morphisms = _canonical_morphisms()
     for _ in range(cfg.cases_per_property):
         f = s.rng.choice(morphisms)
@@ -319,11 +347,10 @@ def run_morphism_algebra_map(s: Sampler, cfg: SuiteConfig) -> _Run:
         mult = f.pullback_element(x * y) == f.pullback_element(x) * f.pullback_element(y)
         run.check(lin and unital and mult,
                   "pullback is not an algebra map", morphism=f)
-    return run
 
 
-def run_poly_eval_functorial(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("weil", "evaluation matches naive substitution and commutes with composition")
+def run_poly_eval_functorial(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         f = s.polymap(m, m, cfg.deg_max)
@@ -347,15 +374,14 @@ def run_poly_eval_functorial(s: Sampler, cfg: SuiteConfig) -> _Run:
         ident_ok = PolyMap.identity(m).eval(args, one) == args
         run.check(plain_ok and chain_ok and ident_ok,
                   "evaluation is not functorial", f=f, g=g)
-    return run
 
 
 # ---------------------------------------------------------------------------
 # microcalc suite
 
 
-def run_strong_diff_antisymmetry(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("microcalc", "the two orders of a strong difference cancel exactly")
+def run_strong_diff_antisymmetry(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         g1, g2 = s.micro_pair(2, m, [(1, 2)])
@@ -366,11 +392,10 @@ def run_strong_diff_antisymmetry(s: Sampler, cfg: SuiteConfig) -> _Run:
         run.check(all(not v for v in psum) and fwd.base() == rev.base() == g1.base(),
                   "difference pair does not cancel", g1=g1, g2=g2,
                   forward=fwd, reverse=rev)
-    return run
 
 
-def run_pullback_roundtrip(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("microcalc", "gluings restrict back to their legs and are solve-order independent")
+def run_pullback_roundtrip(s: Sampler, cfg: SuiteConfig, run: _Run):
     for name, n, redraw in (("square", 2, [(1, 2)]),
                             ("cube-1", 3, [(2, 3), (1, 2, 3)]),
                             ("cube-2", 3, [(1, 3), (1, 2, 3)]),
@@ -391,11 +416,10 @@ def run_pullback_roundtrip(s: Sampler, cfg: SuiteConfig) -> _Run:
                           for rhs, c in zip(stacked, glued.coords)))
             run.check(ok, f"round trip or uniqueness failed for {name}",
                       g1=g1, g2=g2, glued=glued)
-    return run
 
 
-def run_strong_diff_translation(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("microcalc", "the strong difference is translation-equivariant in the corner")
+def run_strong_diff_translation(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         g1, g2 = s.micro_pair(2, m, [(1, 2)])
@@ -414,15 +438,14 @@ def run_strong_diff_translation(s: Sampler, cfg: SuiteConfig) -> _Run:
               == tuple(a + b for a, b in zip(tangent_principal(base), v)))
         run.check(ok, "difference is not translation-equivariant in the corner",
                   g1=g1, g2=g2, shift=v)
-    return run
 
 
 # ---------------------------------------------------------------------------
 # jacobi suite
 
 
-def run_general_jacobi_flows(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("jacobi", "threefold differences of flow-generated cube six-tuples sum to zero")
+def run_general_jacobi_flows(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         fields = [s.vector_field(m, cfg.deg_max) for _ in range(3)]
@@ -438,11 +461,10 @@ def run_general_jacobi_flows(s: Sampler, cfg: SuiteConfig) -> _Run:
             run.check(all(not v for v in tangent_principal(defect)),
                       "nonzero defect for flow-generated cubes",
                       fields=fields, at=at, defect=defect)
-    return run
 
 
-def run_general_jacobi_random(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("jacobi", "threefold differences of constraint-solved six-tuples sum to zero")
+def run_general_jacobi_random(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         t = s.triangle(m)
@@ -455,11 +477,10 @@ def run_general_jacobi_random(s: Sampler, cfg: SuiteConfig) -> _Run:
         run.check(all(not v for v in tangent_principal(defect)),
                   "nonzero defect for constraint-solved cubes",
                   cubes=t.cubes, defect=defect)
-    return run
 
 
-def run_triangle_membership_flows(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("jacobi", "flow-generated six-tuples satisfy every membership condition")
+def run_triangle_membership_flows(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         fields = [s.vector_field(m, cfg.deg_max) for _ in range(3)]
@@ -468,15 +489,14 @@ def run_triangle_membership_flows(s: Sampler, cfg: SuiteConfig) -> _Run:
         bad = t.violations()
         run.check(not bad, "membership violated: " + (bad[0] if bad else ""),
                   fields=fields, at=at)
-    return run
 
 
 # ---------------------------------------------------------------------------
 # conv suite
 
 
-def run_conv_shuffle(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("conv", "block-shuffled under-convolution equals the swapped over-convolution")
+def run_conv_shuffle(s: Sampler, cfg: SuiteConfig, run: _Run):
     for p, q in iter_product(range(3), range(3)):
         for _ in range(cfg.cases_per_property):
             m = s.m(cfg)
@@ -486,11 +506,10 @@ def run_conv_shuffle(s: Sampler, cfg: SuiteConfig) -> _Run:
             rhs = conv_over(g, f)
             run.check(lhs == rhs, f"shuffle relation fails at ({p},{q})",
                       f=f, g=g, lhs=lhs, rhs=rhs)
-    return run
 
 
-def run_conv_associative(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("conv", "both convolutions are associative")
+def run_conv_associative(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         p, q, r = (s.rng.randint(0, 1) for _ in range(3))
@@ -500,11 +519,10 @@ def run_conv_associative(s: Sampler, cfg: SuiteConfig) -> _Run:
         over_ok = conv_over(conv_over(f, g), h) == conv_over(f, conv_over(g, h))
         run.check(under_ok and over_ok, "convolution is not associative",
                   f=f, g=g, h=h)
-    return run
 
 
-def run_conv_base_projection(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("conv", "convolving against the base projection is side-independent")
+def run_conv_base_projection(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         p, q = s.rng.randint(0, 2), s.rng.randint(0, 2)
@@ -514,11 +532,10 @@ def run_conv_base_projection(s: Sampler, cfg: SuiteConfig) -> _Run:
         right = conv_under(f, pi_kernel(q, m)) == conv_over(f, pi_kernel(q, m))
         run.check(left and right,
                   "projection convolution depends on the side", f=f, g=g)
-    return run
 
 
-def run_conv_composition_reduction(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("conv", "arity-zero convolutions reduce to map composition")
+def run_conv_composition_reduction(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         f = s.kernel(0, m, cfg.deg_max)
@@ -526,15 +543,14 @@ def run_conv_composition_reduction(s: Sampler, cfg: SuiteConfig) -> _Run:
         run.check(conv_under(f, g).body == f.body.compose(g.body)
                   and conv_over(f, g).body == g.body.compose(f.body),
                   "arity-zero convolution is not composition", f=f, g=g)
-    return run
 
 
 # ---------------------------------------------------------------------------
 # prod suite
 
 
-def run_prod_associative(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("prod", "both expanded products are associative")
+def run_prod_associative(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         forms = [s.omega1_form(s.rng.randint(0, 1), m, cfg.deg_max)
@@ -544,11 +560,10 @@ def run_prod_associative(s: Sampler, cfg: SuiteConfig) -> _Run:
         over_ok = prod_over(prod_over(x, y), z) == prod_over(x, prod_over(y, z))
         run.check(under_ok and over_ok, "expanded product is not associative",
                   x=x, y=y, z=z)
-    return run
 
 
-def run_prod_low_order_agreement(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("prod", "the two expanded products agree on every slot below the corner")
+def run_prod_low_order_agreement(s: Sampler, cfg: SuiteConfig, run: _Run):
     for p, q in iter_product(range(2), range(2)):
         for _ in range(cfg.cases_per_property):
             m = s.m(cfg)
@@ -560,7 +575,6 @@ def run_prod_low_order_agreement(s: Sampler, cfg: SuiteConfig) -> _Run:
                      for sub in [(), (1,), (2,)])
             run.check(ok, f"products disagree below the corner at ({p},{q})",
                       x=x, y=y)
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -595,66 +609,66 @@ def _arity_cases(s, cfg, count, cases):
             yield arities, s.m(cfg)
 
 
-def _antisymmetry_loop(s, cfg, draw, bracket, swap, what) -> _Run:
-    run = _Run()
+def _antisymmetry_loop(run, s, cfg, draw, bracket, swap, what):
     for (p, q), m in _arity_cases(s, cfg, 2, cfg.cases_per_property):
         x, y = draw(p, m, cfg.deg_max), draw(q, m, cfg.deg_max)
         run.check(not _antisymmetry_sum(bracket, swap, x, y, bracket(x, y)),
                   f"{what} fails at ({p},{q})", x=x, y=y)
-    return run
 
 
-def _jacobi_loop(s, cfg, draw, bracket, swap, what) -> _Run:
-    run = _Run()
+def _jacobi_loop(run, s, cfg, draw, bracket, swap, what):
     for (p, q, r), m in _arity_cases(s, cfg, 3, cfg.cases_per_property):
         x, y, z = (draw(a, m, cfg.deg_max) for a in (p, q, r))
         run.check(not _jacobi_sum(bracket, swap, x, y, z),
                   f"{what} fails at ({p},{q},{r})", x=x, y=y, z=z)
-    return run
 
 
-def _identities_loop(s, cfg, draw, bracket, swap, closed, what) -> _Run:
+def _identities_loop(run, s, cfg, draw, bracket, swap, closed, what):
     """Closure, antisymmetry and Jacobi together, on half as many cases."""
-    run = _Run()
     for (p, q, r), m in _arity_cases(s, cfg, 3, max(cfg.cases_per_property // 2, 1)):
         x, y, z = (draw(a, m, cfg.deg_max) for a in (p, q, r))
         xy = bracket(x, y)
         run.check(closed(xy) and not _antisymmetry_sum(bracket, swap, x, y, xy)
                   and not _jacobi_sum(bracket, swap, x, y, z),
                   f"{what} fails at ({p},{q},{r})", x=x, y=y, z=z)
-    return run
 
 
-def run_bracket_antisymmetry(s: Sampler, cfg: SuiteConfig) -> _Run:
-    return _antisymmetry_loop(s, cfg, s.omega1_form, bracket_l1, _shuffle_swap,
-                              "bracket antisymmetry")
+@_property("brackets", "bracket(x,y) plus the block-shuffled bracket(y,x) vanishes")
+def run_bracket_antisymmetry(s: Sampler, cfg: SuiteConfig, run: _Run):
+    _antisymmetry_loop(run, s, cfg, s.omega1_form, bracket_l1, _shuffle_swap,
+                       "bracket antisymmetry")
 
 
-def run_bracket_jacobi(s: Sampler, cfg: SuiteConfig) -> _Run:
-    return _jacobi_loop(s, cfg, s.omega1_form, bracket_l1, _shuffle_swap, "bracket jacobi")
+@_property("brackets", "the three aligned iterated brackets sum to zero")
+def run_bracket_jacobi(s: Sampler, cfg: SuiteConfig, run: _Run):
+    _jacobi_loop(run, s, cfg, s.omega1_form, bracket_l1, _shuffle_swap, "bracket jacobi")
 
 
-def run_bracket_multilinear_identities(s: Sampler, cfg: SuiteConfig) -> _Run:
-    return _identities_loop(s, cfg, s.multilinear_form, bracket_l12, _shuffle_swap,
-                            is_omega12, "multilinear bracket identity")
+@_property("brackets", "the multilinear bracket closes and satisfies the same identities")
+def run_bracket_multilinear_identities(s: Sampler, cfg: SuiteConfig, run: _Run):
+    _identities_loop(run, s, cfg, s.multilinear_form, bracket_l12, _shuffle_swap,
+                     is_omega12, "multilinear bracket identity")
 
 
-def run_bracket_graded_antisymmetry(s: Sampler, cfg: SuiteConfig) -> _Run:
-    return _antisymmetry_loop(s, cfg, s.omega13_form, bracket_fn13, _graded_swap,
-                              "graded antisymmetry")
+@_property("brackets", "graded bracket(x,y) + (-1)^pq graded bracket(y,x) vanishes")
+def run_bracket_graded_antisymmetry(s: Sampler, cfg: SuiteConfig, run: _Run):
+    _antisymmetry_loop(run, s, cfg, s.omega13_form, bracket_fn13, _graded_swap,
+                       "graded antisymmetry")
 
 
-def run_bracket_graded_jacobi(s: Sampler, cfg: SuiteConfig) -> _Run:
-    return _jacobi_loop(s, cfg, s.omega13_form, bracket_fn13, _graded_swap, "graded jacobi")
+@_property("brackets", "graded iterated brackets with (-1)^p(q+r) style signs sum to zero")
+def run_bracket_graded_jacobi(s: Sampler, cfg: SuiteConfig, run: _Run):
+    _jacobi_loop(run, s, cfg, s.omega13_form, bracket_fn13, _graded_swap, "graded jacobi")
 
 
-def run_bracket_alternating_multilinear(s: Sampler, cfg: SuiteConfig) -> _Run:
-    return _identities_loop(s, cfg, s.omega123_form, bracket_fn123, _graded_swap,
-                            is_omega123, "full graded bracket identity")
+@_property("brackets", "the full graded bracket closes and satisfies the graded identities")
+def run_bracket_alternating_multilinear(s: Sampler, cfg: SuiteConfig, run: _Run):
+    _identities_loop(run, s, cfg, s.omega123_form, bracket_fn123, _graded_swap,
+                     is_omega123, "full graded bracket identity")
 
 
-def run_bracket_closure(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("brackets", "bracket outputs pass the membership predicates of their class")
+def run_bracket_closure(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         p, q = s.rng.randint(0, cfg.p_max), s.rng.randint(0, cfg.q_max)
@@ -668,11 +682,10 @@ def run_bracket_closure(s: Sampler, cfg: SuiteConfig) -> _Run:
               and is_omega13(bracket_fn13(x13, y13))
               and is_omega123(bracket_fn123(x123, y123)))
         run.check(ok, "bracket output left its class", p=p, q=q)
-    return run
 
 
-def run_antisymmetrizer_equivariance(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("brackets", "the antisymmetrizer intertwines axis permutations by their sign")
+def run_antisymmetrizer_equivariance(s: Sampler, cfg: SuiteConfig, run: _Run):
     for p in range(4):
         for _ in range(max(cfg.cases_per_property // 4, 1)):
             m = s.m(cfg)
@@ -686,11 +699,10 @@ def run_antisymmetrizer_equivariance(s: Sampler, cfg: SuiteConfig) -> _Run:
                 ok = ok and antisymmetrize(perm_act(x, sigma)) == scaled
                 ok = ok and perm_act(ax, sigma) == scaled
             run.check(ok, f"antisymmetrizer equivariance fails at p={p}", x=x)
-    return run
 
 
-def run_bracket_reductions(s: Sampler, cfg: SuiteConfig) -> _Run:
-    run = _Run()
+@_property("brackets", "all four brackets coincide on vector fields")
+def run_bracket_reductions(s: Sampler, cfg: SuiteConfig, run: _Run):
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         x = vector_field_form(s.vector_field(m, cfg.deg_max))
@@ -699,16 +711,15 @@ def run_bracket_reductions(s: Sampler, cfg: SuiteConfig) -> _Run:
                bracket_fn13(x, y), bracket_fn123(x, y)]
         run.check(all(o == out[0] for o in out),
                   "the four brackets differ on vector fields", x=x, y=y)
-    return run
 
 
-def run_classical_commutator(s: Sampler, cfg: SuiteConfig) -> _Run:
+@_property("brackets", "vector-field brackets match the flow commutator with one fixed sign")
+def run_classical_commutator_crosscheck(s: Sampler, cfg: SuiteConfig, run: _Run):
     """The bracket of two vector fields against the flow-commutator oracle.
 
     One global sign relates the two conventions; it must be the same sign in
     every case, and this library's is -1 against the classical commutator.
     """
-    run = _Run()
     for _ in range(cfg.cases_per_property):
         m = s.m(cfg)
         x = s.vector_field(m, cfg.deg_max)
@@ -718,104 +729,10 @@ def run_classical_commutator(s: Sampler, cfg: SuiteConfig) -> _Run:
         run.check(got == oracle.scale(Q(-1)),
                   "bracket does not match the flow commutator with sign -1",
                   x=x, y=y, got=got, oracle=oracle)
-    return run
 
 
 # ---------------------------------------------------------------------------
-# registry and report
-
-
-@dataclass(frozen=True)
-class Property:
-    name: str
-    suite: str
-    statement: str
-    runner: callable
-
-
-PROPERTIES = (
-    Property("weil_dimensions", "weil",
-             "algebra dimensions match brute-force monomial enumeration",
-             run_weil_dimensions),
-    Property("weil_basis_enumeration", "weil",
-             "bases equal the brute-force filter and are divisor-closed",
-             run_weil_basis_enumeration),
-    Property("oplus_associative", "weil",
-             "the cross-vanishing combination of objects is associative",
-             run_oplus_associative),
-    Property("morphism_algebra_map", "weil",
-             "pullback along object maps is linear, unital and multiplicative",
-             run_morphism_algebra_map),
-    Property("poly_eval_functorial", "weil",
-             "evaluation matches naive substitution and commutes with composition",
-             run_poly_eval_functorial),
-    Property("strong_diff_antisymmetry", "microcalc",
-             "the two orders of a strong difference cancel exactly",
-             run_strong_diff_antisymmetry),
-    Property("pullback_roundtrip", "microcalc",
-             "gluings restrict back to their legs and are solve-order independent",
-             run_pullback_roundtrip),
-    Property("strong_diff_translation", "microcalc",
-             "the strong difference is translation-equivariant in the corner",
-             run_strong_diff_translation),
-    Property("general_jacobi_flows", "jacobi",
-             "threefold differences of flow-generated cube six-tuples sum to zero",
-             run_general_jacobi_flows),
-    Property("general_jacobi_random", "jacobi",
-             "threefold differences of constraint-solved six-tuples sum to zero",
-             run_general_jacobi_random),
-    Property("triangle_membership_flows", "jacobi",
-             "flow-generated six-tuples satisfy every membership condition",
-             run_triangle_membership_flows),
-    Property("conv_shuffle", "conv",
-             "block-shuffled under-convolution equals the swapped over-convolution",
-             run_conv_shuffle),
-    Property("conv_associative", "conv",
-             "both convolutions are associative",
-             run_conv_associative),
-    Property("conv_base_projection", "conv",
-             "convolving against the base projection is side-independent",
-             run_conv_base_projection),
-    Property("conv_composition_reduction", "conv",
-             "arity-zero convolutions reduce to map composition",
-             run_conv_composition_reduction),
-    Property("prod_associative", "prod",
-             "both expanded products are associative",
-             run_prod_associative),
-    Property("prod_low_order_agreement", "prod",
-             "the two expanded products agree on every slot below the corner",
-             run_prod_low_order_agreement),
-    Property("bracket_antisymmetry", "brackets",
-             "bracket(x,y) plus the block-shuffled bracket(y,x) vanishes",
-             run_bracket_antisymmetry),
-    Property("bracket_jacobi", "brackets",
-             "the three aligned iterated brackets sum to zero",
-             run_bracket_jacobi),
-    Property("bracket_multilinear_identities", "brackets",
-             "the multilinear bracket closes and satisfies the same identities",
-             run_bracket_multilinear_identities),
-    Property("bracket_graded_antisymmetry", "brackets",
-             "graded bracket(x,y) + (-1)^pq graded bracket(y,x) vanishes",
-             run_bracket_graded_antisymmetry),
-    Property("bracket_graded_jacobi", "brackets",
-             "graded iterated brackets with (-1)^p(q+r) style signs sum to zero",
-             run_bracket_graded_jacobi),
-    Property("bracket_alternating_multilinear", "brackets",
-             "the full graded bracket closes and satisfies the graded identities",
-             run_bracket_alternating_multilinear),
-    Property("bracket_closure", "brackets",
-             "bracket outputs pass the membership predicates of their class",
-             run_bracket_closure),
-    Property("antisymmetrizer_equivariance", "brackets",
-             "the antisymmetrizer intertwines axis permutations by their sign",
-             run_antisymmetrizer_equivariance),
-    Property("bracket_reductions", "brackets",
-             "all four brackets coincide on vector fields",
-             run_bracket_reductions),
-    Property("classical_commutator_crosscheck", "brackets",
-             "vector-field brackets match the flow commutator with one fixed sign",
-             run_classical_commutator),
-)
+# report
 
 
 def run_verification(cfg: SuiteConfig) -> dict:

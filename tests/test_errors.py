@@ -115,12 +115,14 @@ def test_validation_branch(call, error, message):
 
 def test_ring_valued_weil_arithmetic_checks_variable_counts():
     # polynomial coefficients in 1 and 2 variables meet at a basis position,
-    # in a sum, in a lone product and in a fused sum of products
+    # in a sum, in a lone product (x * y meets its lone product X * Y first)
+    # and in a fused sum of products: the evaluation of 2ab at (x, y) sums
+    # 2 * X * Y at position 0
     alg = make_algebra(d_cube(1))
     x = WeilElement(alg, {0: Poly.var(1, 0), 1: Poly.one(1)})
     y = WeilElement(alg, {0: Poly.var(2, 0), 1: Poly.one(2)})
     for call in (lambda: x + y, lambda: x * WeilElement(alg, {0: Poly.var(2, 0)}),
-                 lambda: x * y):
+                 lambda: x * y, lambda: Poly.from_terms(2, [(Q(2), (1, 1))]).eval([x, y])):
         with pytest.raises(ValidationError, match="^polynomials in different variable counts"):
             call()
 

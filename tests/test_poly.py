@@ -232,6 +232,7 @@ def test_rationals_and_ints_add_as_constants(a, c, n):
         check(x + const, ref_add(a, ref))
         check(const + x, ref_add(a, ref))
         check(x - const, ref_add(a, ref_scale(Fraction(-1), ref)))
+        check(const - x, ref_add(ref, ref_scale(Fraction(-1), a)))
 
 
 @settings(max_examples=80, deadline=None)

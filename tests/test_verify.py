@@ -1,4 +1,7 @@
 import json
+import re
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +192,60 @@ def test_flow_commutator_oracle_values():
 def test_property_names_unique():
     names = [p.name for p in PROPERTIES]
     assert len(names) == len(set(names))
+
+
+GOLDEN_REPORT = Path(__file__).resolve().parent / "golden" / "verify_seed7.json"
+
+
+def test_properties_are_declared_as_in_the_golden_report():
+    """Each property's name, suite and statement, in the report's order.
+
+    The golden report is not strict JSON once its "time_s" lines are
+    dropped, so the three keys of each property entry are read line by line.
+    """
+    key_line = re.compile(r'^ {6}"(name|statement|suite)": ("(?:[^"\\]|\\.)*"),?$')
+    golden, entry = [], {}
+    for line in GOLDEN_REPORT.read_text().splitlines():
+        match = key_line.match(line)
+        if match:
+            entry[match[1]] = json.loads(match[2])
+            if len(entry) == 3:
+                golden.append((entry["name"], entry["suite"], entry["statement"]))
+                entry = {}
+    assert [(p.name, p.suite, p.statement) for p in PROPERTIES] == golden
+
+
+def _break_a_slot(monkeypatch):
+    """Make Sampler.triangle shift the d1*d2 slot of cube 123 by one, so the
+    six-tuple breaks its membership conditions."""
+    honest = verify.Sampler.triangle
+    keys = [c for k in range(4) for c in combinations((1, 2, 3), k)]
+
+    def broken(self, m):
+        cubes = dict(honest(self, m).cubes)
+        table = {key: list(cubes["123"].coeff(key)) for key in keys}
+        table[(1, 2)] = [c + 1 for c in table[(1, 2)]]
+        cubes["123"] = MicroPoint.from_table(d_cube(3), m, table)
+        return micro.TriangleConfig(cubes)
+
+    monkeypatch.setattr(verify.Sampler, "triangle", broken)
+
+
+def test_random_jacobi_suite_records_a_membership_violation(monkeypatch):
+    _break_a_slot(monkeypatch)
+    run = verify.run_general_jacobi_random(Sampler("0/general_jacobi_random"), SMALL)
+    assert run.cases == run.failed == SMALL.cases_per_property
+    witness = run.witnesses[0]
+    assert witness["message"] == ("constraint solving left a violation: "
+                                  "cubes 123 and 132 disagree after killing d2*d3")
+    assert set(witness) == {"message", "cubes"}
+
+
+def test_verify_command_prints_the_witness_and_fails(monkeypatch, capsys):
+    _break_a_slot(monkeypatch)
+    assert main(["verify", "--suites", "jacobi", "--cases", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    witnesses = [line.split("witness: ", 1)[1] for line in lines if "  witness: " in line]
+    assert len(witnesses) == 1
+    assert json.loads(witnesses[0])["message"].startswith("constraint solving left a violation")
+    assert lines[-1] == "result: FAIL"
