@@ -98,10 +98,10 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def cmd_jacobi3(args) -> int:
+def _jacobi3_cases(args):
+    """The record key and the six cubes of each case, built as they are read."""
     if args.point is not None and not args.fields:
         raise ValidationError("--point needs --fields")
-    results = []
     if args.fields:
         maps = [polymap_from_json(_load_json_arg(f)) for f in args.fields]
         dims = {f.in_dim for f in maps} | {f.out_dim for f in maps}
@@ -115,37 +115,33 @@ def cmd_jacobi3(args) -> int:
                 raise ValidationError(f"bad point coordinate: {exc}") from exc
         else:
             at = [Q(0)] * m
-        t = triangle_from_vector_fields(*maps, at)
-        bad = t.violations()
-        defect = jacobi3_defect(t)
-        results.append({"at": [rat_str(v) for v in at],
-                        "membership_violations": bad,
-                        "defect_principal": [rat_str(v) for v in tangent_principal(defect)]})
-    else:
-        if args.random < 1:
-            raise ValidationError("--random must be >= 1")
-        from .verify import Sampler
-        sampler = Sampler(f"{args.seed}/jacobi3")
-        for i in range(args.random):
-            m = sampler.rng.randint(1, 2)
-            t = sampler.triangle(m)
-            bad = t.violations()
-            defect = jacobi3_defect(t)
-            results.append({"case": i, "m": m,
-                            "membership_violations": bad,
-                            "defect_principal": [rat_str(v) for v in tangent_principal(defect)]})
-    all_zero = all(not any(v != "0" for v in r["defect_principal"])
-                   and not r["membership_violations"] for r in results)
+        yield {"at": [rat_str(v) for v in at]}, triangle_from_vector_fields(*maps, at)
+        return
+    if args.random < 1:
+        raise ValidationError("--random must be >= 1")
+    from .verify import Sampler
+    sampler = Sampler(f"{args.seed}/jacobi3")
+    for i in range(args.random):
+        m = sampler.rng.randint(1, 2)
+        yield {"case": i, "m": m}, sampler.triangle(m)
+
+
+def cmd_jacobi3(args) -> int:
+    # jacobi3_defect refuses six cubes that break a membership condition
+    # (exit 3), so a recorded case has no violations
+    results = [{**key, "membership_violations": [],
+                "defect_principal": [rat_str(v) for v in tangent_principal(jacobi3_defect(t))]}
+               for key, t in _jacobi3_cases(args)]
+    all_zero = all(v == "0" for r in results for v in r["defect_principal"])
     if args.json:
         print(json.dumps({"cases": results, "all_zero": all_zero},
                          indent=2, sort_keys=True))
     else:
         for r in results:
             tag = r.get("case", "point " + ",".join(r.get("at", [])))
-            status = "zero" if not any(v != "0" for v in r["defect_principal"]) \
+            status = "zero" if all(v == "0" for v in r["defect_principal"]) \
                 else "NONZERO " + str(r["defect_principal"])
-            print(f"case {tag}: defect {status}; "
-                  f"membership {'ok' if not r['membership_violations'] else r['membership_violations']}")
+            print(f"case {tag}: defect {status}; membership ok")
         print("result: " + ("PASS" if all_zero else "FAIL"))
     return 0 if all_zero else 1
 
@@ -199,10 +195,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ValidationError among them
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 

@@ -21,11 +21,11 @@ because none of them ever changes:
   read-only index of their positions, 2^p entries, kept for the life of the
   process like the cube algebra it is read from): the only record of slot
   order, which kernels, convolutions and the bracket all read;
-- one variable map per permutation (an LRU cache of at most 1024 maps of
-  m * 2^p indices each), which `Poly.remap_variables` applies as a gather;
 - one permutation table per arity p and dimension m (an LRU cache of at
-  most 64): every axis permutation's exponent gather, split by sign, and
-  the adjacent transpositions that the alternation check applies;
+  most 64): every axis permutation's variable map (m * 2^p indices, which
+  `perm_kernel` hands to `Poly.remap_variables`) and its exponent gather,
+  split by sign, and the adjacent transpositions that the alternation
+  check applies;
 - one convolution layout per shape (an LRU cache of at most 128): the
   units of the outer-axis and the expansion algebras, the inner arguments
   and the expansion algebra's cube layout, held in tuples and read-only
@@ -177,37 +177,12 @@ class Permutation:
     def all(p: int):
         return [Permutation(im) for im in iter_permutations(range(1, p + 1))]
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def after(self, other: "Permutation") -> "Permutation":
-        """self composed after other: i -> self(other(i))."""
-        if self.p != other.p:
-            raise ValidationError("permutations of different degree")
-        return Permutation(self.images[other.images[i - 1] - 1] for i in range(1, self.p + 1))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.p
-        for i, im in enumerate(self.images):
-            inv[im - 1] = i + 1
-        return Permutation(inv)
-
     @property
     def sign(self) -> int:
-        seen = [False] * self.p
-        sign = 1
-        for i in range(self.p):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        """(-1) to the number of inversions: pairs i < j whose images come in the other order."""
+        im = self.images
+        inversions = sum(a > b for i, a in enumerate(im) for b in im[i + 1:])
+        return -1 if inversions % 2 else 1
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -224,20 +199,9 @@ def shuffle_sigma(p: int, q: int) -> Permutation:
     return Permutation([q + i for i in range(1, p + 1)] + list(range(1, q + 1)))
 
 
-@lru_cache(maxsize=1024)
-def _perm_map(p: int, m: int, images: tuple) -> tuple:
-    """Variable map of the axis permutation with these images on arity p, R^m."""
-    layout = _cube_layout(p)
-    mapping = [0] * cube_dim(p, m)
-    for pos, subset in layout.subsets:
-        tgt = layout.index[frozenset(images[i - 1] for i in subset)]
-        for j in range(m):
-            mapping[pos * m + j] = tgt * m + j
-    return tuple(mapping)
-
-
 # The axis permutations of arity p on R^m, built once.
 _PermTable = namedtuple("_PermTable", [
+    "maps",     # read-only: the variable map of each permutation, by its images
     "checks",   # the adjacent transpositions, which generate S_p
     "even",     # exponent gathers of the even permutations of S_p
     "odd",      # exponent gathers of the odd permutations of S_p
@@ -246,20 +210,25 @@ _PermTable = namedtuple("_PermTable", [
 
 @lru_cache(maxsize=64)
 def _perm_table(p: int, m: int) -> _PermTable:
-    even, odd = [], []
+    layout = _cube_layout(p)
+    maps, even, odd = {}, [], []
     for sigma in Permutation.all(p):
-        gather = _permutation_gather(_perm_map(p, m, sigma.images))
-        (even if sigma.sign == 1 else odd).append(gather)
+        mapping = [0] * cube_dim(p, m)
+        for pos, subset in layout.subsets:
+            tgt = layout.index[frozenset(sigma.images[i - 1] for i in subset)] * m
+            mapping[pos * m:(pos + 1) * m] = range(tgt, tgt + m)
+        maps[sigma.images] = mapping = tuple(mapping)
+        (even if sigma.sign == 1 else odd).append(_permutation_gather(mapping))
     checks = [Permutation([*range(1, i), i + 1, i, *range(i + 2, p + 1)])
               for i in range(1, p)]
-    return _PermTable(tuple(checks), tuple(even), tuple(odd))
+    return _PermTable(MappingProxyType(maps), tuple(checks), tuple(even), tuple(odd))
 
 
 def perm_kernel(k: Kernel, sigma: Permutation) -> Kernel:
     """Precompose with the axis permutation: result(gamma) = k(gamma^sigma)."""
     if sigma.p != k.p:
         raise ValidationError("permutation degree != kernel arity")
-    mapping = _perm_map(k.p, k.m, sigma.images)
+    mapping = _perm_table(k.p, k.m).maps[sigma.images]
     comps = [c.remap_variables(mapping) for c in k.body.comps]
     return Kernel(k.p, k.m, PolyMap(k.body.in_dim, comps))
 
@@ -592,7 +561,8 @@ def antisymmetrize(x: FormElem, factor=ONE) -> FormElem:
     carried unchanged rather than picking up a factor p!.
     """
     ker = x.principal()
-    _checks, even, odd = _perm_table(x.p, x.m)
+    table = _perm_table(x.p, x.m)
+    even, odd = table.even, table.odd
     p, q = factor.numerator, factor.denominator
     n = ker.body.in_dim
     comps = []

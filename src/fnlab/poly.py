@@ -7,10 +7,13 @@ the denominator and every numerator.  The reduced form is canonical, so two
 polynomials are equal iff their numerators and denominators are; an int or
 rational equals, and adds as, the constant polynomial.  `FractionFree` owns
 negation, difference, rational scaling and powers by repeated squaring; Poly
-keeps its sum, product, equality, evaluation and variable maps.  Its product
-is one loop, `_mul_into`, that adds products of numerators by exponent into a
-dict: a fresh one for `*`, the evaluation sum of `rationals.combine` for
-`eval`.  All work on the integers and reduce once, by one gcd pass;
+keeps its sum, product, equality, evaluation and variable permutations, and
+any other substitution of variables is an evaluation at `Poly.var`
+arguments.  A permutation moves each exponent by one cached gather and
+keeps the numerators and the denominator as they are.  The product is one
+loop, `_mul_into`, that adds products of numerators by exponent into a dict:
+a fresh one for `*`, the evaluation sum of `rationals.combine` for `eval`.
+All work on the integers and reduce at most once, by one gcd pass;
 rationals are built only for readers, by the read-only `terms` view,
 `constant_term` and the 1/denominator scaling that ends an evaluation in a
 ring outside the format.  Nilpotency of Weil scalars performs all truncation
@@ -291,35 +294,19 @@ class Poly(FractionFree):
             total = term if total is None else total + term
         return total if self._den == 1 else rational(1, self._den) * total
 
-    def remap_variables(self, mapping, new_n=None) -> "Poly":
-        """Substitute x_i -> x_mapping[i]; mapping is a 0-based index list.
+    def remap_variables(self, mapping) -> "Poly":
+        """Substitute x_i -> x_mapping[i] for a permutation mapping of range(n).
 
-        A permutation of this polynomial's own variables (new_n absent or
-        equal to n) moves every exponent to its new slot with one cached
-        gather and keeps the numerators and the denominator: distinct
-        monomials stay distinct, so nothing merges and the form stays
-        reduced.  Any other map, an embedding into more variables or a map
-        sending several variables to one, sums exponents term by term and
-        reduces once.
+        Every exponent moves to its new slot by one cached gather, and the
+        numerators and the denominator stay: distinct monomials stay
+        distinct, so nothing merges and the form stays reduced.  Any other
+        mapping is a ValidationError; `eval` at `Poly.var` arguments
+        substitutes any map.
         """
-        m = self.n if new_n is None else new_n
-        if m == self.n == len(mapping):
-            gather = _permutation_gather(tuple(mapping))
-            if gather is not None:
-                return _poly(m, {gather(e): c for e, c in self._num.items()}, self._den)
-        out = {}
-        for e, c in self._num.items():
-            d = [0] * m
-            for i, k in enumerate(e):
-                if k:
-                    d[mapping[i]] += k
-            d = tuple(d)
-            s = out.get(d, 0) + c
-            if s:
-                out[d] = s
-            else:
-                del out[d]
-        return _reduced(m, out, self._den)
+        gather = _permutation_gather(tuple(mapping))
+        if gather is None or len(mapping) != self.n:
+            raise ValidationError(f"not a permutation of the {self.n} variables: {list(mapping)}")
+        return _poly(self.n, {gather(e): c for e, c in self._num.items()}, self._den)
 
     def __repr__(self):
         if not self._num:

@@ -150,6 +150,12 @@ def test_verify_small_pass(capsys):
     assert "result: PASS" in out
 
 
+def test_verify_heavy_raises_the_arity_caps_to_two(capsys):
+    assert main(["verify", "--heavy", "--suites", "weil", "--cases", "1", "--json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["p_max"], config["q_max"], config["r_max"]) == (2, 2, 2)
+
+
 def test_verify_json_deterministic(capsys):
     args = ["verify", "--cases", "2", "--suites", "microcalc", "--json", "--seed", "9"]
     assert main(args) == 0

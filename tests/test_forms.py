@@ -270,14 +270,42 @@ def test_perm_action_composition_law(s_img, t_img):
     sigma, tau = Permutation(s_img), Permutation(t_img)
     k = rkernel(3, 1, deg=2, terms=2)
     lhs = perm_kernel(perm_kernel(k, sigma), tau)
-    assert lhs == perm_kernel(k, tau.after(sigma))
+    # tau after sigma: i -> tau(sigma(i))
+    assert lhs == perm_kernel(k, Permutation(t_img[s - 1] for s in s_img))
+
+
+def cycle_parity_sign(images):
+    """Reference sign: -1 for each cycle of even length."""
+    seen, sign = set(), 1
+    for start in range(1, len(images) + 1):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = images[i - 1]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def test_permutation_sign_and_inverse():
-    sigma = Permutation((2, 3, 1))
-    assert sigma.sign == 1
-    assert sigma.after(sigma.inverse()) == Permutation.identity(3)
+    assert Permutation((2, 3, 1)).sign == 1
     assert Permutation((2, 1, 3)).sign == -1
+    assert Permutation(()).sign == Permutation((1,)).sign == 1
+    for p in range(6):
+        perms = Permutation.all(p)
+        for sigma in perms:
+            assert sigma.sign == cycle_parity_sign(sigma.images), sigma
+            inverse = [0] * p
+            for i, j in enumerate(sigma.images, 1):
+                inverse[j - 1] = i
+            assert Permutation(inverse).sign == sigma.sign
+        if p <= 4:
+            # the sign is multiplicative: tau after sigma is i -> tau(sigma(i))
+            for sigma in perms:
+                for tau in perms:
+                    composed = Permutation(tau.images[s - 1] for s in sigma.images)
+                    assert composed.sign == sigma.sign * tau.sign
     with pytest.raises(ValidationError):
         Permutation((1, 1, 2))
     # permutations hash by their images, so equal ones are one set element
@@ -310,7 +338,7 @@ def naive_perm_kernel(k, sigma):
     n = cube_dim(k.p, k.m)
     args = [None] * n
     for subset, pos in slot.items():
-        tgt = slot[frozenset(sigma(i) for i in subset)]
+        tgt = slot[frozenset(sigma.images[i - 1] for i in subset)]
         for j in range(k.m):
             args[pos * k.m + j] = Poly.var(n, tgt * k.m + j)
     return Kernel(k.p, k.m, PolyMap(n, [c.eval(args, Poly.one(n)) for c in k.body.comps]))
@@ -667,6 +695,17 @@ def orbit_kernel(rng, p, m, terms=3):
     return Kernel(p, m, PolyMap(n, comps))
 
 
+@pytest.mark.parametrize("p, m", [(1, 2), (2, 1), (3, 1), (3, 2)])
+def test_permutation_table_splits_the_gathers_by_sign(p, m):
+    # the orbit sum reads sign(s) twice, so it cannot tell the two halves
+    # apart; the table must still hold each gather under its own sign
+    table = forms._perm_table(p, m)
+    e = next(iter(orbit_kernel(random.Random(f"table-{p}-{m}"), p, m).body.comps[0].numerators))
+    images = list(zip(monomial_images(p, m, e), Permutation.all(p)))
+    for gathers, sign in ((table.even, 1), (table.odd, -1)):
+        assert Counter(g(e) for g in gathers) == Counter(g for g, s in images if s.sign == sign)
+
+
 def assert_matches_full_sum(x, factors=(Q(-3, 4), Q(6), Q(10, 9))):
     full = naive_antisymmetrize(x)
     assert_same_form(antisymmetrize(x), full)
@@ -842,7 +881,7 @@ def test_alternation_needs_every_adjacent_transposition(p):
     ker = Kernel(p, 1, PolyMap(n, [f]))
     for i in range(1, p):
         young = [s for s in Permutation.all(p)
-                 if all((s(j) <= i) == (j <= i) for j in range(1, p + 1))]
+                 if all((s.images[j - 1] <= i) == (j <= i) for j in range(1, p + 1))]
         total = Kernel(p, 1, PolyMap.zero(n, 1))
         for s in young:
             total = total + naive_perm_kernel(ker, s).scale(s.sign)
@@ -1003,7 +1042,7 @@ def matrix_one_form(kmat, m):
     for i in range(m):
         acc = Poly.zero(n)
         for l in range(m):
-            lifted = kmat[i][l].remap_variables(list(range(m)), n)
+            lifted = kmat[i][l].eval([Poly.var(n, j) for j in range(m)])
             acc = acc + lifted * Poly.var(n, cube_var(1, m, {1}, l))
         comps.append(acc)
     return form_from_kernel(Kernel(1, m, PolyMap(n, comps)), class_tag=OMEGA123)

@@ -290,13 +290,14 @@ def test_queries_partial_and_remap_match_reference(a, i, mapping):
             partial[e[:i] + (e[i] - 1,) + e[i + 1:]] = v * e[i]
     check(x.partial(i), partial)
     # a mapping into N + 1 variables that may send several variables to one
+    # is an evaluation at variables
     remapped = {}
     for e, v in a.items():
         d = [0] * (N + 1)
         for j, k in enumerate(e):
             d[mapping[j]] += k
         remapped = ref_add(remapped, {tuple(d): v})
-    check(x.remap_variables(mapping, N + 1), remapped)
+    check(x.eval([Poly.var(N + 1, j) for j in mapping]), remapped)
     perm = list(range(N))[::-1]
     check(x.remap_variables(perm), {tuple(e[::-1]): v for e, v in a.items()})
 
@@ -315,8 +316,9 @@ def ref_remap(a, mapping, new_n):
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_remap_matches_summing_reference(data):
-    # permutations (the identity and n = 1 included), embeddings into more
-    # variables and merging maps, on n = 1..8 variables
+    # permutations (the identity and n = 1 included) by remap_variables, and
+    # embeddings into more variables and merging maps by evaluation at
+    # variables, on n = 1..8 variables
     n = data.draw(st.integers(1, 8))
     a = data.draw(ref_polys(n))
     x = poly_of(a, n)
@@ -327,22 +329,24 @@ def test_remap_matches_summing_reference(data):
                                unique=True))
     merge = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     merge[-1] = merge[0]
-    for mapping, new_n in ((perm, None), (identity, None), (identity, n), (embed, n + extra),
-                           (merge, None), (merge, n + extra)):
-        y = x.remap_variables(mapping, new_n)
-        want_n = n if new_n is None else new_n
-        assert y.n == want_n
-        check(y, ref_remap(a, mapping, want_n))
-        assert all(type(e) is tuple and len(e) == want_n for e in y.numerators)
+    substituted = [(mapping, new_n, x.eval([Poly.var(new_n, j) for j in mapping]))
+                   for mapping, new_n in ((perm, n), (identity, n), (embed, n + extra),
+                                          (merge, n), (merge, n + extra))]
+    substituted += [(mapping, n, x.remap_variables(mapping)) for mapping in (perm, identity)]
+    for mapping, new_n, y in substituted:
+        assert y.n == new_n
+        check(y, ref_remap(a, mapping, new_n))
+        assert all(type(e) is tuple and len(e) == new_n for e in y.numerators)
 
 
 def test_remap_merging_terms_reduces():
     # x0/2 + x1/2 -> x0, and x0/6 + x1/3 -> x0/2: merged numerators share a
     # factor with the denominator that the parts did not
+    x0, x1 = Poly.var(2, 0), Poly.var(2, 1)
     p = Poly(2, {(1, 0): Q(1, 2), (0, 1): Q(1, 2)})
-    check(p.remap_variables([0, 0]), {(1, 0): Fraction(1)})
+    check(p.eval([x0, x0]), {(1, 0): Fraction(1)})
     q = Poly(2, {(1, 0): Q(1, 6), (0, 1): Q(1, 3), (1, 1): Q(1, 6)})
-    check(q.remap_variables([1, 1]), {(0, 1): Fraction(1, 2), (0, 2): Fraction(1, 6)})
+    check(q.eval([x1, x1]), {(0, 1): Fraction(1, 2), (0, 2): Fraction(1, 6)})
     check(p.remap_variables([1, 0]), {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
 
 

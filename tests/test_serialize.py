@@ -18,7 +18,7 @@ from fnlab.serialize import (MAX_KERNEL_VARS, MAX_MONOMIALS, form_from_json, for
                              micropoint_from_json,
                              micropoint_to_json, morphism_from_json,
                              morphism_to_json, obj_from_json, obj_to_json,
-                             polymap_from_json, polymap_to_json, to_json)
+                             poly_to_json, polymap_from_json, polymap_to_json, to_json)
 from fnlab.simplicial import D2, SimplicialObject, d_cube, d_paren
 
 RNG = random.Random(4)
@@ -133,11 +133,12 @@ def test_morphism_round_trip():
     assert morphism_from_json(json.loads(json.dumps(morphism_to_json(psi)))) == psi
 
 
+_PSI = InfMorphism(d_cube(2), SimplicialObject(3, frozenset({(1, 3), (2, 3)})),
+                   [Poly.var(2, 0), Poly.var(2, 1), Poly.var(2, 0) * Poly.var(2, 1)])
+
+
 def _psi_json():
-    sq = d_cube(2)
-    tgt = SimplicialObject(3, frozenset({(1, 3), (2, 3)}))
-    return morphism_to_json(InfMorphism(sq, tgt, [Poly.var(2, 0), Poly.var(2, 1),
-                                                  Poly.var(2, 0) * Poly.var(2, 1)]))
+    return morphism_to_json(_PSI)
 
 
 @pytest.mark.parametrize("change", [
@@ -302,6 +303,20 @@ def test_triangle_cubes_serialize_as_micropoints():
                             {label: v for label in TRIANGLE_LABELS})
     assert to_json(t.cubes) == to_json(dict(t.cubes))
     assert to_json(t.cubes)["123"] == micropoint_to_json(t.cubes["123"])
+
+
+_KERNEL = Kernel(1, 2, PolyMap(4, [Poly.var(4, 2) * Poly.var(4, 0), Poly.var(4, 3, Q(1, 2))]))
+_POLY = Poly.from_terms(2, [(Q(-3, 4), (2, 1)), (Q(5), (0, 0))])
+
+
+@pytest.mark.parametrize("value, expected", [
+    (_PSI, morphism_to_json(_PSI)),
+    (_KERNEL, polymap_to_json(_KERNEL.body)),
+    (_POLY, poly_to_json(_POLY)),
+    (None, None),
+], ids=["morphism", "kernel", "poly", "none"])
+def test_to_json_writes_each_witness_type_in_its_format(value, expected):
+    assert to_json(value) == expected
 
 
 def _point_with(value):
