@@ -47,7 +47,7 @@ from math import factorial
 from types import MappingProxyType
 
 from .errors import InternalError, PreconditionError, ValidationError
-from .linsolve import apply_columns
+from .linsolve import gather_rows
 from .micro import case_compat_errors, case_solve, get_case
 from .poly import Poly, PolyMap, _permutation_gather
 from .rationals import ONE, Q
@@ -617,7 +617,7 @@ def _bracket_core(x: FormElem, y: FormElem, tag: str = OMEGA1) -> FormElem:
     if bad:
         raise InternalError(
             f"expanded products disagree below the corner at {bad[0]}")
-    tangent = apply_columns(case.extract.columns(), case_solve(case, ca, cb))
+    tangent = gather_rows(case.extract.sparse_rows(), case_solve(case, ca, cb))
     return FormElem(x.p + y.p, 1, x.m,
                     {s: tangent[pos] for pos, s in _cube_layout(1).subsets
                      if pos in tangent}, tag)

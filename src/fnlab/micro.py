@@ -25,7 +25,7 @@ reuses it.  Two legs glue exactly when they agree on the shared restriction,
 and that is the one consistency check: it runs on every coordinate before
 any solve.  A case's gluing system is a constant matrix, so each case
 compiles it once, when it is created, into its sparse integer solution map,
-and gluing walks it as restriction walks a morphism's columns.  So points
+and gluing walks its rows as restriction walks a morphism's.  So points
 glue fraction-free: each coordinate pair goes through the check and the
 solve as sparse integer numerators over one common denominator.  A case
 holds its leg, apex and shared algebras, and a morphism its source and
@@ -45,7 +45,7 @@ from math import lcm
 from types import MappingProxyType
 
 from .errors import InternalError, PreconditionError, ValidationError
-from .linsolve import ReducedMatrix, apply_columns, solve_exact
+from .linsolve import ReducedMatrix, gather_rows, solve_exact
 from .morphisms import InfMorphism, axis_map, inclusion
 from .poly import Poly, PolyMap
 from .rationals import RATIONAL_TYPES, Q, parse_rational
@@ -200,7 +200,7 @@ class AmalgamationCase:
         self.result = result
         system = ReducedMatrix(twisted.matrix() + flat.matrix())
         # integer numerators map to integers only under integer entries
-        if any(type(e) is not int for col in system.columns for _i, e in col):
+        if any(type(e) is not int for _j, row in system.sparse_rows for _i, e in row):
             raise InternalError(f"{name}: gluing needs an integer solution map")
         self.system = system
         self.leg_alg = make_algebra(leg)
@@ -257,9 +257,8 @@ def case_compat_errors(case: AmalgamationCase, c1, c2) -> list:
     c1 and c2 map leg basis indices to values; the shared monomials whose
     restrictions differ are named in basis order.
     """
-    columns = case.shared_incl.columns()
-    r1 = apply_columns(columns, c1)
-    r2 = apply_columns(columns, c2)
+    rows = case.shared_incl.sparse_rows()
+    r1, r2 = gather_rows(rows, c1), gather_rows(rows, c2)
     if r1 == r2:
         return []
     return [case.shared_alg.monomial_str(i) for i in sorted(r1.keys() | r2.keys())

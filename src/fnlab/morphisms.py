@@ -5,22 +5,21 @@ with zero constant term, subject to well-definedness: every ideal generator
 of T (each vanishing product and each power-bound monomial) must reduce to
 zero in S's algebra after substitution.  Dually it is an algebra map from
 T's algebra to S's; on points it restricts T-expansions to S-expansions.
-Pulling points back walks the matrix's sparse columns with
-`linsolve.apply_columns`, as gluing walks its compiled map.  A map looks its
+Pulling points back walks the matrix's nonzero rows with
+`linsolve.gather_rows`, as gluing walks its compiled map.  A map looks its
 source and target algebras up once, when it is made, so validating, building
 the matrix and pulling points back look no algebra up.
 """
 
 from .errors import ValidationError
-from .linsolve import apply_columns
+from .linsolve import gather_rows
 from .poly import Poly
 from .simplicial import SimplicialObject
 from .weil import WeilElement, from_numerators, make_algebra
 
 
 class InfMorphism:
-    __slots__ = ("source", "target", "subst", "_matrix", "_columns", "_integral",
-                 "_algebras")
+    __slots__ = ("source", "target", "subst", "_matrix", "_rows", "_integral", "_algebras")
 
     def __init__(self, source: SimplicialObject, target: SimplicialObject, subst):
         """subst: one Poly in source.n variables per target generator."""
@@ -36,9 +35,7 @@ class InfMorphism:
         self.source = source
         self.target = target
         self.subst = subst
-        self._matrix = None
-        self._columns = None
-        self._integral = False
+        self._matrix = self._rows = None
         self._algebras = make_algebra(source), make_algebra(target)
         self._validate()
 
@@ -85,25 +82,23 @@ class InfMorphism:
                 for _ in range(e):
                     w = w * imgs[i]
             cols.append(w.dense())
-        matrix = [[col[i] for col in cols] for i in range(src.dim)]
-        self._matrix = matrix
-        return matrix
+        self._matrix = [[col[i] for col in cols] for i in range(src.dim)]
+        return self._matrix
 
-    def columns(self):
-        """Nonzero (row, value) entries of each matrix column, in row order.
+    def sparse_rows(self):
+        """Each nonzero matrix row as (row, ((column, value), ...)), in order.
 
-        The matrix is constant and mostly zero, so restrictions walk these
-        entries instead of whole dense columns.  Integral entries are ints,
-        so integer coefficient vectors stay integers.
+        The matrix is constant and mostly zero, so restrictions gather these
+        entries instead of whole dense rows.  Integral entries are ints, so
+        integer coefficient vectors stay integers.
         """
-        if self._columns is None:
-            matrix = self.matrix()
-            self._columns = tuple(
-                tuple((i, int(row[j]) if row[j].denominator == 1 else row[j])
-                      for i, row in enumerate(matrix) if row[j])
-                for j in range(len(matrix[0])))
-            self._integral = all(type(v) is int for col in self._columns for _i, v in col)
-        return self._columns
+        if self._rows is None:
+            self._rows = tuple(
+                (i, entries) for i, row in enumerate(self.matrix())
+                if (entries := tuple((j, int(v) if v.denominator == 1 else v)
+                                     for j, v in enumerate(row) if v)))
+            self._integral = all(type(v) is int for _i, row in self._rows for _j, v in row)
+        return self._rows
 
     def algebras(self):
         """(source algebra, target algebra), held since the map was made."""
@@ -112,17 +107,17 @@ class InfMorphism:
     def pullback_element(self, w: WeilElement) -> WeilElement:
         """Apply the dual algebra map to an element of the target algebra.
 
-        Walks only the nonzero matrix entries of w's columns (`apply_columns`).
+        Gathers each nonzero matrix row's entries from w (`gather_rows`).
         Every entry of an inclusion or axis map is an integer, so a rational
         w maps by walking its numerators, reduced once over its denominator.
         """
-        columns = self.columns()
+        rows = self.sparse_rows()
         src, tgt = self._algebras
         if w.algebra is not tgt:
             raise ValidationError("element does not live on the target algebra")
         if self._integral and w._den is not None:
-            return from_numerators(src, apply_columns(columns, w._num), w._den)
-        return WeilElement(src, apply_columns(columns, w.coeffs))
+            return from_numerators(src, gather_rows(rows, w._num), w._den)
+        return WeilElement(src, gather_rows(rows, w.coeffs))
 
     def then(self, other: "InfMorphism") -> "InfMorphism":
         """Composite applying self first; requires self.target == other.source."""

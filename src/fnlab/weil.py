@@ -338,6 +338,8 @@ class WeilElement(FractionFree):
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        if self._den is None:  # it may equal a rational element: no hash agrees
+            raise TypeError("ring-valued WeilElement is unhashable")
         return hash((id(self.algebra), self._den, frozenset(self._num.items())))
 
     def coeff(self, exps):

@@ -4,7 +4,7 @@ import pytest
 
 from fnlab.errors import InternalError, PreconditionError
 from fnlab.forms import Kernel, cube_dim
-from fnlab.linsolve import ReducedMatrix, solve_exact
+from fnlab.linsolve import ReducedMatrix, gather_rows, solve_exact
 from fnlab.micro import AmalgamationCase, amalgamation_cases, case_compat_errors, case_solve
 from fnlab.morphisms import InfMorphism
 from fnlab.poly import Poly, PolyMap
@@ -51,6 +51,28 @@ def sparse(values) -> dict:
     return {i: v for i, v in enumerate(values) if v}
 
 
+def dense_solution_map(matrix):
+    """The solution map as a dense rational matrix, one row per unknown.
+
+    The identity is carried through ReducedMatrix's pivoting in one dense
+    pass with every step a rational, and read on the pivot rows.
+    """
+    n, cols = len(matrix), len(matrix[0])
+    a = [[Q(v) for v in row] + [Q(int(i == r)) for i in range(n)]
+         for r, row in enumerate(matrix)]
+    pivot_of = {}
+    for col in range(cols):
+        p = next(r for r in range(n) if r not in pivot_of.values() and a[r][col])
+        pivot_of[col] = p
+        inv = Q(1) / a[p][col]
+        a[p] = [v * inv for v in a[p]]
+        for r in range(n):
+            if r != p and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[p])]
+    return [a[pivot_of[col]][cols:] for col in range(cols)]
+
+
 def fraction_replay(matrix, rhs, column_order=None):
     """Reduce and solve in one dense pass with every step a rational.
 
@@ -91,9 +113,10 @@ def test_stored_reduction_matches_fresh_solve(name, values):
     fresh = ReducedMatrix(rows)
     right_to_left = list(reversed(range(apex_dim)))
     reordered = ReducedMatrix(rows, right_to_left)
-    assert fresh.columns == case.system.columns
+    assert fresh.sparse_rows == case.system.sparse_rows
     # the solution map alone: one entry per unknown's leg row, plus the twist
-    assert sum(map(len, case.system.columns)) == (6 if name == "square" else 12)
+    assert sum(len(row) for _j, row in case.system.sparse_rows) == \
+        (6 if name == "square" else 12)
     for _ in range(3):
         x = [draw() for _ in range(apex_dim)]
         rhs = apply_rows(rows, x)
@@ -107,7 +130,7 @@ def test_stored_reduction_matches_fresh_solve(name, values):
 
 def test_gluing_maps_are_integers():
     for case in amalgamation_cases().values():
-        entries = [e for col in case.system.columns for _i, e in col]
+        entries = [e for _j, row in case.system.sparse_rows for _i, e in row]
         assert entries and all(type(e) is int for e in entries)
 
 
@@ -149,8 +172,8 @@ def test_random_systems_match_the_fraction_replay():
             system = ReducedMatrix(matrix)
         except InternalError:
             continue
-        for col in system.columns:
-            for _i, e in col:
+        for _j, row in system.sparse_rows:
+            for _i, e in row:
                 assert type(e) is (int if e.denominator == 1 else Q)
                 seen_int += type(e) is int
                 seen_frac += type(e) is Q
@@ -167,8 +190,8 @@ def test_random_systems_match_the_fraction_replay():
 def test_integer_matrix_reduces_exactly():
     # 1/3 as a pivot inverse stays a rational, never a float
     system = ReducedMatrix([[3, 0], [0, 2]])
-    assert system.columns == (((0, Q(1, 3)),), ((1, Q(1, 2)),))
-    assert all(type(e) is Q for col in system.columns for _i, e in col)
+    assert system.sparse_rows == ((0, ((0, Q(1, 3)),)), (1, ((1, Q(1, 2)),)))
+    assert all(type(e) is Q for _j, row in system.sparse_rows for _i, e in row)
     assert solve_exact(system, {0: Q(1), 1: Q(1)}) == {0: Q(1, 3), 1: Q(1, 2)}
 
 
@@ -234,3 +257,33 @@ def test_compat_check_decides_consistency(name, values):
                 assert case_solve(case, c1, c2) == solution
             checked[agree] += 1
     assert checked[True] and checked[False]
+
+
+def rpoly():
+    return Poly.from_terms(2, [(rq(), (RNG.randint(0, 2), RNG.randint(0, 1)))
+                               for _ in range(2)])
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_gather_rows_matches_dense_reference(name):
+    # every constant map of a gluing case, against a dense matrix-vector
+    # product: the solution map, the shared inclusion and the extraction
+    case = amalgamation_cases()[name]
+    maps = (("solution", dense_solution_map(plain_rows(case)), case.system.sparse_rows),
+            ("shared_incl", case.shared_incl.matrix(), case.shared_incl.sparse_rows()),
+            ("extract", case.extract.matrix(), case.extract.sparse_rows()))
+    for label, dense, rows in maps:
+        # the stored rows are the dense map's nonzero entries, integral ones as ints
+        assert rows == tuple((i, tuple((j, v) for j, v in enumerate(row) if v))
+                             for i, row in enumerate(dense) if any(row)), label
+        assert all(type(e) is int for _i, row in rows for _j, e in row), label
+        width = len(dense[0])
+        draws = (lambda: RNG.choice([0, 0, 1, -2, 3]), rq, rpoly, rkernel)
+        for draw in draws:
+            for _ in range(3):
+                x = [draw() if RNG.random() < 0.7 else 0 * draw() for _ in range(width)]
+                expected = sparse(apply_rows(dense, x))
+                # the walk reads its input in any order and emits rows in order
+                got = gather_rows(rows, dict(reversed(list(sparse(x).items()))))
+                assert got == expected, label
+                assert list(got) == sorted(got), label

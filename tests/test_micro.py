@@ -7,7 +7,7 @@ import pytest
 import fnlab.micro
 from fnlab.errors import PreconditionError, ValidationError
 from fnlab.forms import Kernel, cube_dim
-from fnlab.linsolve import ReducedMatrix, apply_columns, solve_exact
+from fnlab.linsolve import ReducedMatrix, gather_rows, solve_exact
 from fnlab.micro import (MicroPoint, TRIANGLE_LABELS, TriangleConfig, add_tangents,
                          amalgamate, amalgamation_cases, get_case, jacobi3_defect,
                          restrict, strong_diff, strong_diff_i, tangent_principal,
@@ -190,9 +190,9 @@ def test_sparse_restriction_matches_dense_reference():
     rv = lambda: Q(rng.randint(-4, 4), rng.choice([1, 2, 3]))
     for mor in canonical_morphisms():
         tgt, src = make_algebra(mor.target), make_algebra(mor.source)
-        assert mor.columns() == tuple(
-            tuple((i, row[j]) for i, row in enumerate(mor.matrix()) if row[j])
-            for j in range(tgt.dim))
+        assert mor.sparse_rows() == tuple(
+            (i, tuple((j, v) for j, v in enumerate(row) if v))
+            for i, row in enumerate(mor.matrix()) if any(row))
         for _ in range(5):
             m = rng.randint(1, 2)
             rows = [[rv() if rng.random() < 0.6 else Q(0) for _ in range(tgt.dim)]
@@ -213,7 +213,7 @@ def test_sparse_restriction_matches_dense_reference():
                 dense = dense_restrict_coeffs(values, mor)
                 # the walk reads its input in any order and sorts its rows
                 sparse = dict(reversed(list(enumerate(values))))
-                got = apply_columns(mor.columns(), sparse)
+                got = gather_rows(mor.sparse_rows(), sparse)
                 assert got == {i: v for i, v in enumerate(dense) if v}
                 assert list(got) == sorted(got)
             for w in point.coords:

@@ -704,6 +704,19 @@ def test_ring_valued_arithmetic_with_rational_results_hashes_as_rational(n):
     assert hash(p) == hash(alg.one().scale(Q(1, 3))) and p.denominator == 3
 
 
+def test_ring_valued_element_refuses_hashing():
+    """A constant-Poly element equals the rational one, so no hash of its
+    values could agree with __eq__: hashing names ring-valued elements."""
+    alg = make_algebra(d_cube(2))
+    constant = WeilElement(alg, {0: Poly.one(1), 1: Poly.const(1, Q(1, 2))})
+    assert constant == alg.one() + alg.generator(1).scale(Q(1, 2))
+    for w in (constant, WeilElement(alg, {0: Poly.var(1, 0)})):
+        with pytest.raises(TypeError, match="ring-valued WeilElement is unhashable"):
+            hash(w)
+        with pytest.raises(TypeError, match="ring-valued"):
+            {w}
+
+
 # multiplication by a unit basis monomial, as re-indexing --------------------
 
 
