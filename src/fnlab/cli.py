@@ -98,6 +98,16 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
+def _point_coordinate(text: str):
+    """One --point coordinate; bad text is named as typed, on either backend."""
+    try:
+        return parse_rational(text)
+    except ValidationError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad point coordinate {text!r}") from exc
+
+
 def _jacobi3_cases(args):
     """The record key and the six cubes of each case, built as they are read."""
     if args.point is not None and not args.fields:
@@ -109,10 +119,7 @@ def _jacobi3_cases(args):
             raise ValidationError(f"vector fields on mismatched dimensions {sorted(dims)}")
         m = dims.pop()
         if args.point is not None:
-            try:
-                at = [parse_rational(v) for v in args.point.split(",")] if args.point else []
-            except ZeroDivisionError as exc:
-                raise ValidationError(f"bad point coordinate: {exc}") from exc
+            at = [_point_coordinate(v) for v in args.point.split(",")] if args.point else []
         else:
             at = [Q(0)] * m
         yield {"at": [rat_str(v) for v in at]}, triangle_from_vector_fields(*maps, at)

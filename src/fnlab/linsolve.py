@@ -6,12 +6,13 @@ unknowns and right-hand entries live in any vector space over the rationals
 the right-hand sides vary, so ReducedMatrix row-reduces A once, in a given
 column order, carrying the identity along the row operations; what the
 identity becomes on the pivot rows is the solution map, stored by its rows
-as every constant sparse map is.  gather_rows is the one walk over them, in
-this solve, restriction, the gluing's compatibility check and the bracket's
-extraction.  The map reads only the pivot rows, so a right-hand side outside
-the column space still maps to some x: consistency is the caller's
-precondition.  A gluing checks it once, as the legs' agreement on their
-shared restriction.  Reducing in another column order is a second,
+as every constant sparse map is, by store_rows; row_entries reads them back,
+so only gather_rows depends on the layout.  gather_rows is the one walk over
+them, in this solve, restriction, the gluing's compatibility check and the
+bracket's extraction.  The map reads only the pivot rows, so a right-hand
+side outside the column space still maps to some x: consistency is the
+caller's precondition.  A gluing checks it once, as the legs' agreement on
+their shared restriction.  Reducing in another column order is a second,
 independent elimination, which is how callers check that the solution does
 not depend on the order.
 """
@@ -20,17 +21,36 @@ from .errors import InternalError
 from .rationals import ONE, Q
 
 
-def gather_rows(rows, values) -> dict:
-    """Image of a sparse {column: value} under a map's sparse rows.
+def store_rows(rows) -> tuple:
+    """A sparse map's nonzero (row, ((column, entry), ...)) pairs, stored.
 
-    rows lists each nonzero row as (row, ((column, entry), ...)), in row
-    order, as `InfMorphism.sparse_rows` gives them; so does the image, a
-    sparse {row: value} with zero sums dropped.  A unit entry moves a value
-    without scaling it; values need only + and c * v.
+    Most rows of the maps here only relabel: a row that is one entry equal
+    to 1 is stored as its bare column, any other row as its entries.
+    """
+    return tuple((i, entries[0][0] if len(entries) == 1 and entries[0][1] == 1 else entries)
+                 for i, entries in rows)
+
+
+def row_entries(stored) -> tuple:
+    """The (row, ((column, entry), ...)) pairs that store_rows stored."""
+    return tuple((i, ((e, 1),) if type(e) is int else e) for i, e in stored)
+
+
+def gather_rows(rows, values) -> dict:
+    """Image of a sparse {column: value} under a map's stored rows.
+
+    rows is a map as store_rows stores it; the image is a sparse {row:
+    value} in row order, with zero values and zero sums dropped.  A bare
+    column moves its value as it is; in a row of entries a unit entry moves
+    a value without scaling it.  Values need only +, c * v and truth.
     """
     get = values.get
     out = {}
     for i, entries in rows:
+        if type(entries) is int:
+            if v := get(entries):
+                out[i] = v
+            continue
         acc = None
         for j, e in entries:
             if (v := get(j)) is not None:
@@ -51,9 +71,10 @@ class ReducedMatrix:
 
     Reduces in column_order (default: left to right).  sparse_rows, the
     solution map alone, pairs each unknown with its (right-hand-side row,
-    entry) pairs.  An entry is an int when integral, else a rational.  Rank
-    deficiency raises InternalError: every system here is a pullback inverse,
-    solvable uniquely.  Iterating yields the matrix rows.
+    entry) pairs, stored by store_rows.  An entry is an int when integral,
+    else a rational.  Rank deficiency raises InternalError: every system here
+    is a pullback inverse, solvable uniquely.  Iterating yields the matrix
+    rows.
     """
 
     __slots__ = ("rows", "sparse_rows")
@@ -85,8 +106,9 @@ class ReducedMatrix:
             if r not in used_rows and any(a[r][:cols]):
                 raise InternalError("unreduced row after elimination")
         outputs = [a[pivot_row_of_col[col]][cols:] for col in range(cols)]
-        self.sparse_rows = tuple((col, tuple((i, _exact(v)) for i, v in enumerate(out) if v))
-                                 for col, out in enumerate(outputs))
+        self.sparse_rows = store_rows(
+            (col, tuple((i, _exact(v)) for i, v in enumerate(out) if v))
+            for col, out in enumerate(outputs))
 
     def __iter__(self):
         return iter(self.rows)

@@ -45,7 +45,7 @@ from math import lcm
 from types import MappingProxyType
 
 from .errors import InternalError, PreconditionError, ValidationError
-from .linsolve import ReducedMatrix, gather_rows, solve_exact
+from .linsolve import ReducedMatrix, gather_rows, row_entries, solve_exact
 from .morphisms import InfMorphism, axis_map, inclusion
 from .poly import Poly, PolyMap
 from .rationals import RATIONAL_TYPES, Q, parse_rational
@@ -200,7 +200,7 @@ class AmalgamationCase:
         self.result = result
         system = ReducedMatrix(twisted.matrix() + flat.matrix())
         # integer numerators map to integers only under integer entries
-        if any(type(e) is not int for _j, row in system.sparse_rows for _i, e in row):
+        if any(type(e) is not int for _j, row in row_entries(system.sparse_rows) for _i, e in row):
             raise InternalError(f"{name}: gluing needs an integer solution map")
         self.system = system
         self.leg_alg = make_algebra(leg)

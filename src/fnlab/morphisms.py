@@ -5,15 +5,18 @@ with zero constant term, subject to well-definedness: every ideal generator
 of T (each vanishing product and each power-bound monomial) must reduce to
 zero in S's algebra after substitution.  Dually it is an algebra map from
 T's algebra to S's; on points it restricts T-expansions to S-expansions.
-Pulling points back walks the matrix's nonzero rows with
-`linsolve.gather_rows`, as gluing walks its compiled map.  A map looks its
-source and target algebras up once, when it is made, so validating, building
-the matrix and pulling points back look no algebra up.
+The matrix is read from integer numerators, so an integer map holds ints
+and makes no rational.  Pulling points back walks the matrix's nonzero
+rows, stored by `linsolve.store_rows`, with `linsolve.gather_rows`, as
+gluing walks its compiled map.  A map looks its source and target algebras
+up once, when it is made, so validating, building the matrix and pulling
+points back look no algebra up.
 """
 
 from .errors import ValidationError
-from .linsolve import gather_rows
+from .linsolve import gather_rows, store_rows
 from .poly import Poly
+from .rationals import Q
 from .simplicial import SimplicialObject
 from .weil import WeilElement, from_numerators, make_algebra
 
@@ -69,7 +72,8 @@ class InfMorphism:
 
         Rows are indexed by the source algebra basis, columns by the target
         basis: column beta holds the expansion of the substituted monomial
-        d^beta in the source algebra.
+        d^beta in the source algebra, read from its integer numerators: an
+        int where the entry is integral, a rational only where it is not.
         """
         if self._matrix is not None:
             return self._matrix
@@ -81,23 +85,27 @@ class InfMorphism:
             for i, e in enumerate(beta):
                 for _ in range(e):
                     w = w * imgs[i]
-            cols.append(w.dense())
+            col = [0] * src.dim
+            for k, n in w._num.items():
+                q, r = divmod(n, w._den)
+                col[k] = int(q) if r == 0 else Q(n, w._den)
+            cols.append(col)
         self._matrix = [[col[i] for col in cols] for i in range(src.dim)]
         return self._matrix
 
     def sparse_rows(self):
-        """Each nonzero matrix row as (row, ((column, value), ...)), in order.
+        """The nonzero matrix rows (row, ((column, value), ...)), in order,
+        as `linsolve.store_rows` stores them.
 
         The matrix is constant and mostly zero, so restrictions gather these
         entries instead of whole dense rows.  Integral entries are ints, so
         integer coefficient vectors stay integers.
         """
         if self._rows is None:
-            self._rows = tuple(
-                (i, entries) for i, row in enumerate(self.matrix())
-                if (entries := tuple((j, int(v) if v.denominator == 1 else v)
-                                     for j, v in enumerate(row) if v)))
-            self._integral = all(type(v) is int for _i, row in self._rows for _j, v in row)
+            rows = [(i, entries) for i, row in enumerate(self.matrix())
+                    if (entries := tuple((j, v) for j, v in enumerate(row) if v))]
+            self._integral = all(type(v) is int for _i, row in rows for _j, v in row)
+            self._rows = store_rows(rows)
         return self._rows
 
     def algebras(self):

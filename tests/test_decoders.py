@@ -290,14 +290,16 @@ def test_deeply_nested_json_argument_is_invalid_input(argv, capsys):
 
 
 def test_jacobi3_point_with_a_zero_denominator_is_invalid_input(capsys):
+    # the coordinate is named as typed, not by the scalar backend's message
     field = json.dumps({"in_dim": 1, "components": [[]]})
-    assert run(["jacobi3", "--fields", field, field, field, "--point", "1/0"], capsys) == 2
+    assert main(["jacobi3", "--fields", field, field, field, "--point", "1/2,1/0"]) == 2
+    assert capsys.readouterr().err == "invalid input: bad point coordinate '1/0'\n"
 
 
 def test_jacobi3_point_that_is_no_rational_is_invalid_input(capsys):
-    # the rational parser's own ValueError, not a ValidationError, reaches main
     field = json.dumps({"in_dim": 1, "components": [[]]})
-    assert run(["jacobi3", "--fields", field, field, field, "--point", "x"], capsys) == 2
+    assert main(["jacobi3", "--fields", field, field, field, "--point", "x"]) == 2
+    assert capsys.readouterr().err == "invalid input: bad point coordinate 'x'\n"
 
 
 @pytest.mark.parametrize("point", ["1e9", "1E999999999", "1/2,2e3"])

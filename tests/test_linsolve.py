@@ -3,8 +3,8 @@ import random
 import pytest
 
 from fnlab.errors import InternalError, PreconditionError
-from fnlab.forms import Kernel, cube_dim
-from fnlab.linsolve import ReducedMatrix, gather_rows, solve_exact
+from fnlab.forms import Kernel, cube_dim, zero_kernel
+from fnlab.linsolve import ReducedMatrix, gather_rows, row_entries, solve_exact, store_rows
 from fnlab.micro import AmalgamationCase, amalgamation_cases, case_compat_errors, case_solve
 from fnlab.morphisms import InfMorphism
 from fnlab.poly import Poly, PolyMap
@@ -115,7 +115,7 @@ def test_stored_reduction_matches_fresh_solve(name, values):
     reordered = ReducedMatrix(rows, right_to_left)
     assert fresh.sparse_rows == case.system.sparse_rows
     # the solution map alone: one entry per unknown's leg row, plus the twist
-    assert sum(len(row) for _j, row in case.system.sparse_rows) == \
+    assert sum(len(row) for _j, row in row_entries(case.system.sparse_rows)) == \
         (6 if name == "square" else 12)
     for _ in range(3):
         x = [draw() for _ in range(apex_dim)]
@@ -130,7 +130,7 @@ def test_stored_reduction_matches_fresh_solve(name, values):
 
 def test_gluing_maps_are_integers():
     for case in amalgamation_cases().values():
-        entries = [e for _j, row in case.system.sparse_rows for _i, e in row]
+        entries = [e for _j, row in row_entries(case.system.sparse_rows) for _i, e in row]
         assert entries and all(type(e) is int for e in entries)
 
 
@@ -172,7 +172,7 @@ def test_random_systems_match_the_fraction_replay():
             system = ReducedMatrix(matrix)
         except InternalError:
             continue
-        for _j, row in system.sparse_rows:
+        for _j, row in row_entries(system.sparse_rows):
             for _i, e in row:
                 assert type(e) is (int if e.denominator == 1 else Q)
                 seen_int += type(e) is int
@@ -190,8 +190,9 @@ def test_random_systems_match_the_fraction_replay():
 def test_integer_matrix_reduces_exactly():
     # 1/3 as a pivot inverse stays a rational, never a float
     system = ReducedMatrix([[3, 0], [0, 2]])
-    assert system.sparse_rows == ((0, ((0, Q(1, 3)),)), (1, ((1, Q(1, 2)),)))
-    assert all(type(e) is Q for _j, row in system.sparse_rows for _i, e in row)
+    entries = row_entries(system.sparse_rows)
+    assert entries == ((0, ((0, Q(1, 3)),)), (1, ((1, Q(1, 2)),)))
+    assert all(type(e) is Q for _j, row in entries for _i, e in row)
     assert solve_exact(system, {0: Q(1), 1: Q(1)}) == {0: Q(1, 3), 1: Q(1, 2)}
 
 
@@ -274,9 +275,10 @@ def test_gather_rows_matches_dense_reference(name):
             ("extract", case.extract.matrix(), case.extract.sparse_rows()))
     for label, dense, rows in maps:
         # the stored rows are the dense map's nonzero entries, integral ones as ints
-        assert rows == tuple((i, tuple((j, v) for j, v in enumerate(row) if v))
-                             for i, row in enumerate(dense) if any(row)), label
-        assert all(type(e) is int for _i, row in rows for _j, e in row), label
+        entries = row_entries(rows)
+        assert entries == tuple((i, tuple((j, v) for j, v in enumerate(row) if v))
+                                for i, row in enumerate(dense) if any(row)), label
+        assert all(type(e) is int for _i, row in entries for _j, e in row), label
         width = len(dense[0])
         draws = (lambda: RNG.choice([0, 0, 1, -2, 3]), rq, rpoly, rkernel)
         for draw in draws:
@@ -287,3 +289,53 @@ def test_gather_rows_matches_dense_reference(name):
                 got = gather_rows(rows, dict(reversed(list(sparse(x).items()))))
                 assert got == expected, label
                 assert list(got) == sorted(got), label
+
+
+def synthetic_rows(width, height):
+    """A dense map whose rows are zero, one unit entry, one entry of -1, 2
+    or 1/2, or two entries; each kind appears at least once."""
+    kinds = ["zero", "unit", "lone", "pair"] * 2
+    kinds += [RNG.choice(kinds) for _ in range(height - len(kinds))]
+    RNG.shuffle(kinds)
+    dense = []
+    for kind in kinds:
+        row = [0] * width
+        if kind == "unit":
+            row[RNG.randrange(width)] = 1
+        elif kind == "lone":
+            row[RNG.randrange(width)] = RNG.choice([-1, 2, Q(1, 2)])
+        elif kind == "pair":
+            j, k = RNG.sample(range(width), 2)
+            row[j], row[k] = RNG.choice([1, -1, 3]), RNG.choice([1, Q(-2, 3)])
+        dense.append(row)
+    return dense
+
+
+@pytest.mark.parametrize("kind", ["int", "rational", "poly", "kernel"])
+def test_gather_rows_on_synthetic_maps_matches_dense_reference(kind):
+    # lone entries other than 1 occur in no gluing case's map; the values
+    # hold explicit zeros, which the walk drops as it drops a zero sum
+    draw, zero = {"int": (lambda: RNG.choice([1, -2, 3]), 0),
+                  "rational": (rq, Q(0)),
+                  "poly": (rpoly, Poly.zero(2)),
+                  "kernel": (rkernel, zero_kernel(1, 1))}[kind]
+    for _ in range(6):
+        width = RNG.randint(2, 5)
+        dense = synthetic_rows(width, RNG.randint(8, 12))
+        rows = store_rows((i, tuple((j, e) for j, e in enumerate(row) if e))
+                          for i, row in enumerate(dense) if any(row))
+        assert row_entries(rows) == tuple((i, tuple((j, e) for j, e in enumerate(row) if e))
+                                          for i, row in enumerate(dense) if any(row))
+        for _ in range(4):
+            values = {}
+            for j in RNG.sample(range(width), width):
+                pick = RNG.random()
+                if pick < 0.3:
+                    values[j] = zero
+                elif pick < 0.8:
+                    values[j] = draw()
+            x = [values.get(j, zero) for j in range(width)]
+            expected = sparse(apply_rows(dense, x))
+            got = gather_rows(rows, values)
+            assert got == expected
+            assert list(got) == sorted(got)

@@ -7,7 +7,7 @@ import pytest
 import fnlab.micro
 from fnlab.errors import PreconditionError, ValidationError
 from fnlab.forms import Kernel, cube_dim
-from fnlab.linsolve import ReducedMatrix, gather_rows, solve_exact
+from fnlab.linsolve import ReducedMatrix, gather_rows, row_entries, solve_exact
 from fnlab.micro import (MicroPoint, TRIANGLE_LABELS, TriangleConfig, add_tangents,
                          amalgamate, amalgamation_cases, get_case, jacobi3_defect,
                          restrict, strong_diff, strong_diff_i, tangent_principal,
@@ -153,16 +153,23 @@ def dense_restrict_coeffs(coeffs, mor):
     return out
 
 
-def products_of_images_pullback(mor, w):
-    """Dual algebra map by substitution: each basis monomial of the target
-    becomes the product of the generator images in the source algebra."""
-    src, tgt = make_algebra(mor.source), make_algebra(mor.target)
+def generator_images(mor):
+    """Each target generator's image, summed term by term in the source algebra."""
+    src = make_algebra(mor.source)
     images = []
     for p in mor.subst:
         img = src.zero()
         for e, c in p.terms.items():
             img = img + src.monomial(e, c)
         images.append(img)
+    return images
+
+
+def products_of_images_pullback(mor, w):
+    """Dual algebra map by substitution: each basis monomial of the target
+    becomes the product of the generator images in the source algebra."""
+    src, tgt = make_algebra(mor.source), make_algebra(mor.target)
+    images = generator_images(mor)
     out = src.zero()
     for k, c in w.coeffs.items():
         term = src.one()
@@ -190,7 +197,7 @@ def test_sparse_restriction_matches_dense_reference():
     rv = lambda: Q(rng.randint(-4, 4), rng.choice([1, 2, 3]))
     for mor in canonical_morphisms():
         tgt, src = make_algebra(mor.target), make_algebra(mor.source)
-        assert mor.sparse_rows() == tuple(
+        assert row_entries(mor.sparse_rows()) == tuple(
             (i, tuple((j, v) for j, v in enumerate(row) if v))
             for i, row in enumerate(mor.matrix()) if any(row))
         for _ in range(5):
@@ -222,6 +229,42 @@ def test_sparse_restriction_matches_dense_reference():
                 assert list(pulled.coeffs) == sorted(pulled.coeffs)
         with pytest.raises(ValidationError, match="target algebra"):
             mor.pullback_element(src.one())
+
+
+def dense_matrix_reference(mor):
+    """The matrix with each column the dense expansion (w.dense(), all
+    rationals) of the product of the generator images that it names."""
+    src, tgt = make_algebra(mor.source), make_algebra(mor.target)
+    images = generator_images(mor)
+    cols = []
+    for beta in tgt.basis:
+        w = src.one()
+        for img, e in zip(images, beta):
+            w = w * img ** e
+        cols.append(w.dense())
+    return [[col[i] for col in cols] for i in range(src.dim)]
+
+
+def test_matrix_matches_dense_reference():
+    half = Poly.from_terms(2, [(Q(1, 2), (1, 0)), (Q(1), (0, 1))])
+    mors = canonical_morphisms() + [
+        # columns over a denominator with integral entries among them
+        InfMorphism(d_cube(2), d_order(2), [half]),
+        InfMorphism(d_cube(2), d_cube(2), [Poly.var(2, 0).scale(Q(1, 2)),
+                                           Poly.var(2, 1).scale(Q(-4, 3))])]
+    seen = set()
+    for mor in mors:
+        got, expected = mor.matrix(), dense_matrix_reference(mor)
+        assert got == expected
+        for row in got:
+            for v in row:
+                # integral entries are ints, the others rationals
+                assert type(v) is (int if v.denominator == 1 else Q)
+                seen.add(type(v))
+    assert all(type(v) is int for case in amalgamation_cases().values()
+               for mor in (case.twisted, case.flat, case.shared_incl, case.extract)
+               for row in mor.matrix() for v in row)
+    assert seen == {int, Q}
 
 
 def test_square_amalgamation_example():
