@@ -7,12 +7,11 @@ The suites are a separate tool, fnlab.verify (Sampler, SuiteConfig,
 run_verification).  `import fnlab` loads only the calculus, not the suites.
 """
 
-from .simplicial import D, D2, SimplicialObject, d_cube, d_order, d_paren, \
-    oplus, tensor
+from .simplicial import D2, SimplicialObject, d_cube, d_order, d_paren, oplus, \
+    tensor
 from .weil import WeilAlgebra, WeilElement, from_dense, make_algebra
-from .morphisms import InfMorphism, axis_map, compose_morphisms, \
-    identity_morphism, inclusion
-from .poly import Poly, PolyMap, poly_equal
+from .morphisms import InfMorphism, axis_map, inclusion
+from .poly import Poly, PolyMap
 from .micro import MicroPoint, TriangleConfig, amalgamate, \
     amalgamation_cases, jacobi3_defect, restrict, strong_diff, \
     strong_diff_i, tangent_principal, triangle_from_slots, \

@@ -170,10 +170,6 @@ class Permutation:
         self.images = images
 
     @staticmethod
-    def identity(p: int) -> "Permutation":
-        return Permutation(range(1, p + 1))
-
-    @staticmethod
     def all(p: int):
         return [Permutation(im) for im in iter_permutations(range(1, p + 1))]
 

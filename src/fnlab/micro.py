@@ -6,15 +6,16 @@ coordinate with polynomial coefficients is refused when the point is made, so
 nothing downstream tests for one.  Points are built fraction-free by one
 constructor: each m-vector of a table or of a six-cube configuration's free
 data is read once into numerators and denominators, and each coordinate is
-its numerators over their lcm, a form that is already reduced.  A value
-given as a string is read by parse_rational, so exponent notation is refused
-as the JSON decoders refuse it.  The six cubes of a configuration share their
-16 distinct vectors, so each of those is read once for all six.  The cubes of
-three vector fields are the point itself flowed along them, in rational Weil
-arithmetic from the start.  Squares (two directions) and cubes (three) are
-glued along common restrictions by an exact linear solve that inverts the
-relevant pullback square; the strong difference of a compatible pair is the
-restriction of that unique gluing along a fresh direction.
+its numerators over their lcm, a form that is already reduced.  Each value
+is read by `rationals.as_rational`, the reader the JSON decoders use, so
+exponent notation is refused as they refuse it.  The six cubes of a
+configuration share their 16 distinct vectors, so each of those is read once
+for all six.  The cubes of three vector fields are the point itself flowed
+along them, in rational Weil arithmetic from the start.  Squares (two
+directions) and cubes (three) are glued along common restrictions by an
+exact linear solve that inverts the relevant pullback square; the strong
+difference of a compatible pair is the restriction of that unique gluing
+along a fresh direction.
 
 The four gluing configurations are data, not code: each AmalgamationCase
 carries the apex object, the two leg substitutions (one twisted by a product
@@ -48,7 +49,7 @@ from .errors import InternalError, PreconditionError, ValidationError
 from .linsolve import ReducedMatrix, gather_rows, row_entries, solve_exact
 from .morphisms import InfMorphism, axis_map, inclusion
 from .poly import Poly, PolyMap
-from .rationals import RATIONAL_TYPES, Q, parse_rational
+from .rationals import Q, as_rational
 from .simplicial import SimplicialObject, d_cube, d_paren
 from .weil import WeilAlgebra, WeilElement, from_numerators, from_reduced, make_algebra
 
@@ -67,24 +68,13 @@ def _key_exponents(n: int, key) -> list:
     return exps
 
 
-def _rational(v):
-    """v as a rational: ints and rationals as they are, strings through
-    parse_rational (exponent notation refused), anything else through Q."""
-    if type(v) in RATIONAL_TYPES:
-        return v
-    try:
-        return parse_rational(v) if isinstance(v, str) else Q(v)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError(f"bad rational {v!r}") from exc
-
-
 def _vector_parts(vec, m: int) -> list:
     """An m-vector read once, as each entry's (numerator, denominator).
 
     A bare scalar is a one-entry vector.  Each entry converts with
-    _rational, before the length is checked.
+    `rationals.as_rational`, before the length is checked.
     """
-    vec = [_rational(v) for v in (vec if isinstance(vec, (list, tuple)) else [vec])]
+    vec = [as_rational(v) for v in (vec if isinstance(vec, (list, tuple)) else [vec])]
     if len(vec) != m:
         raise ValidationError("coefficient vector length != m")
     return [(v.numerator, v.denominator) for v in vec]
@@ -447,17 +437,14 @@ class TriangleConfig:
         """All broken membership conditions, as human-readable strings."""
         return list(self._violations)
 
-    def verify(self):
-        if self._violations:
-            raise PreconditionError("; ".join(self._violations))
-
 
 def jacobi3_defect(t: TriangleConfig) -> MicroPoint:
     """Sum of the three iterated strong differences; zero principal part expected.
 
     The inner strong differences are the ones the membership check glued.
     """
-    t.verify()
+    if t._violations:
+        raise PreconditionError("; ".join(t._violations))
     total = None
     for axis, _others, _pairs in _TRIANGLE_GROUPS:
         tangent = strong_diff(*t._inner[axis])
@@ -477,7 +464,7 @@ def triangle_from_vector_fields(x: PolyMap, y: PolyMap, z: PolyMap, at) -> Trian
     if len(dims) != 1:
         raise ValidationError("vector fields on different model dimensions")
     m = dims.pop()
-    point = [_rational(v) for v in at]
+    point = [as_rational(v) for v in at]
     if len(point) != m:
         raise ValidationError(f"point needs {m} coordinates")
     fields = (x, y, z)

@@ -9,8 +9,9 @@ The matrix is read from integer numerators, so an integer map holds ints
 and makes no rational.  Pulling points back walks the matrix's nonzero
 rows, stored by `linsolve.store_rows`, with `linsolve.gather_rows`, as
 gluing walks its compiled map.  A map looks its source and target algebras
-up once, when it is made, so validating, building the matrix and pulling
-points back look no algebra up.
+up and builds its generator images once, when it is made, so validating,
+building the matrix and pulling points back look no algebra up.  Maps
+compose by `then`; the identity of an object is its inclusion in itself.
 """
 
 from .errors import ValidationError
@@ -22,7 +23,8 @@ from .weil import WeilElement, from_numerators, make_algebra
 
 
 class InfMorphism:
-    __slots__ = ("source", "target", "subst", "_matrix", "_rows", "_integral", "_algebras")
+    __slots__ = ("source", "target", "subst", "_matrix", "_rows", "_integral", "_algebras",
+                 "_images")
 
     def __init__(self, source: SimplicialObject, target: SimplicialObject, subst):
         """subst: one Poly in source.n variables per target generator."""
@@ -40,19 +42,16 @@ class InfMorphism:
         self.subst = subst
         self._matrix = self._rows = None
         self._algebras = make_algebra(source), make_algebra(target)
+        # the generator images as elements of the source algebra
+        alg = self._algebras[0]
+        self._images = [
+            from_numerators(alg, {alg.index[e]: n for e, n in p.numerators.items()
+                                  if e in alg.index}, p.denominator)
+            for p in subst]
         self._validate()
 
-    def _images(self):
-        """Generator images as elements of the source algebra."""
-        alg = self._algebras[0]
-        out = []
-        for p in self.subst:
-            num = {alg.index[e]: n for e, n in p.numerators.items() if e in alg.index}
-            out.append(from_numerators(alg, num, p.denominator))
-        return out
-
     def _validate(self):
-        imgs = self._images()
+        imgs = self._images
         for i, b in enumerate(self.target.bounds):
             if imgs[i] ** b:
                 raise ValidationError(
@@ -78,7 +77,7 @@ class InfMorphism:
         if self._matrix is not None:
             return self._matrix
         src, tgt = self._algebras
-        imgs = self._images()
+        imgs = self._images
         cols = []
         for beta in tgt.basis:
             w = src.one()
@@ -146,15 +145,6 @@ class InfMorphism:
 
     def __repr__(self):
         return f"InfMorphism({self.source!r} -> {self.target!r}: {list(self.subst)})"
-
-
-def compose_morphisms(f: InfMorphism, g: InfMorphism) -> InfMorphism:
-    """g after f; precondition f.target == g.source."""
-    return f.then(g)
-
-
-def identity_morphism(obj: SimplicialObject) -> InfMorphism:
-    return InfMorphism(obj, obj, [Poly.var(obj.n, i) for i in range(obj.n)])
 
 
 def inclusion(sub: SimplicialObject, ambient: SimplicialObject) -> InfMorphism:

@@ -47,7 +47,7 @@ from types import MappingProxyType
 from .errors import ValidationError
 from .rationals import (ONE, Q, FractionFree, RationalCoeffs, _power,
                         add_numerators, combine, fraction_free, rational,
-                        reduce_numerators, to_numerators)
+                        reduce_numerators)
 
 _new = object.__new__
 
@@ -88,9 +88,10 @@ class Poly(FractionFree):
     __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n: int, terms: dict):
-        """From a dict of exponent tuples to rationals (ints included)."""
-        self.n = n
-        self._num, self._den = to_numerators(terms)
+        """From a dict of exponent tuples to rationals (ints included),
+        checked as `from_terms` checks its pairs."""
+        f = Poly.from_terms(n, [(c, e) for e, c in terms.items()])
+        self.n, self._num, self._den = n, f._num, f._den
 
     # construction ---------------------------------------------------------
 
@@ -421,9 +422,3 @@ class PolyMap:
         return "PolyMap(%d -> %d: %s)" % (
             self.in_dim, self.out_dim, "; ".join(repr(c) for c in self.comps))
 
-
-def poly_equal(f: PolyMap, g: PolyMap) -> bool:
-    """Exact coefficient-wise equality of two maps of matching dimensions."""
-    if f.in_dim != g.in_dim or f.out_dim != g.out_dim:
-        raise ValidationError("maps of different dimensions")
-    return f.comps == g.comps

@@ -65,6 +65,20 @@ def parse_rational(text: str):
     return Q(text)
 
 
+def as_rational(v):
+    """v as a rational: ints and rationals as they are, strings through
+    parse_rational (exponent notation refused), anything else through Q.
+
+    A value that is no rational raises ValidationError ("bad rational ...").
+    """
+    if type(v) in RATIONAL_TYPES:
+        return v
+    try:
+        return parse_rational(v) if isinstance(v, str) else Q(v)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"bad rational {v!r}") from exc
+
+
 # fraction-free coefficient dicts ---------------------------------------------
 
 

@@ -1,8 +1,9 @@
 """JSON wire formats.
 
-Rationals travel as decimal strings "num/den" (or "num").  Monomial keys are
-sorted 1-based index lists rendered compactly, e.g. "[]", "[1]", "[1,2]",
-with repeats for powers above one.  Polynomials are term lists
+Rationals travel as decimal strings "num/den" (or "num"); a JSON string or
+int is read by `rationals.as_rational`, the reader points use.  Monomial
+keys are sorted 1-based index lists rendered compactly, e.g. "[]", "[1]",
+"[1,2]", with repeats for powers above one.  Polynomials are term lists
 {"c": "...", "e": [exponents]}; maps carry their dimensions explicitly.
 """
 
@@ -16,7 +17,7 @@ from .forms import OMEGA0, FormElem, Kernel, cube_dim, pi_kernel
 from .micro import MicroPoint
 from .morphisms import InfMorphism
 from .poly import Poly, PolyMap, grlex_key
-from .rationals import Q, parse_rational, rat_str
+from .rationals import Q, as_rational, rat_str
 from .simplicial import SimplicialObject
 
 
@@ -45,10 +46,7 @@ def _exponents(value) -> tuple:
 def _rat(value) -> Q:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValidationError(f"rational expected, got {value!r}")
-    try:
-        return Q(value) if isinstance(value, int) else parse_rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational {value!r}") from exc
+    return as_rational(value)
 
 
 # simplicial objects ---------------------------------------------------------

@@ -94,7 +94,6 @@ def d_order(k: int) -> SimplicialObject:
     return SimplicialObject(1, frozenset(), (k + 1,))
 
 
-D = d_cube(1)
 D2 = d_order(2)
 
 

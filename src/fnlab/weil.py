@@ -32,7 +32,7 @@ rational scaling and powers by repeated squaring, for rational and
 ring-valued elements alike; WeilElement keeps its sum, product, ring-valued
 scaling, equality and `times_basis`.  Rationals are built only for readers:
 `coeffs` is a read-only view that builds each one on lookup, and `coeff`
-and `dense` build theirs.
+builds its own.
 
 The rational product is one loop, `_mul_into`, that adds products of
 numerators along the pair table into a dense list by basis position: on a
@@ -348,10 +348,6 @@ class WeilElement(FractionFree):
         if c is None:
             return Q(0)
         return c if self._den is None else rational(c, self._den)
-
-    def dense(self):
-        values, zero = self._values(), Q(0)
-        return [values.get(k, zero) for k in range(self.algebra.dim)]
 
     def __repr__(self):
         if not self._num:

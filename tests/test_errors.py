@@ -111,6 +111,16 @@ def test_validation_branch(call, error, message):
         call()
 
 
+def test_poly_constructor_checks_exponents_as_from_terms():
+    # a short key would add as a second x0 in 2 variables, and a negative
+    # one would give a polynomial of degree -1
+    with pytest.raises(ValidationError,
+                       match="^exponent vector length != variable count"):
+        Poly(2, {(1,): Q(1)})
+    with pytest.raises(ValidationError, match="^negative exponent"):
+        Poly(1, {(-1,): Q(2)})
+
+
 def test_ring_valued_weil_arithmetic_checks_variable_counts():
     # polynomial coefficients in 1 and 2 variables meet at a basis position,
     # in a sum, in a lone product (x * y meets its lone product X * Y first)

@@ -232,8 +232,9 @@ def test_sparse_restriction_matches_dense_reference():
 
 
 def dense_matrix_reference(mor):
-    """The matrix with each column the dense expansion (w.dense(), all
-    rationals) of the product of the generator images that it names."""
+    """The matrix with each column the dense expansion (a Q at every basis
+    position, zeros included) of the product of the generator images that
+    it names."""
     src, tgt = make_algebra(mor.source), make_algebra(mor.target)
     images = generator_images(mor)
     cols = []
@@ -241,7 +242,7 @@ def dense_matrix_reference(mor):
         w = src.one()
         for img, e in zip(images, beta):
             w = w * img ** e
-        cols.append(w.dense())
+        cols.append([w.coeffs.get(k, Q(0)) for k in range(src.dim)])
     return [[col[i] for col in cols] for i in range(src.dim)]
 
 
@@ -430,7 +431,7 @@ def dense_add_tangents(a, b):
         raise PreconditionError("tangent vectors at different base points")
     coords = []
     for x, y in zip(a.coords, b.coords):
-        dx, dy = x.dense(), y.dense()
+        dx, dy = ([w.coeffs.get(k, Q(0)) for k in range(a.algebra.dim)] for w in (x, y))
         coords.append(from_dense(a.algebra, [dx[0]] + [u + v for u, v in zip(dx[1:], dy[1:])]))
     return MicroPoint(a.algebra, a.m, coords)
 

@@ -188,10 +188,11 @@ def _point_json():
     lambda d: {**d, "coeffs": {"[1,1]": ["1", "2"]}},
     lambda d: {**d, "coeffs": {"[": ["1", "2"]}},
     lambda d: {**d, "coeffs": {"[]": ["1", []]}},
+    lambda d: {**d, "coeffs": {"[]": ["1", True]}},
 ], ids=["empty", "list", "no-object", "no-m", "m-null", "m-text", "m-wrong",
         "m-float", "m-half", "m-numeric-text", "m-bool",
         "coeffs-list", "vector-int", "vector-text", "index-zero", "index-high",
-        "index-bool", "not-in-basis", "bad-key", "coeff-list"])
+        "index-bool", "not-in-basis", "bad-key", "coeff-list", "coeff-bool"])
 def test_micropoint_rejects_malformed(change):
     with pytest.raises(ValidationError):
         micropoint_from_json(change(_point_json()))

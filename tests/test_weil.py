@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fnlab.errors import ValidationError
 from fnlab.micro import amalgamation_cases
-from fnlab.morphisms import InfMorphism, compose_morphisms, identity_morphism, \
-    inclusion
+from fnlab.morphisms import InfMorphism, inclusion
 from fnlab.poly import Poly
 from fnlab.rationals import Q
 from fnlab.simplicial import D2, SimplicialObject, d_cube, d_order, d_paren, oplus, \
@@ -212,14 +211,13 @@ def test_morphism_composition():
     psi = InfMorphism(sq, tgt, [Poly.var(2, 0), Poly.var(2, 1),
                                 Poly.var(2, 0) * Poly.var(2, 1)])
     pad = InfMorphism(d_cube(1), sq, [Poly.var(1, 0), Poly.zero(1)])
-    comp = compose_morphisms(pad, psi)
+    comp = pad.then(psi)
     assert comp.subst == (Poly.var(1, 0), Poly.zero(1), Poly.zero(1))
-    ident = identity_morphism(sq)
-    assert compose_morphisms(ident, psi) == psi
-    assert compose_morphisms(pad, identity_morphism(sq)) == pad
+    ident = inclusion(sq, sq)
+    assert ident.then(psi) == psi
+    assert pad.then(ident) == pad
     third = inclusion(d_paren(2), sq)
-    assert compose_morphisms(compose_morphisms(third, ident), psi) == \
-        compose_morphisms(third, compose_morphisms(ident, psi))
+    assert third.then(ident).then(psi) == third.then(ident.then(psi))
 
 
 def test_pullback_is_algebra_map():
@@ -528,8 +526,6 @@ def test_equality_and_truth_match_reference(case):
 def test_readers_match_reference(case):
     alg, (a,) = case
     x = element(alg, a)
-    assert [fraction(c) for c in x.dense()] == [a.get(k, 0) for k in range(alg.dim)]
-    assert all(type(c) is Q for c in x.dense())
     for k, exps in enumerate(alg.basis):
         assert fraction(x.coeff(exps)) == a.get(k, 0) and type(x.coeff(exps)) is Q
     if alg.source.n:
@@ -583,7 +579,7 @@ def test_equal_values_from_different_paths_hash_equal(case, c):
         w.scale(2).scale(Q(1, 2)),
         -(-w),
         y * x * alg.one(),
-        identity_morphism(alg.source).pullback_element(w),
+        inclusion(alg.source, alg.source).pullback_element(w),
     ]
     for v in paths:
         assert v == w and hash(v) == hash(w)
@@ -597,7 +593,7 @@ def test_zero_has_denominator_one(case, c):
     x = element(alg, a).scale(Q(c.numerator, c.denominator))
     zeros = [x - x, x.scale(0), x * alg.zero(), alg.zero().scale(Q(1, 3)),
              from_dense(alg, [Q(0)] * alg.dim), WeilElement(alg, {}),
-             identity_morphism(alg.source).pullback_element(x - x)]
+             inclusion(alg.source, alg.source).pullback_element(x - x)]
     if alg.source.n >= 2 and alg.source == d_cube(alg.source.n):
         d1, d2 = alg.generator(1).scale(Q(1, 3)), alg.generator(2).scale(Q(1, 3))
         zeros.append((d1 + d2) * (d1 - d2))
