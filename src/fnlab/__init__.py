@@ -17,11 +17,10 @@ from .micro import MicroPoint, TriangleConfig, amalgamate, \
     strong_diff_i, tangent_principal, triangle_from_slots, \
     triangle_from_vector_fields
 from .forms import FormElem, Kernel, Permutation, antisymmetrize, \
-    antisymmetrize_scaled, bracket_fn13, bracket_fn123, bracket_l1, \
-    bracket_l12, conv_over, conv_under, cube_var, form_from_kernel, \
-    identity_one_form, is_omega1, is_omega12, is_omega13, is_omega123, \
-    perm_act, perm_kernel, pi_kernel, prod_over, prod_under, shuffle_sigma, \
-    vector_field_form, verify_class
+    bracket_fn13, bracket_fn123, bracket_l1, bracket_l12, conv_over, \
+    conv_under, cube_var, form_from_kernel, identity_one_form, is_omega1, \
+    is_omega12, is_omega13, is_omega123, perm_act, perm_kernel, pi_kernel, \
+    prod_over, prod_under, shuffle_sigma, vector_field_form, verify_class
 from .errors import FnlabError, InternalError, PreconditionError, ValidationError
 
 __version__ = "0.1.0"

@@ -10,10 +10,13 @@ the Dirac-normalized classes.
 The two convolutions evaluate one kernel inside the other with Weil-valued
 scalars; their expanded products agree below the corner, and the corner gap,
 extracted by the same amalgamation solver that powers strong differences of
-points, is the bracket.  Antisymmetrizing with 1/(p! q!) yields the graded
-bracket on alternating forms.  A form decides each class condition once and
-holds the verdict (its kernels are read-only); a bracket's output, in its
-class by construction, is checked on its next use.
+points, is the bracket.  Antisymmetrizing it with 1/(p! q!) yields the graded
+bracket on alternating forms.  The bracket is bilinear and natural in each
+argument's axes, so that is the plain antisymmetrization of the bracket of
+the inputs' orbit representatives, one monomial per orbit of each kernel.
+A form decides each class condition once and holds the verdict (its kernels
+are read-only); a bracket's output, in its class by construction, is checked
+on its next use.
 
 The constant combinatorics are worked out once and cached, which is safe
 because none of them ever changes:
@@ -50,7 +53,7 @@ from .errors import InternalError, PreconditionError, ValidationError
 from .linsolve import gather_rows
 from .micro import case_compat_errors, case_solve, get_case
 from .poly import Poly, PolyMap, _permutation_gather
-from .rationals import ONE, Q
+from .rationals import ONE
 from .simplicial import d_cube
 from .weil import WeilElement, make_algebra
 
@@ -584,12 +587,36 @@ def antisymmetrize(x: FormElem, factor=ONE) -> FormElem:
                     x.class_tag)
 
 
-def antisymmetrize_scaled(x: FormElem, parts) -> FormElem:
-    """Antisymmetrize and divide by the product of part factorials."""
-    denom = 1
-    for part in parts:
-        denom *= factorial(part)
-    return antisymmetrize(x, Q(1, denom))
+def _orbit_representative(x: FormElem) -> FormElem:
+    """The Dirac form whose `antisymmetrize` is x, one monomial per kernel orbit.
+
+    x alternates.  Each orbit of monomials under the axis permutations that
+    meets its principal kernel K keeps its first monomial f, with
+    coefficient K[f] * |orbit| / p!.  No odd permutation fixes f (it would
+    give K[f] = -K[f]), so the p!/|orbit| permutations that fix f all add it
+    with sign +1: the signed sum is K[f] at f, and K on the rest of the
+    orbit because K alternates.  The orbits are read from `_perm_table`'s
+    gathers, p! per orbit, as `antisymmetrize` reads them.  Arity 0 and 1
+    forms are their own representatives.
+    """
+    if x.p < 2:
+        return x
+    table = _perm_table(x.p, x.m)
+    gathers = table.even + table.odd
+    ker = x.principal()
+    n, den = ker.body.in_dim, factorial(x.p)
+    comps = []
+    for comp in ker.body.comps:
+        seen, out = set(), {}
+        for f, c in comp.numerators.items():
+            if f not in seen:
+                orbit = {g(f) for g in gathers}
+                seen |= orbit
+                out[f] = c * len(orbit)
+        comps.append(Poly.from_numerators(n, out, comp.denominator * den))
+    rep = Kernel(x.p, x.m, PolyMap(n, comps))
+    return FormElem(x.p, 1, x.m, {frozenset(): x.coeff(()), frozenset({1}): rep},
+                    x.class_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -638,17 +665,31 @@ def bracket_l12(x: FormElem, y: FormElem) -> FormElem:
     return _bracket_core(x, y, OMEGA12)
 
 
+def _graded_bracket(x: FormElem, y: FormElem, tag: str) -> FormElem:
+    """A(L(x, y)) / (p! q!) for checked inputs, from their orbit representatives.
+
+    A is the signed sum over the axis permutations and L the strong
+    difference.  L is bilinear in the principal kernels and natural in each
+    argument's axes, L(s.a, t.b) = (s x t).L(a, b), and A((s x t).c) =
+    sign(s) sign(t) A(c); so A(L(A a, A b)) = p! q! A(L(a, b)).  With a and
+    b the representatives (A a = K_x, A b = K_y) that is exact, and the
+    convolutions expand one monomial per orbit of each kernel.
+    """
+    return antisymmetrize(_bracket_core(_orbit_representative(x),
+                                        _orbit_representative(y), tag))
+
+
 def bracket_fn13(x: FormElem, y: FormElem) -> FormElem:
     """Graded bracket on alternating forms: antisymmetrized strong difference."""
     _require(is_omega13, "is_omega13", x, y)
-    return antisymmetrize_scaled(_bracket_core(x, y, OMEGA13), (x.p, y.p))
+    return _graded_bracket(x, y, OMEGA13)
 
 
 def bracket_fn123(x: FormElem, y: FormElem) -> FormElem:
     """Graded bracket on alternating multilinear forms."""
     _require(is_omega12, "is_omega12", x, y)
     _require(is_omega13, "is_omega13", x, y)
-    return antisymmetrize_scaled(_bracket_core(x, y, OMEGA123), (x.p, y.p))
+    return _graded_bracket(x, y, OMEGA123)
 
 
 BRACKETS = {

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fnlab import forms
 from fnlab.errors import PreconditionError, ValidationError
 from fnlab.forms import (FormElem, Kernel, OMEGA0, OMEGA1, OMEGA12, OMEGA13, OMEGA123,
-                         Permutation, antisymmetrize, antisymmetrize_scaled,
+                         Permutation, antisymmetrize,
                          bracket_fn13, bracket_fn123, bracket_l1, bracket_l12,
                          conv_over, conv_under, cube_dim, cube_var,
                          form_from_kernel, identity_one_form, is_omega1,
@@ -21,6 +21,7 @@ from fnlab.forms import (FormElem, Kernel, OMEGA0, OMEGA1, OMEGA12, OMEGA13, OME
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 from fnlab.simplicial import d_cube
+from fnlab.verify import Sampler
 from fnlab.weil import WeilElement, make_algebra
 
 RNG = random.Random(41)
@@ -395,7 +396,7 @@ def test_permutation_machinery_matches_naive_reference():
                                      naive_antisymmetrize(x, factor))
                 for parts in ((p, 0), (1, p - 1) if p else (0, 0)):
                     denom = factorial(parts[0]) * factorial(parts[1])
-                    assert_same_form(antisymmetrize_scaled(x, parts),
+                    assert_same_form(antisymmetrize(x, Q(1, denom)),
                                      naive_antisymmetrize(x, Q(1, denom)))
                 alt = antisymmetrize(x)
                 for y in (x, alt, alt.with_tag(OMEGA12)):
@@ -643,7 +644,7 @@ def test_antisymmetrize_two_term_sum():
 def test_antisymmetrize_arity_one_is_identity():
     x = rform(1, 1)
     assert antisymmetrize(x) == x
-    assert antisymmetrize_scaled(x, (1, 0)) == x
+    assert antisymmetrize(x, Q(1, factorial(1) * factorial(0))) == x
 
 
 def test_antisymmetrizer_perm_equivariance():
@@ -807,19 +808,51 @@ def alternating_form(rng, p, m, multilinear):
     (True, 0, 2, 2), (True, 1, 1, 2), (True, 2, 1, 3), (True, 1, 2, 3),
     (True, 2, 2, 4), (True, 3, 1, 4)])
 def test_orbit_sum_on_raw_bracket_kernels(multilinear, p, q, m):
-    """The kernels that `_bracket_core` hands to FN13 and FN123.
+    """The strong differences of alternating inputs, antisymmetrized whole.
 
     They alternate within x's axes and within y's axes, so each orbit meets
-    the support in up to C(p+q, p) shuffled copies.
+    the support in up to C(p+q, p) shuffled copies.  FN13 and FN123, which
+    antisymmetrize the strong difference of the orbit representatives
+    instead, give the same kernel.
     """
     rng = random.Random(f"raw-{multilinear}-{p}-{q}-{m}")
     bracket = bracket_fn123 if multilinear else bracket_fn13
     x, y = alternating_form(rng, p, m, multilinear), alternating_form(rng, q, m, multilinear)
     raw = forms._bracket_core(x, y)
     full = naive_antisymmetrize(raw, Q(1, factorial(p) * factorial(q)))
-    assert_same_form(antisymmetrize_scaled(raw, (p, q)), full)
+    assert_same_form(antisymmetrize(raw, Q(1, factorial(p) * factorial(q))), full)
     assert bracket(x, y).principal() == full.principal()
     assert x.principal() and y.principal() and full.principal()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("tag", [OMEGA13, OMEGA123])
+def test_graded_brackets_match_the_antisymmetrized_strong_difference(tag, m):
+    """FN13 and FN123 against A(L(x, y)) / (p! q!), the bracket's definition.
+
+    L is the strong difference `_bracket_core` and A the signed sum over the
+    axis permutations.  The brackets take L of the inputs' orbit
+    representatives instead and antisymmetrize it with factor 1; each
+    representative must antisymmetrize back to its input.  Two draws per
+    arity 0-3, every ordered pair of them.
+    """
+    sampler = Sampler(f"graded-{tag}-{m}")
+    make = sampler.omega13_form if tag == OMEGA13 else sampler.omega123_form
+    bracket = bracket_fn13 if tag == OMEGA13 else bracket_fn123
+    inputs = [make(p, m, 2) for p in range(4) for _ in range(2)]
+    for x in inputs:
+        assert_same_form(antisymmetrize(forms._orbit_representative(x)), x)
+    nonzero = 0
+    for x in inputs:
+        for y in inputs:
+            full = antisymmetrize(forms._bracket_core(x, y, tag),
+                                  Q(1, factorial(x.p) * factorial(y.p)))
+            out = bracket(x, y)
+            assert_same_form(out, full)
+            if max(x.p, y.p) >= 2 and out.principal():
+                nonzero += 1
+    # alternating multilinear forms of arity above m vanish
+    assert nonzero or (tag == OMEGA123 and m == 1)
 
 
 def test_orbit_sum_builds_no_permuted_kernel(monkeypatch):

@@ -1,8 +1,12 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,7 @@ from fnlab.serialize import (MAX_KERNEL_VARS, MAX_MONOMIALS, form_from_json, for
 from fnlab.simplicial import D2, SimplicialObject, d_cube, d_paren
 
 RNG = random.Random(4)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def rpoly(n, deg=2):
@@ -331,11 +336,45 @@ def test_rational_spellings_decode_as_fraction_does(text):
     assert parse_rational(text) == want
 
 
-@pytest.mark.parametrize("text", ["1e999999999", "1E5", "2.5e-3", "-3e+2", " 1e1 "])
+HUGE_EXPONENT = "1e999999999"
+
+_DECODE_IN_CHILD = """
+import json, sys
+from fnlab.errors import ValidationError
+from fnlab.serialize import micropoint_from_json
+try:
+    micropoint_from_json(json.loads(sys.argv[1]))
+except ValidationError as exc:
+    print(exc)
+"""
+
+
+def _decode_in_child(data, timeout: float = 5.0) -> str:
+    """The ValidationError message of micropoint_from_json(data), read in a
+    child interpreter that is killed after timeout seconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    try:
+        out = subprocess.run([sys.executable, "-c", _DECODE_IN_CHILD, json.dumps(data)],
+                             env=env, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"decoding did not finish within {timeout} s")
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.parametrize("text", [HUGE_EXPONENT, "1E5", "2.5e-3", "-3e+2", " 1e1 "])
 def test_rational_with_an_exponent_is_refused_at_once(text):
+    """Refused before Q reads it.  Without the refusal, the huge exponent
+    would make the decoder build 10^999999999 (about 415 MB) for minutes, so
+    that case decodes in a child interpreter that a timeout kills."""
+    if text == HUGE_EXPONENT:
+        assert "bad rational" in _decode_in_child(_point_with(text))
     start = time.perf_counter()
-    with pytest.raises(ValidationError, match="bad rational"):
-        micropoint_from_json(_point_with(text))
+    if text != HUGE_EXPONENT:
+        with pytest.raises(ValidationError, match="bad rational"):
+            micropoint_from_json(_point_with(text))
     with pytest.raises(ValidationError, match="exponent notation is not accepted"):
         parse_rational(text)
     assert time.perf_counter() - start < 1.0
