@@ -15,8 +15,8 @@ bracket on alternating forms.  The bracket is bilinear and natural in each
 argument's axes, so that is the plain antisymmetrization of the bracket of
 the inputs' orbit representatives, one monomial per orbit of each kernel.
 A form decides each class condition once and holds the verdict (its kernels
-are read-only); a bracket's output, in its class by construction, is checked
-on its next use.
+are read-only), as it holds its orbit representative once built; a bracket's
+output, in its class by construction, is checked on its next use.
 
 The constant combinatorics are worked out once and cached, which is safe
 because none of them ever changes:
@@ -39,8 +39,9 @@ outer-axis coefficients straight into the outer arguments at the kernel's
 expansion subset.  It embeds each outer kernel value at its expansion subset
 by re-indexing (`WeilElement.times_basis`), not by a product.  The
 antisymmetrizer builds no permuted kernel: it sums the signed integer
-numerators once per orbit of monomials under the axis permutations, and
-writes the result at every monomial of the orbit with the permutation's sign.
+numerators once per orbit of monomials under the axis permutations, unless
+an odd permutation fixes the orbit, and writes a nonzero sum at every
+monomial of the orbit with the permutation's sign.
 """
 
 from collections import namedtuple
@@ -52,7 +53,7 @@ from types import MappingProxyType
 from .errors import InternalError, PreconditionError, ValidationError
 from .linsolve import gather_rows
 from .micro import case_compat_errors, case_solve, get_case
-from .poly import Poly, PolyMap, _permutation_gather
+from .poly import Poly, PolyMap, _permutation_gather, _reduced
 from .rationals import ONE
 from .simplicial import d_cube
 from .weil import WeilElement, make_algebra
@@ -253,7 +254,7 @@ class FormElem:
     surviving coefficient data.
     """
 
-    __slots__ = ("p", "k", "m", "coeffs", "class_tag", "_verdicts")
+    __slots__ = ("p", "k", "m", "coeffs", "class_tag", "_held")
 
     def __init__(self, p: int, k: int, m: int, coeffs: dict,
                  class_tag: str = OMEGA0):
@@ -273,7 +274,7 @@ class FormElem:
         self.m = m
         self.coeffs = MappingProxyType(clean)
         self.class_tag = class_tag
-        self._verdicts = {}
+        self._held = {}
 
     def coeff(self, subset) -> Kernel:
         ker = self.coeffs.get(frozenset(subset))
@@ -371,13 +372,14 @@ def _alternating(x: FormElem) -> bool:
     return all(perm_kernel(ker, tau) == negated for tau in _perm_table(x.p, x.m).checks)
 
 
-def _holds(x: FormElem, condition) -> bool:
-    """condition(x) (is_omega1, _multilinear or _alternating), evaluated on the
-    form's first ask and read after that; an error (k != 1) is never stored."""
-    verdict = x._verdicts.get(condition)
-    if verdict is None:
-        verdict = x._verdicts[condition] = condition(x)
-    return verdict
+def _holds(x: FormElem, derive):
+    """derive(x), evaluated on the form's first ask and read after that: a
+    class verdict (is_omega1, _multilinear or _alternating) or, at arity
+    p >= 2, the orbit representative.  An error (k != 1) is never stored."""
+    value = x._held.get(derive)
+    if value is None:
+        value = x._held[derive] = derive(x)
+    return value
 
 
 def is_omega12(x: FormElem) -> bool:
@@ -550,14 +552,19 @@ def antisymmetrize(x: FormElem, factor=ONE) -> FormElem:
     The sum is taken once per orbit of monomials under the axis
     permutations.  With g_s the exponent gather of the permutation s and P
     the kernel's coefficients, the sum has coefficient R(f) = sum_s sign(s) *
-    P[g_s(f)] at a monomial f, and sign(s) * R(f) at g_s(f).  So each orbit
-    that meets the kernel's support is gathered, read and written once, and
-    an orbit that an odd permutation fixes comes out zero.  This is the full
-    sum for every kernel, alternating or not, at a cost of p! gathers per
-    orbit rather than p! per term.  Permuting variables keeps a component's
-    denominator, so the orbit sums are integer sums of its numerators and
-    factor scales them once.  The base projection is symmetric, so it is
-    carried unchanged rather than picking up a factor p!.
+    P[g_s(f)] at a monomial f, and sign(s) * R(f) at g_s(f).  If an odd
+    permutation t fixes f, s -> s t pairs each term of R(f) with its
+    negative, and the even images are the odd ones: the orbit sums to zero.
+    So each orbit that meets the kernel's support is gathered once, odd
+    images first.  If f is among them nothing more is gathered or read;
+    otherwise R(f) is read and the orbit written if it is nonzero.  A
+    cancelled orbit is marked, so no later member of the support gathers it
+    again.  This is the full sum for every kernel, alternating or not, at
+    p! gathers per orbit (p!/2 when an odd permutation fixes it) rather than
+    p! per term.  Permuting variables keeps a component's denominator, so
+    the orbit sums are integer sums of its numerators and factor scales them
+    once.  The base projection is symmetric, so it is carried unchanged
+    rather than picking up a factor p!.
     """
     ker = x.principal()
     table = _perm_table(x.p, x.m)
@@ -568,19 +575,25 @@ def antisymmetrize(x: FormElem, factor=ONE) -> FormElem:
     for comp in ker.body.comps:
         num = comp.numerators
         get = num.get
-        out = {}
+        out, cancelled = {}, set()
         for f in num:
-            if f in out:
+            if f in out or f in cancelled:
+                continue
+            down = [g(f) for g in odd]
+            if f in down:
+                cancelled.update(down)
                 continue
             up = [g(f) for g in even]
-            down = [g(f) for g in odd]
             r = p * (sum([get(e, 0) for e in up]) - sum([get(e, 0) for e in down]))
-            # the whole orbit is covered, zeros included; from_numerators
-            # drops them.  For r != 0 no monomial is both an even and an odd
-            # image of f, so each is written once.
-            out.update(dict.fromkeys(up, r))
-            out.update(dict.fromkeys(down, -r))
-        comps.append(Poly.from_numerators(n, out, comp.denominator * q))
+            if r:
+                # no odd permutation fixes f, so no monomial is both an even
+                # and an odd image of it, and each is written once
+                out.update(dict.fromkeys(up, r))
+                out.update(dict.fromkeys(down, -r))
+            else:
+                cancelled.update(up)
+                cancelled.update(down)
+        comps.append(_reduced(n, out, comp.denominator * q))
     total = Kernel(x.p, x.m, PolyMap(n, comps))
     return FormElem(x.p, 1, x.m,
                     {frozenset(): x.coeff(()), frozenset({1}): total},
@@ -596,8 +609,8 @@ def _orbit_representative(x: FormElem) -> FormElem:
     give K[f] = -K[f]), so the p!/|orbit| permutations that fix f all add it
     with sign +1: the signed sum is K[f] at f, and K on the rest of the
     orbit because K alternates.  The orbits are read from `_perm_table`'s
-    gathers, p! per orbit, as `antisymmetrize` reads them.  Arity 0 and 1
-    forms are their own representatives.
+    gathers, p! per orbit that meets K.  Arity 0 and 1 forms are their own
+    representatives; any other form holds its own once built (`_holds`).
     """
     if x.p < 2:
         return x
@@ -673,10 +686,11 @@ def _graded_bracket(x: FormElem, y: FormElem, tag: str) -> FormElem:
     argument's axes, L(s.a, t.b) = (s x t).L(a, b), and A((s x t).c) =
     sign(s) sign(t) A(c); so A(L(A a, A b)) = p! q! A(L(a, b)).  With a and
     b the representatives (A a = K_x, A b = K_y) that is exact, and the
-    convolutions expand one monomial per orbit of each kernel.
+    convolutions expand one monomial per orbit of each kernel.  An input of
+    arity 0 or 1 is its own representative and holds no reference to itself.
     """
-    return antisymmetrize(_bracket_core(_orbit_representative(x),
-                                        _orbit_representative(y), tag))
+    x_rep, y_rep = (z if z.p < 2 else _holds(z, _orbit_representative) for z in (x, y))
+    return antisymmetrize(_bracket_core(x_rep, y_rep, tag))
 
 
 def bracket_fn13(x: FormElem, y: FormElem) -> FormElem:

@@ -41,7 +41,7 @@ negation and scaling that a form's kernels are built from.
 from collections import defaultdict
 from functools import lru_cache
 from math import lcm
-from operator import add, itemgetter, neg
+from operator import add, itemgetter
 from types import MappingProxyType
 
 from .errors import ValidationError
@@ -52,13 +52,16 @@ from .rationals import (ONE, Q, FractionFree, RationalCoeffs, _power,
 _new = object.__new__
 
 
-def grlex_key(exps):
-    """Sort key of the graded lexicographic order on exponent tuples.
+def grlex_sorted(monomials) -> list:
+    """Exponent tuples of one length in graded lexicographic order.
 
-    Total degree first, then earlier variables first.  Weil bases, Poly
-    reprs and the JSON term lists all list monomials in this order.
+    Total degree first, then earlier variables first: of two monomials of
+    one degree, the one with the larger exponent at the first variable where
+    they differ comes first.  Weil bases, Poly reprs and the JSON term lists
+    all list monomials in this order.  Two stable sorts in C, with no key
+    function in Python: descending tuple order, then by degree.
     """
-    return (sum(exps), tuple(map(neg, exps)))
+    return sorted(sorted(monomials, reverse=True), key=sum)
 
 
 def _poly(n, num, den):
@@ -314,7 +317,7 @@ class Poly(FractionFree):
             return "0"
         terms = self.terms
         bits = []
-        for e in sorted(terms, key=grlex_key):
+        for e in grlex_sorted(terms):
             c = terms[e]
             mono = "*".join(
                 f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k)

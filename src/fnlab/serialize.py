@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .forms import OMEGA0, FormElem, Kernel, cube_dim, pi_kernel
 from .micro import MicroPoint
 from .morphisms import InfMorphism
-from .poly import Poly, PolyMap, grlex_key
+from .poly import Poly, PolyMap, grlex_sorted
 from .rationals import Q, as_rational, rat_str
 from .simplicial import SimplicialObject
 
@@ -107,8 +107,11 @@ def _ratio_str(n: int, den: int) -> str:
 
 
 def poly_to_json(p: Poly) -> list:
+    """Terms in `grlex_sorted` order; each distinct numerator is formatted
+    once, as an antisymmetrized kernel's orbit repeats one |coefficient|."""
     num, den = p.numerators, p.denominator
-    return [{"c": _ratio_str(num[e], den), "e": list(e)} for e in sorted(num, key=grlex_key)]
+    text = {c: _ratio_str(c, den) for c in set(num.values())}
+    return [{"c": text[num[e]], "e": list(e)} for e in grlex_sorted(num)]
 
 
 def poly_from_json(data, n: int) -> Poly:

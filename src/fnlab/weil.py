@@ -6,7 +6,7 @@ and not divisible by a vanishing product.  Monomial ideals make normal forms
 a divisibility test, so no Groebner machinery is needed anywhere.
 
 Basis order is graded lexicographic (total degree first, then earlier
-generators first; `poly.grlex_key`) and is part of the serialization
+generators first; `poly.grlex_sorted`) and is part of the serialization
 contract.
 
 Each algebra tabulates, once, the pairs of basis monomials whose product
@@ -59,7 +59,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import ValidationError
-from .poly import Poly, grlex_key
+from .poly import Poly, grlex_sorted
 from .rationals import (ONE, RATIONAL_TYPES, Q, FractionFree, RationalCoeffs,
                         add_numerators, combine, rational, reduce_numerators,
                         to_numerators)
@@ -87,7 +87,7 @@ class WeilAlgebra:
                 if not any(t & m == m for m in closing[i]):
                     longer.extend((exps + (e,), t) for e in range(1, b))
             grown = longer
-        self.basis = tuple(sorted((exps for exps, _s in grown), key=grlex_key))
+        self.basis = tuple(grlex_sorted(exps for exps, _s in grown))
         self.index = {e: i for i, e in enumerate(self.basis)}
         # Each basis monomial as one integer, with mixed radix 2*bound - 1
         # per generator.  A basis exponent is below its bound, so the digits

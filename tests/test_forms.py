@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fnlab import forms
+from fnlab import forms, verify
 from fnlab.errors import PreconditionError, ValidationError
 from fnlab.forms import (FormElem, Kernel, OMEGA0, OMEGA1, OMEGA12, OMEGA13, OMEGA123,
                          Permutation, antisymmetrize,
@@ -402,6 +402,18 @@ def test_permutation_machinery_matches_naive_reference():
                 for y in (x, alt, alt.with_tag(OMEGA12)):
                     assert is_omega13(y) == naive_is_omega13(y)
                 assert is_omega13(alt)
+            # whole orbits that an odd permutation fixes, and kernels that
+            # every permutation fixes: each orbit sums to zero at p >= 2
+            cancelling = [symmetric_kernel(rng, p, m)]
+            if p >= 2:
+                cancelling.append(fixed_orbit_kernel(rng, p, m))
+            for ker in cancelling:
+                x = form_from_kernel(ker)
+                for factor in (Q(1), Q(-3, 4), Q(6), Q(10, 9)):
+                    assert_same_form(antisymmetrize(x, factor),
+                                     naive_antisymmetrize(x, factor))
+            if p >= 2:
+                assert not antisymmetrize(form_from_kernel(cancelling[0])).principal()
 
 
 def test_alternation_kept_under_exactly_one_transposition():
@@ -670,6 +682,73 @@ def monomial_images(p, m, e):
             for s in Permutation.all(p)]
 
 
+def odd_fixes(p, m, e):
+    """Whether an odd axis permutation fixes the monomial e."""
+    return any(g == e for g, s in zip(monomial_images(p, m, e), Permutation.all(p))
+               if s.sign == -1)
+
+
+def orbit_gathers(ker):
+    """The gathers `antisymmetrize` spends on ker: per component, p! for each
+    orbit that meets the support, p!/2 for one that an odd permutation fixes."""
+    p, m = ker.p, ker.m
+    total = 0
+    for comp in ker.body.comps:
+        orbits = {frozenset(monomial_images(p, m, e)): e for e in comp.numerators}
+        total += sum(factorial(p) // (2 if odd_fixes(p, m, e) else 1) for e in orbits.values())
+    return total
+
+
+def whole_orbit(rng, p, m, e, symmetric):
+    """Every image of x^e, at one coefficient if symmetric, else at random ones."""
+    c = Q(rng.randint(1, 9), rng.randint(1, 7))
+    return Poly.from_terms(cube_dim(p, m), [
+        (c if symmetric else Q(rng.randint(-9, 9), rng.randint(1, 7)), g)
+        for g in set(monomial_images(p, m, e))])
+
+
+def odd_fixed_monomial(rng, p, m):
+    """A monomial that a random odd permutation t fixes (p >= 2): the product
+    of a random monomial's images under the powers of t."""
+    n = cube_dim(p, m)
+    k = rng.choice([i for i, s in enumerate(Permutation.all(p)) if s.sign == -1])
+    e = image = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(n))
+    total = [0] * n
+    while True:
+        total = [a + b for a, b in zip(total, image)]
+        image = monomial_images(p, m, image)[k]
+        if image == e:
+            return tuple(total)
+
+
+def fixed_orbit_kernel(rng, p, m):
+    """Whole orbits that odd permutations fix, at random coefficients, and a
+    free term (p >= 2)."""
+    n = cube_dim(p, m)
+    comps = []
+    for _ in range(m):
+        free = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(n))
+        comp = Poly.from_terms(n, [(Q(rng.randint(1, 9), rng.randint(1, 7)), free)])
+        for _ in range(2):
+            comp = comp + whole_orbit(rng, p, m, odd_fixed_monomial(rng, p, m), False)
+        comps.append(comp)
+    return Kernel(p, m, PolyMap(n, comps))
+
+
+def symmetric_kernel(rng, p, m):
+    """A kernel that every axis permutation fixes: whole orbits at one
+    coefficient each."""
+    n = cube_dim(p, m)
+    comps = []
+    for _ in range(m):
+        comp = Poly.zero(n)
+        for _ in range(2):
+            e = tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n))
+            comp = comp + whole_orbit(rng, p, m, e, True)
+        comps.append(comp)
+    return Kernel(p, m, PolyMap(n, comps))
+
+
 def orbit_kernel(rng, p, m, terms=3):
     """A kernel whose support meets some orbits more than once.
 
@@ -739,8 +818,7 @@ def test_orbit_fixed_by_an_odd_permutation_vanishes():
         for subset in subsets:
             fixed = fixed * axis_var(p, m, subset)
         e = next(iter(fixed.numerators))
-        assert any(g == e for g, s in zip(monomial_images(p, m, e), Permutation.all(p))
-                   if s.sign == -1)
+        assert odd_fixes(p, m, e)
         other = axis_var(p, m, {1}) * axis_var(p, m, (), m - 1) ** 3
         x = form_from_kernel(Kernel(p, m, PolyMap(n, [
             fixed.scale(Q(5, 3)) + other.scale(Q(2, 7))] * m)))
@@ -855,10 +933,91 @@ def test_graded_brackets_match_the_antisymmetrized_strong_difference(tag, m):
     assert nonzero or (tag == OMEGA123 and m == 1)
 
 
-def test_orbit_sum_builds_no_permuted_kernel(monkeypatch):
-    """Each orbit meeting the support costs p! gathers, and nothing else.
+@pytest.mark.parametrize("arities, m", [((0, 1, 2), 2), ((2, 3, 2), 1), ((2, 2, 2), 2)])
+def test_graded_jacobi_sum_builds_each_representative_once(monkeypatch, arities, m):
+    """One `_orbit_representative` build per distinct input of arity >= 2.
 
-    `_alternating` still checks alternation through `perm_kernel`.
+    A graded Jacobi sum brackets x, y and z twice each and each inner bracket
+    once; a form of arity >= 2 holds its representative after its first
+    bracket, and a form of arity 0 or 1, its own representative, holds
+    nothing but class verdicts.
+    """
+    built, inputs = [], {}
+    build_real, bracket_real = forms._orbit_representative, forms.bracket_fn13
+
+    def counting_build(x):
+        built.append(x)
+        return build_real(x)
+
+    def recording_bracket(x, y):
+        inputs.update({id(x): x, id(y): y})
+        return bracket_real(x, y)
+
+    monkeypatch.setattr(forms, "_orbit_representative", counting_build)
+    sampler = Sampler(f"held-{arities}-{m}")
+    x, y, z = (sampler.omega13_form(p, m, 2) for p in arities)
+    assert not verify._jacobi_sum(recording_bracket, verify._graded_swap, x, y, z)
+    wide = [f for f in inputs.values() if f.p >= 2]
+    assert len(built) == len(wide) == len({id(f) for f in built})
+    assert len(inputs) == 6
+    for f in inputs.values():
+        held = [v for v in f._held.values() if isinstance(v, FormElem)]
+        if f.p < 2:
+            assert not held and all(isinstance(v, bool) for v in f._held.values())
+        else:
+            assert len(held) == 1 and held[0] is not f
+            assert_same_form(antisymmetrize(held[0]), f)
+
+
+def cost_contract_kernels():
+    """(p, m, kernel) inputs that reach each branch of the orbit sum.
+
+    Random kernels with a symmetric part; whole orbits that a transposition
+    fixes; the whole orbit of gamma_12 gamma_23 gamma_34 gamma_14, which the
+    4-cycle (1 2 3 4) fixes and no adjacent transposition does (at p = 4 a
+    monomial that a 4-cycle fixes is always fixed by a transposition too,
+    the square's reflections, here (1 3) and (2 4)); and a free orbit at one
+    coefficient, symmetric, whose sum cancels.  Each of the last three meets
+    its support more than once, so an orbit that is not marked is paid again.
+    """
+    rng = random.Random(77)
+    for p, m in ((0, 2), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
+        n = cube_dim(p, m)
+        ker = orbit_kernel(rng, p, m)
+        sym = sum((axis_var(p, m, {i}) for i in range(1, p + 1)), Poly.zero(n))
+        yield p, m, Kernel(p, m, PolyMap(n, [c + sym for c in ker.body.comps]))
+
+    def monomial(p, m, *subsets):
+        f = Poly.one(cube_dim(p, m))
+        for subset in subsets:
+            f = f * axis_var(p, m, subset)
+        return next(iter(f.numerators))
+
+    transposed = monomial(3, 2, {1}, {2}, {1, 2, 3})
+    cycled = monomial(4, 1, {1, 2}, {2, 3}, {3, 4}, {1, 4})
+    free = monomial(3, 1, {1}, {2}, {2}, {3}, {3}, {3})
+    for p, m, e, symmetric in ((3, 2, transposed, False), (4, 1, cycled, False),
+                               (3, 1, free, True)):
+        n = cube_dim(p, m)
+        images = monomial_images(p, m, e)
+        fixing = [s.images for g, s in zip(images, Permutation.all(p)) if g == e and s.sign == -1]
+        assert bool(fixing) != symmetric and len(set(images)) > 1
+        if p == 4:
+            adjacent = {(2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3)}
+            assert {(2, 3, 4, 1), (3, 2, 1, 4), (1, 4, 3, 2)} <= set(fixing)
+            assert not adjacent & set(fixing)
+        orbit = whole_orbit(rng, p, m, e, symmetric)
+        yield p, m, Kernel(p, m, PolyMap(n, [orbit + rpoly(n, terms=1)
+                                             for _ in range(m)]))
+
+
+def test_orbit_sum_builds_no_permuted_kernel(monkeypatch):
+    """Each orbit meeting the support costs p! gathers, p!/2 if an odd
+    permutation fixes it, and nothing else.
+
+    The count is exact, so a cancelled orbit gathered again for a later
+    member of the support fails it.  `_alternating` still checks alternation
+    through `perm_kernel`.
     """
     calls = {"perm_kernel": 0, "remap": 0, "gather": 0}
     perm_kernel_real, remap_real = forms.perm_kernel, Poly.remap_variables
@@ -879,24 +1038,18 @@ def test_orbit_sum_builds_no_permuted_kernel(monkeypatch):
     monkeypatch.setattr(Poly, "remap_variables", counting("remap", remap_real))
     monkeypatch.setattr(forms, "_perm_table", counting_table)
 
-    rng = random.Random(77)
-    for p, m in ((0, 2), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
-        n = cube_dim(p, m)
-        ker = orbit_kernel(rng, p, m)
-        sym = sum((axis_var(p, m, {i}) for i in range(1, p + 1)), Poly.zero(n))
-        ker = Kernel(p, m, PolyMap(n, [c + sym for c in ker.body.comps]))
-        orbits = sum(len({frozenset(monomial_images(p, m, e)) for e in comp.numerators})
-                     for comp in ker.body.comps)
+    for p, m, ker in cost_contract_kernels():
+        gathers = orbit_gathers(ker)
         x = form_from_kernel(ker)
         for key in calls:
             calls[key] = 0
         ax = antisymmetrize(x, Q(2, 3))
-        assert calls == {"perm_kernel": 0, "remap": 0,
-                         "gather": factorial(p) * orbits}, (p, m)
+        assert calls == {"perm_kernel": 0, "remap": 0, "gather": gathers}, (p, m)
         assert is_omega13(ax)
         checks = max(p - 1, 0)
         assert calls["perm_kernel"] == checks == calls["remap"] / m
-        assert calls["gather"] == factorial(p) * orbits
+        assert calls["gather"] == gathers
+        assert_same_form(ax, naive_antisymmetrize(x, Q(2, 3)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])

@@ -16,14 +16,15 @@ from fnlab.forms import Kernel, cube_dim, form_from_kernel, identity_one_form, \
     pi_kernel, vector_field_form
 from fnlab.micro import TRIANGLE_LABELS, MicroPoint, triangle_from_slots
 from fnlab.morphisms import InfMorphism
-from fnlab.poly import Poly, PolyMap, grlex_key
+from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q, parse_rational, rat_str
 from fnlab.serialize import (MAX_KERNEL_VARS, MAX_MONOMIALS, form_from_json, form_to_json,
                              micropoint_from_json,
                              micropoint_to_json, morphism_from_json,
                              morphism_to_json, obj_from_json, obj_to_json,
                              poly_to_json, polymap_from_json, polymap_to_json, to_json)
-from fnlab.simplicial import D2, SimplicialObject, d_cube, d_paren
+from fnlab.simplicial import D2, SimplicialObject, d_cube, d_order, d_paren, tensor
+from fnlab.weil import make_algebra
 
 RNG = random.Random(4)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -291,6 +292,47 @@ def test_rationals_serialized_as_strings():
 ])
 def test_coefficient_strings_from_numerators(n, den):
     assert serialize._ratio_str(n, den) == rat_str(Q(n, den))
+
+
+def grlex_key(exps):
+    """The graded lexicographic order as a sort key: total degree first, then
+    the larger exponent at the first variable where two monomials differ."""
+    return (sum(exps), tuple(-e for e in exps))
+
+
+def test_terms_and_weil_bases_follow_the_grlex_key():
+    """Term lists and Weil bases against the reference key, with degree ties.
+
+    Monomials of one degree tie on the first sort key, and a higher-degree
+    monomial can be lexicographically smaller than a lower one, so neither a
+    descending sort alone nor a degree sort alone passes.
+    """
+    rng = random.Random(35)
+    n = 32
+    for _ in range(20):
+        pairs = []
+        for degree in (1, 1, 2, 2, 2, 3, 3):
+            e = [0] * n
+            for _ in range(degree):
+                e[rng.randrange(4) if rng.random() < 0.5 else rng.randrange(n)] += 1
+            pairs.append((Q(rng.randint(-9, 9) or 1, rng.randint(1, 4)), tuple(e)))
+        x = Poly.from_terms(n, pairs)
+        got = [tuple(t["e"]) for t in poly_to_json(x)]
+        assert got == sorted(x.numerators, key=grlex_key)
+        assert [t["c"] for t in poly_to_json(x)] == [rat_str(x.terms[e]) for e in got]
+        assert repr(x) == repr(Poly(n, dict(x.terms)))
+    tie = Poly.from_terms(n, [(Q(1), (0,) * 31 + (2,)), (Q(2), (1,) + (0,) * 31),
+                              (Q(3), (0, 1) + (0,) * 30), (Q(4), (1, 1) + (0,) * 30)])
+    assert [tuple(t["e"]) for t in poly_to_json(tie)] == sorted(tie.numerators, key=grlex_key) \
+        == [(1,) + (0,) * 31, (0, 1) + (0,) * 30, (1, 1) + (0,) * 30, (0,) * 31 + (2,)]
+    relation = SimplicialObject(4, frozenset({(1, 2), (2, 3, 4), (1, 4)}), (3, 2, 3, 2))
+    for obj in (d_order(2), d_order(4), tensor(d_order(2), d_cube(2)),
+                tensor(d_paren(2), d_order(3)), relation, d_paren(3), d_cube(5)):
+        basis = make_algebra(obj).basis
+        assert list(basis) == sorted(basis, key=grlex_key), obj
+        assert len({sum(e) for e in basis}) > 1
+        if obj.n > 1:
+            assert len(basis) > len({sum(e) for e in basis}), obj
 
 
 def test_polynomial_terms_written_from_numerators():
