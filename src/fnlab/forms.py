@@ -30,14 +30,15 @@ because none of them ever changes:
   split by sign, and the adjacent transpositions that the alternation
   check applies;
 - one convolution layout per shape (an LRU cache of at most 128): the
-  units of the outer-axis and the expansion algebras, the inner arguments
-  and the expansion algebra's cube layout, held in tuples and read-only
-  mappings of immutable values.
+  units of the outer-axis and the expansion algebras, the inner arguments,
+  the expansion algebra's cube layout and, per expansion subset u, the
+  positions w -> u | w of the subsets w disjoint from u, held in tuples and
+  read-only mappings of immutable values.
 A convolution evaluates the inner kernels in the algebra of the outer axes
 alone, whose arguments carry no expansion generator, and writes each value's
 outer-axis coefficients straight into the outer arguments at the kernel's
-expansion subset.  It embeds each outer kernel value at its expansion subset
-by re-indexing (`WeilElement.times_basis`), not by a product.  The
+expansion subset; an outer kernel's value at w goes straight into one dict
+per component, at u | w for the kernel's expansion subset u.  The
 antisymmetrizer builds no permuted kernel: it sums the signed integer
 numerators once per orbit of monomials under the axis permutations, unless
 an odd permutation fixes the orbit, and writes a nonzero sum at every
@@ -429,6 +430,7 @@ _ConvLayout = namedtuple("_ConvLayout", [
     "ext_one",      # the unit WeilElement of the expansion algebra
     "args",         # inner-kernel arguments, gamma with outer scalars
     "ext",          # _CubeLayout of the expansion algebra: slot order
+    "lands",        # by expansion position of u: read-only {w: u | w}, w disjoint from u
 ])
 
 
@@ -448,10 +450,13 @@ def _conv_layout(outer_axes, inner_axes, total, m, ext_n) -> _ConvLayout:
                 coeffs[tpos] = Poly.var(n_gamma, cube_var(total, m, s_global | t_global, j))
             args.append(WeilElement(axis_alg, coeffs))
 
+    ext = _cube_layout(ext_n)
+    lands = tuple(MappingProxyType({w_pos: ext.index[u | w] for w_pos, w in ext.subsets
+                                    if not u & w}) for _u_pos, u in ext.subsets)
     return _ConvLayout(
         WeilElement(axis_alg, {0: Poly.one(n_gamma)}),
         WeilElement(make_algebra(d_cube(ext_n)), {0: Poly.one(n_gamma)}),
-        tuple(args), _cube_layout(ext_n))
+        tuple(args), ext, lands)
 
 
 def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
@@ -465,9 +470,10 @@ def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
     The coefficient at outer slot t of an inner value becomes the outer
     argument at t, at the position of the inner kernel's expansion subset in
     the algebra on the ext_n expansion generators; no two kernels share a
-    position.  Each outer kernel's values are embedded at their expansion
-    subset by re-indexing (`WeilElement.times_basis`).  Returns expansion
-    subset -> Kernel(total).
+    position.  An outer kernel's value at expansion position w lands at
+    u | w for the kernel's expansion subset u, which is its product with
+    eps_u: a w that meets u is dropped (eps_i^2 = 0), and values landing on
+    one position add.  Returns expansion subset -> Kernel(total).
     """
     layout = _conv_layout(outer_axes, inner_axes, total, m, ext_n)
     ext_alg, n_gamma = layout.ext_one.algebra, cube_dim(total, m)
@@ -482,16 +488,20 @@ def _conv_core(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext_n):
                 h_args[tpos * m + j][ext_pos] = poly
     h_args = [WeilElement(ext_alg, c) for c in h_args]
 
-    out_vals = [WeilElement(ext_alg, {}) for _ in range(m)]
+    # each component's polynomials by expansion position
+    out = [{} for _ in range(m)]
     for u_subset, ker in outer_bar.items():
-        pos = layout.ext.index[u_subset]
-        vals = ker.body.eval(h_args, layout.ext_one)
-        for j in range(m):
-            out_vals[j] = out_vals[j] + vals[j].times_basis(pos)
+        lands = layout.lands[layout.ext.index[u_subset]]
+        for acc, val in zip(out, ker.body.eval(h_args, layout.ext_one)):
+            for w_pos, poly in val.coeffs.items():
+                pos = lands.get(w_pos)
+                if pos is not None:
+                    acc[pos] = acc[pos] + poly if pos in acc else poly
 
+    zero = Poly.zero(n_gamma)
     result = {}
     for pos, subset in layout.ext.subsets:
-        comps = [out_vals[j].coeffs.get(pos, Poly.zero(n_gamma)) for j in range(m)]
+        comps = [acc.get(pos, zero) for acc in out]
         if any(comps):
             result[subset] = Kernel(total, m, PolyMap(n_gamma, comps))
     return result

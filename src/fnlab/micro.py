@@ -274,7 +274,16 @@ def case_solve(case: AmalgamationCase, c1, c2) -> dict:
 
 
 def amalgamate(g1: MicroPoint, g2: MicroPoint, case) -> MicroPoint:
-    """Glue two leg points into the unique apex point over their shared restriction."""
+    """Glue two leg points into the unique apex point over their shared restriction.
+
+    Each apex coordinate is born reduced over L, the lcm of the legs'
+    denominators, with no gcd pass.  For each prime factor of L, the leg
+    whose reduced denominator holds L's full power of it keeps a numerator
+    the prime does not divide, so the scaled leg numerators share no factor
+    with L.  The apex restricts to each leg by an integer map (after the
+    compat check), so a factor of L in every apex numerator would be in
+    every leg numerator.
+    """
     case = get_case(case)
     for g in (g1, g2):
         if g.algebra is not case.leg_alg:
@@ -294,7 +303,7 @@ def amalgamate(g1: MicroPoint, g2: MicroPoint, case) -> MicroPoint:
             raise PreconditionError(f"legs disagree on the shared restriction: "
                                     f"coordinate {j}, monomial {bad[0]}")
     apex_alg = case.apex_alg
-    out = [from_numerators(apex_alg, case_solve(case, c1, c2), den)
+    out = [from_reduced(apex_alg, case_solve(case, c1, c2), den)
            for den, c1, c2 in legs]
     return MicroPoint(apex_alg, g1.m, out)
 

@@ -30,7 +30,7 @@ integers.  Sums, scaling and products work on the integers and reduce once,
 by one gcd pass.  `rationals.FractionFree` owns negation, difference,
 rational scaling and powers by repeated squaring, for rational and
 ring-valued elements alike; WeilElement keeps its sum, product, ring-valued
-scaling, equality and `times_basis`.  Rationals are built only for readers:
+scaling and equality.  Rationals are built only for readers:
 `coeffs` is a read-only view that builds each one on lookup, and `coeff`
 builds its own.
 
@@ -49,10 +49,6 @@ each position's polynomials are summed by `rationals.combine` with the last
 factor fused into `Poly._mul_into`, as a polynomial evaluation sums its
 terms.  A result whose values are all rational is held fraction-free, as
 the constructor holds it.
-
-Multiplying by a basis monomial with coefficient 1 needs no arithmetic:
-`times_basis` moves each coefficient along that monomial's surviving pairs,
-for rational and ring-valued elements alike.
 """
 
 from functools import lru_cache
@@ -302,22 +298,6 @@ class WeilElement(FractionFree):
                 x *= f
             for j, k in pairs[i]:
                 acc[k] += x * b[j]
-
-    def times_basis(self, pos: int) -> "WeilElement":
-        """self times the basis monomial at index pos, with coefficient 1.
-
-        The coefficient at j moves to k along pos's surviving pairs (j, k)
-        and is otherwise dropped.  In a monomial algebra basis[j] is
-        basis[k] / basis[pos], so j -> k is injective and no two
-        coefficients add: rational and ring-valued elements alike move
-        without arithmetic.  A rational result keeps the denominator and is
-        reduced once, since the dropped terms may leave a common factor.
-        """
-        num = self._num
-        out = {k: num[j] for j, k in self.algebra._pairs[pos] if j in num}
-        if self._den is None:
-            return WeilElement(self.algebra, out)
-        return from_numerators(self.algebra, out, self._den)
 
     def scale(self, c) -> "WeilElement":
         """c times self; a ring-valued element or c scales each coefficient."""

@@ -502,7 +502,8 @@ def test_cached_conv_layout_is_read_only():
     with pytest.raises(AttributeError):
         layout.args = ()
     for container, key in ((layout.args, 0), (layout.ext.index, frozenset()),
-                           (layout.ext.subsets, 0)):
+                           (layout.ext.subsets, 0), (layout.lands, 0),
+                           *((lands, 0) for lands in layout.lands)):
         with pytest.raises(TypeError):
             container[key] = None
 
@@ -513,7 +514,8 @@ def big_algebra_conv(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext
     The inner kernels are evaluated in the algebra on the ext_n expansion
     generators followed by one generator per outer axis; each value is moved
     to its expansion subset there, and a split table reads every basis
-    position back as an (outer slot, expansion position) pair.
+    position back as an (outer slot, expansion position) pair.  Values move
+    to an expansion subset by a product with its unit monomial.
     """
     po = len(outer_axes)
     big_alg, ext_alg = make_algebra(d_cube(ext_n + po)), make_algebra(d_cube(ext_n))
@@ -530,8 +532,9 @@ def big_algebra_conv(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext
     inner_vals = [WeilElement(big_alg, {}) for _ in range(m)]
     for v_subset, ker in inner_bar.items():
         vals = ker.body.eval(args, WeilElement(big_alg, {0: Poly.one(n_gamma)}))
+        unit = WeilElement(big_alg, {big.index[v_subset]: Poly.one(n_gamma)})
         for j in range(m):
-            inner_vals[j] = inner_vals[j] + vals[j].times_basis(big.index[v_subset])
+            inner_vals[j] = inner_vals[j] + vals[j] * unit
     split = {pos: (outer.index[frozenset(i - ext_n for i in subset if i > ext_n)],
                    ext.index[frozenset(i for i in subset if i <= ext_n)])
              for pos, subset in big.subsets}
@@ -544,8 +547,9 @@ def big_algebra_conv(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext
     out_vals = [WeilElement(ext_alg, {}) for _ in range(m)]
     for u_subset, ker in outer_bar.items():
         vals = ker.body.eval(h_args, WeilElement(ext_alg, {0: Poly.one(n_gamma)}))
+        unit = WeilElement(ext_alg, {ext.index[u_subset]: Poly.one(n_gamma)})
         for j in range(m):
-            out_vals[j] = out_vals[j] + vals[j].times_basis(ext.index[u_subset])
+            out_vals[j] = out_vals[j] + vals[j] * unit
     result = {}
     for pos, subset in ext.subsets:
         comps = [out_vals[j].coeffs.get(pos, Poly.zero(n_gamma)) for j in range(m)]
@@ -554,7 +558,7 @@ def big_algebra_conv(outer_bar, inner_bar, outer_axes, inner_axes, total, m, ext
     return result
 
 
-@pytest.mark.parametrize("ext_n", [0, 1, 2])
+@pytest.mark.parametrize("ext_n", [0, 1, 2, 3])
 @pytest.mark.parametrize("m", [1, 2])
 def test_conv_core_matches_the_big_algebra_reference(m, ext_n):
     rng = random.Random(f"conv-core/{m}/{ext_n}")

@@ -1,8 +1,10 @@
 import random
 import re
 import time
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fnlab.micro
 from fnlab.errors import PreconditionError, ValidationError
@@ -16,7 +18,7 @@ from fnlab.morphisms import InfMorphism, axis_map, inclusion
 from fnlab.poly import Poly, PolyMap
 from fnlab.rationals import Q
 from fnlab.simplicial import SimplicialObject, d_cube, d_order, d_paren
-from fnlab.weil import WeilElement, from_dense, make_algebra
+from fnlab.weil import WeilElement, from_dense, from_numerators, make_algebra
 
 
 def square(m, base, e1, e2, corner):
@@ -423,6 +425,46 @@ def test_pullback_roundtrip_all_cases():
             for a, b, c in zip(g1.coords, g2.coords, glued.coords):
                 rhs = {**a.coeffs, **{offset + k: v for k, v in b.coeffs.items()}}
                 assert solve_exact(reordered, rhs) == dict(c.coeffs)
+
+
+def leg_pair(case, m, first_value, corner_value):
+    """Two legs of case on R^m that agree on the shared restriction.
+
+    The first leg draws every value from first_value; the second keeps the
+    first's shared values and draws its corner values from corner_value.
+    """
+    keys = [_key(e) for e in case.leg_alg.basis]
+    corner = [_key(e) for e in case.leg_alg.basis if e not in case.shared_alg.index]
+    first = {k: [first_value() for _ in range(m)] for k in keys}
+    second = {**first, **{k: [corner_value() for _ in range(m)] for k in corner}}
+    return (MicroPoint.from_table(case.leg, m, first),
+            MicroPoint.from_table(case.leg, m, second))
+
+
+# pairs of equal, dividing and coprime leg denominators, odd and even
+LEG_DENOMINATORS = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12])
+
+
+@pytest.mark.parametrize("name", ["square", "cube-1", "cube-2", "cube-3"])
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(m=st.integers(1, 3), dens=st.tuples(LEG_DENOMINATORS, LEG_DENOMINATORS),
+       seed=st.integers(0, 2 ** 16))
+def test_glued_apex_is_born_reduced(name, m, dens, seed):
+    """Each apex coordinate is reduced as built: it equals the element
+    from_numerators reduces by a gcd pass, numerator for numerator."""
+    case = get_case(name)
+    rng = random.Random(seed)
+    g1, g2 = leg_pair(case, m, *(lambda d=d: Q(rng.randint(-9, 9), d) for d in dens))
+    glued = amalgamate(g1, g2, case)
+    for a, b, c in zip(g1.coords, g2.coords, glued.coords):
+        assert c._den > 0 and gcd(c._den, *c._num.values()) == 1
+        assert all(c._num.values())
+        den = lcm(a._den, b._den)
+        c1 = {k: n * (den // a._den) for k, n in a._num.items()}
+        c2 = {k: n * (den // b._den) for k, n in b._num.items()}
+        ref = from_numerators(case.apex_alg, fnlab.micro.case_solve(case, c1, c2), den)
+        assert (c._num, c._den) == (ref._num, ref._den)
+    assert restrict(glued, case.twisted) == g1 and restrict(glued, case.flat) == g2
 
 
 def dense_add_tangents(a, b):

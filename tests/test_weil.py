@@ -713,42 +713,6 @@ def test_ring_valued_element_refuses_hashing():
             {w}
 
 
-# multiplication by a unit basis monomial, as re-indexing --------------------
-
-
-@pytest.mark.parametrize("obj", [d_cube(n) for n in range(5)] + [SPARSE_PAIRS, d_order(3)],
-                         ids=[f"cube{n}" for n in range(5)] + ["sparse-pairs", "order3"])
-def test_times_basis_matches_unit_monomial_product(obj):
-    alg = make_algebra(obj)
-    rng = random.Random(repr(obj))
-
-    def poly_element(terms):
-        coeffs = {}
-        for k in rng.sample(range(alg.dim), min(terms, alg.dim)):
-            coeffs[k] = Poly.var(2, rng.randrange(2)) * Q(rng.randint(1, 5), rng.randint(1, 7)) \
-                + Poly.one(2) * Q(rng.randint(-3, 3))
-        return WeilElement(alg, coeffs)
-
-    # the last element loses its d-free half/quarter terms under most
-    # monomials, which leaves numerators sharing a factor with the denominator
-    rational = [alg.zero(), random_element(rng, alg, alg.dim), random_element(rng, alg, 2),
-                random_element(rng, alg, 1), random_element(rng, alg, alg.dim, max_den=1),
-                WeilElement(alg, {0: Q(1, 2), alg.dim - 1: Q(1, 4)})]
-    ring = [WeilElement(alg, {}), poly_element(alg.dim), poly_element(2), poly_element(1)]
-    for pos in range(alg.dim):
-        unit = WeilElement(alg, {pos: Q(1)})
-        for x in rational:
-            got = x.times_basis(pos)
-            assert got == unit * x == x * unit
-            check(got, ref_of(unit * x))
-        poly_unit = WeilElement(alg, {pos: Poly.one(2)})
-        for x in ring:
-            got = x.times_basis(pos)
-            assert got == poly_unit * x
-            assert got.coeffs == naive_product(poly_unit, x)
-            assert all(isinstance(c, Poly) and c for c in got.coeffs.values())
-
-
 # the packed pair table against a brute-force table ---------------------------
 
 
